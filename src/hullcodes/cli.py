@@ -76,13 +76,17 @@ _INPUT_ERRORS = (
 
 def _budget(args) -> OracleBudget:
     default = OracleBudget()
-    max_cw = args.max_codewords or int(
-        os.environ.get(ENV_MAX_CODEWORDS, default.max_codewords)
-    )
-    max_mk = args.max_minor_k or int(
-        os.environ.get(ENV_MAX_MINOR_K, default.max_minor_k)
-    )
+    max_cw = _budget_value(args.max_codewords, ENV_MAX_CODEWORDS, default.max_codewords)
+    max_mk = _budget_value(args.max_minor_k, ENV_MAX_MINOR_K, default.max_minor_k)
     return OracleBudget(max_codewords=max_cw, max_minor_k=max_mk)
+
+
+def _budget_value(flag, env: str, default: int) -> int:
+    """The flag if given, else the environment variable, else the default."""
+    value = flag if flag is not None else int(os.environ.get(env, default))
+    if value < 0:
+        raise ValueError(f"oracle budgets must be non-negative, got {value}")
+    return value
 
 
 def _emit(args, text: str) -> None:
@@ -145,15 +149,17 @@ def cmd_construct(args) -> int:
             v = (1, 1) if args.ternary == "n2k1" else (1, 1, 1)
         code = ternary_codes(args.ternary, v)
         report = hull_report(code)
+        d = min_distance(code, budget)
         payload = {
             "schema": 1,
             "ternary": args.ternary,
             "generator": [list(r) for r in code.generator.rows],
             "report": report.to_dict(),
-            "min_distance": min_distance(code, budget),
+            "min_distance": d,
         }
         _emit(args, _dump(payload))
-        return 0 if report.oracle_agrees else 1
+        # all four ternary codes are MDS
+        return 0 if report.oracle_agrees and d == code.n - code.k + 1 else 1
 
     if args.k is None or args.l is None:
         raise FamilyError("construct needs --k and --l")

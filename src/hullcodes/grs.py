@@ -127,6 +127,8 @@ def spec_to_dict(spec: GrsSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> GrsSpec:
+    if d.get("schema") != 1:
+        raise GrsError(f"unsupported code schema {d.get('schema')!r}, expected 1")
     field = Field.from_dict(d["field"])
     points = eval_set(field, d["a"])
     return grs(points, d["v"], int(d["k"]), bool(d.get("extended", False)))

@@ -2,9 +2,14 @@
 
 Nothing here knows about GRS structure or certificates: minimum
 distance comes from enumerating codewords, MDS checks fall back to
-minor expansion, and the hull dimension is recomputed from the stacked
-generator/dual-generator rank.  These are the referees for everything
-the constructive modules claim.
+checking every k x k minor, and the hull dimension is recomputed from
+the stacked generator/dual-generator rank.  These are the referees for
+everything the constructive modules claim.
+
+The minor check eliminates batches of column subsets at once over the
+field's numpy tables, stopping at the first batch that holds a
+singular minor.  Above Field.NP_TABLE_CAP, where there are no tables,
+it computes one determinant per subset instead.
 
 Enumeration is table-driven numpy over one projective representative
 per 1-dimensional message subspace (first nonzero message digit
@@ -36,6 +41,9 @@ class OracleBudget:
 DEFAULT_BUDGET = OracleBudget()
 
 _CHUNK = 1 << 16
+
+# column subsets per batched elimination; bounds the (batch, k, k) arrays
+_MINOR_BATCH = 1024
 
 
 def min_distance(code: LinearCode, budget: OracleBudget = DEFAULT_BUDGET) -> int:
@@ -106,9 +114,64 @@ def is_mds(code: LinearCode, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
 
 
 def _all_minors_nonzero(code: LinearCode) -> bool:
-    G = code.generator
+    """Whether every k x k minor of G is nonzero.
+
+    Column subsets are taken in chunks of _MINOR_BATCH and eliminated
+    together over the field's numpy tables; fields too large to
+    tabulate fall back to one determinant per subset."""
     f = code.field
-    cols = list(zip(*G.rows))
+    k = code.k
+    tables = f.np_tables()
+    if tables is None:
+        return _all_minors_nonzero_by_determinant(code)
+    subsets = itertools.combinations(range(code.n), k)
+    add_t, mul_t = tables
+    neg_t = mul_t[:, f.neg(1)]
+    G = np.array(code.generator.rows, dtype=np.int16)
+    while True:
+        chunk = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(subsets, _MINOR_BATCH)),
+            dtype=np.intp,
+        ).reshape(-1, k)
+        if not len(chunk):
+            return True
+        # M[b] is the transpose of the k x k submatrix of G on the
+        # columns chunk[b]; the two are singular together
+        M = G.T[chunk]
+        if not _all_nonsingular(M, add_t, mul_t, neg_t):
+            return False
+
+
+def _all_nonsingular(M, add_t, mul_t, neg_t) -> bool:
+    """Whether every matrix in the (batch, k, k) stack M is nonsingular.
+
+    Division-free elimination: row_i <- M[c,c] * row_i - M[i,c] * row_c
+    scales each determinant by a nonzero factor, so it keeps the
+    verdict without an inverse table.  M is overwritten."""
+    batch, k, _ = M.shape
+    every = np.arange(batch)
+    for c in range(k):
+        nonzero = M[:, c:, c] != 0
+        if not nonzero.any(axis=1).all():
+            return False
+        pivot = c + nonzero.argmax(axis=1)
+        pivot_row = M[every, pivot].copy()
+        M[every, pivot] = M[:, c]
+        lead = pivot_row[:, c, None, None]
+        coef = neg_t[M[:, c + 1 :, c, None]]
+        M[:, c + 1 :, c + 1 :] = add_t[
+            mul_t[lead, M[:, c + 1 :, c + 1 :]],
+            mul_t[coef, pivot_row[:, None, c + 1 :]],
+        ]
+    return True
+
+
+def _all_minors_nonzero_by_determinant(code: LinearCode) -> bool:
+    """One determinant per k-subset of columns: the route for fields
+    without numpy tables, and the reference the batched route is
+    tested against."""
+    f = code.field
+    cols = list(zip(*code.generator.rows))
     for subset in itertools.combinations(range(code.n), code.k):
         sub = Matrix(f, zip(*(cols[c] for c in subset)), ncols=code.k)
         if determinant(sub) == 0:

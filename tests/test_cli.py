@@ -196,6 +196,66 @@ def test_budget_env_override(monkeypatch, capsys):
     assert rc == 0  # hull still verified; MDS merely unattempted
 
 
+def test_budget_zero_codewords_is_honoured(capsys):
+    # no codeword may be enumerated, so the ternary distance is out of budget
+    rc = main("construct --ternary n3k1 --max-codewords 0".split())
+    assert rc == 1
+    assert "budget" in capsys.readouterr().err
+
+
+def test_budget_zero_minor_k_is_honoured(capsys):
+    rc = main(
+        "construct --family twisted_pair --q 7 --t 3 --k 2 --l 1 "
+        "--max-codewords 1 --max-minor-k 0".split()
+    )
+    assert rc == 0
+    assert _json_out(capsys)["mds_verified"] is None
+
+
+@pytest.mark.parametrize("flag", ["--max-codewords", "--max-minor-k"])
+def test_budget_rejects_negative_flag(flag, capsys):
+    rc = main(["construct", "--ternary", "n3k1", flag, "-1"])
+    assert rc == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env", [cli.ENV_MAX_CODEWORDS, cli.ENV_MAX_MINOR_K])
+def test_budget_rejects_negative_env(env, monkeypatch, capsys):
+    monkeypatch.setenv(env, "-5")
+    assert main(["construct", "--ternary", "n3k1"]) == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
+def test_construct_ternary_fails_when_not_mds(monkeypatch, capsys):
+    from hullcodes.gf import Field
+    from hullcodes.hull import linear_code
+
+    # a [3, 1, 2] stand-in: not MDS, though its hull formulas agree
+    monkeypatch.setattr(
+        cli, "ternary_codes", lambda kind, v: linear_code(Field(3), [[1, 1, 0]])
+    )
+    rc = main(["construct", "--ternary", "n3k1"])
+    assert _json_out(capsys)["min_distance"] == 2
+    assert rc == 1
+
+
+@pytest.mark.parametrize("schema", [99, 0, None])
+def test_rejects_unknown_schema(schema, tmp_path, capsys):
+    from hullcodes.gf import Field
+    from hullcodes.grs import eval_set, grs, spec_to_dict
+
+    d = spec_to_dict(grs(eval_set(Field(13), range(13)), [1] * 13, 6))
+    if schema is None:
+        del d["schema"]
+    else:
+        d["schema"] = schema
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(d))
+    assert main(["verify", str(path)]) == 2
+    assert "schema" in capsys.readouterr().err
+    assert main(f"construct --seed-json {path} --k 4 --l 2".split()) == 2
+
+
 def test_output_file(tmp_path):
     path = tmp_path / "rows.csv"
     rc = main(f"enumerate --q 3 --format csv --output {path}".split())

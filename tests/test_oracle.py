@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
+from hullcodes import oracle
 from hullcodes.construct import make_seed, reduce_hull_grs, ternary_codes
-from hullcodes.gf import Field
+from hullcodes.gf import Field, factor_prime_power
 from hullcodes.grs import eval_set, grs
 from hullcodes.hull import code_from_grs, hull_report, linear_code
 from hullcodes.linalg import Matrix, rank
@@ -77,6 +79,86 @@ def test_is_mds_rejects_repeated_columns():
     f = Field(3)
     code = linear_code(f, [[1, 1, 0, 0], [0, 0, 1, 1]])
     assert not is_mds(code)
+    assert not is_mds(code, OracleBudget(max_codewords=1, max_minor_k=2))
+
+
+def _random_code(f, rng, n, k, grs_like):
+    """A random [n, k] code; grs_like gives a (possibly scaled) Vandermonde
+    generator on distinct points, which is MDS."""
+    q = f.q
+    while True:
+        if grs_like:
+            points = rng.sample(range(q), n)
+            v = [rng.randrange(1, q) for _ in range(n)]
+            rows = [[f.mul(vi, f.pow(a, r)) for a, vi in zip(points, v)] for r in range(k)]
+        else:
+            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+        if rank(Matrix(f, rows)) == k:
+            return linear_code(f, rows)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 9, 49])
+def test_batched_minors_match_determinant_loop(q):
+    p, m = factor_prime_power(q)
+    f = Field(p, m)
+    rng = random.Random(q)
+    verdicts = []
+    for trial in range(40):
+        n = rng.randint(1, min(8, q + 1))
+        # the first trials pin the edge cases k = 1 and k = n
+        k = (1, n)[trial % 2] if trial < 8 else rng.randint(1, n)
+        code = _random_code(f, rng, n, k, grs_like=n <= q and trial % 3 == 0)
+        fast = oracle._all_minors_nonzero(code)
+        assert fast == oracle._all_minors_nonzero_by_determinant(code)
+        verdicts.append(fast)
+    assert True in verdicts and False in verdicts
+
+
+def _projective_line_code(f, n, twin=None):
+    """[n, 2] code over f whose columns are distinct projective points,
+    except that column twin[1], if given, is a multiple of column twin[0]."""
+    cols = ([(1, x) for x in range(f.q)] + [(0, 1)])[:n]
+    if twin:
+        i, j = twin
+        cols[j] = tuple(f.mul(f.generator, x) for x in cols[i])
+    return linear_code(f, [list(r) for r in zip(*cols)])
+
+
+def test_batched_minors_exit_in_later_chunk(monkeypatch):
+    # GF(64), n = 65: C(65, 2) = 2080 subsets, three chunks of 1024
+    f = Field(2, 6)
+    n = 65
+    assert oracle._MINOR_BATCH == 1024
+    chunks = []
+    batched = oracle._all_nonsingular
+
+    def counting(M, *tables):
+        chunks.append(len(M))
+        return batched(M, *tables)
+
+    monkeypatch.setattr(oracle, "_all_nonsingular", counting)
+    # subset (20, 21) is number 1090 in lexicographic order: chunk two
+    code = _projective_line_code(f, n, (20, 21))
+    subsets = list(itertools.combinations(range(n), 2))
+    cols = list(zip(*code.generator.rows))
+    singular = [
+        i for i, (a, b) in enumerate(subsets)
+        if f.sub(f.mul(cols[a][0], cols[b][1]), f.mul(cols[a][1], cols[b][0])) == 0
+    ]
+    assert singular == [1090]
+    assert not oracle._all_minors_nonzero_by_determinant(code)
+    assert not oracle._all_minors_nonzero(code)
+    assert chunks == [1024, 1024]
+    chunks.clear()
+    mds = _projective_line_code(f, n)
+    assert oracle._all_minors_nonzero(mds)
+    assert chunks == [1024, 1024, 32]
+
+
+def test_minors_above_table_cap_use_determinants():
+    f = Field(1031)
+    assert f.np_tables() is None
+    code = linear_code(f, [[1, 1, 1, 2], [0, 1, 2, 4]])
     assert not is_mds(code, OracleBudget(max_codewords=1, max_minor_k=2))
 
 
