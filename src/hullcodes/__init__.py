@@ -28,6 +28,7 @@ from .construct import (
     choose_alpha,
     choose_b,
     make_seed,
+    reduce_hull,
     reduce_hull_egrs,
     reduce_hull_egrs_from_grs,
     reduce_hull_grs,

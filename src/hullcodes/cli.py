@@ -26,9 +26,7 @@ from .construct import (
     ConstructionError,
     TERNARY_KINDS,
     make_seed,
-    reduce_hull_egrs,
-    reduce_hull_egrs_from_grs,
-    reduce_hull_grs,
+    reduce_hull,
     ternary_codes,
 )
 from .families import (
@@ -121,7 +119,18 @@ def _family_params(args) -> FamilyParams:
     )
 
 
-def _verified_payload(spec, l: int, budget: OracleBudget) -> tuple[dict, bool]:
+def _load_spec(path):
+    """The code in a JSON file: a bare code or a payload with a "code" key."""
+    with open(path) as fh:
+        d = json.load(fh)
+    if isinstance(d, dict) and "code" in d:
+        d = d["code"]
+    return spec_from_dict(d)
+
+
+def _verified_payload(spec, budget: OracleBudget) -> tuple[dict, bool]:
+    """The code's report plus whether its hull formulas agree and it is
+    not refuted as MDS; callers with a target l check hull_dim too."""
     report = hull_report(code_from_grs(spec))
     try:
         mds = is_mds(code_from_grs(spec), budget)
@@ -133,21 +142,17 @@ def _verified_payload(spec, l: int, budget: OracleBudget) -> tuple[dict, bool]:
         "report": report.to_dict(),
         "length": spec.length,
         "k": spec.k,
-        "l": l,
         "mds_verified": mds,
     }
-    ok = report.hull_dim == l and report.oracle_agrees and mds is not False
-    return payload, ok
+    return payload, report.oracle_agrees and mds is not False
 
 
 def cmd_construct(args) -> int:
     budget = _budget(args)
+    if args.extend and not args.seed_json:
+        raise ConstructionError("--extend applies only to --seed-json")
     if args.ternary:
-        if args.v:
-            v = _int_list(args.v)
-        else:
-            v = (1, 1) if args.ternary == "n2k1" else (1, 1, 1)
-        code = ternary_codes(args.ternary, v)
+        code = ternary_codes(args.ternary, _int_list(args.v) if args.v else None)
         report = hull_report(code)
         d = min_distance(code, budget)
         payload = {
@@ -167,47 +172,27 @@ def cmd_construct(args) -> int:
         raise FamilyError(f"l = {args.l} exceeds k = {args.k}")
 
     if args.seed_json:
-        with open(args.seed_json) as fh:
-            d = json.load(fh)
-        spec = spec_from_dict(d.get("code", d))
-        seed = make_seed(spec)
-        if args.extend:
-            out = reduce_hull_egrs_from_grs(seed, args.k, args.l, alpha=args.alpha)
-        elif spec.extended:
-            out = reduce_hull_egrs(seed, args.k, args.l, alpha=args.alpha, b=args.b)
-        else:
-            out = reduce_hull_grs(seed, args.k, args.l, alpha=args.alpha)
+        seed = make_seed(_load_spec(args.seed_json))
+        out = reduce_hull(
+            seed, args.k, args.l, extend=args.extend, alpha=args.alpha, b=args.b
+        )
     elif args.family:
         fs = build_family(_family_params(args))
         out = construct_from_family(fs, args.k, args.l, alpha=args.alpha, b=args.b)
     else:
         raise FamilyError("construct needs --family, --seed-json or --ternary")
 
-    payload, ok = _verified_payload(out, args.l, budget)
+    payload, ok = _verified_payload(out, budget)
+    payload["l"] = args.l
     _emit(args, _dump(payload))
-    return 0 if ok else 1
+    return 0 if ok and payload["report"]["hull_dim"] == args.l else 1
 
 
 def cmd_verify(args) -> int:
-    with open(args.path) as fh:
-        d = json.load(fh)
-    spec = spec_from_dict(d.get("code", d))
-    budget = _budget(args)
-    report = hull_report(code_from_grs(spec))
-    try:
-        mds = is_mds(code_from_grs(spec), budget)
-    except BudgetError:
-        mds = None
-    payload = {
-        "schema": 1,
-        "code": spec_to_dict(spec),
-        "report": report.to_dict(),
-        "length": spec.length,
-        "k": spec.k,
-        "mds_verified": mds,
-    }
+    spec = _load_spec(args.path)
+    payload, ok = _verified_payload(spec, _budget(args))
     _emit(args, _dump(payload))
-    return 0 if report.oracle_agrees and mds is not False else 1
+    return 0 if ok else 1
 
 
 _CSV_COLUMNS = (
@@ -240,8 +225,7 @@ def cmd_enumerate(args) -> int:
     if args.family is None and args.q == 3:
         # the only q = 3 MDS codes with known hulls: the explicit table
         for kind in TERNARY_KINDS:
-            nv = 2 if kind == "n2k1" else 3
-            code = ternary_codes(kind, (1,) * nv)
+            code = ternary_codes(kind)
             report = hull_report(code)
             rows.append(
                 {
@@ -268,8 +252,9 @@ def cmd_enumerate(args) -> int:
     all_ok = True
     for n, k, l in family_grid(fs):
         spec = construct_from_family(fs, k, l)
-        payload, ok = _verified_payload(spec, l, budget)
-        all_ok = all_ok and ok
+        payload, ok = _verified_payload(spec, budget)
+        hull_ok = payload["report"]["hull_dim"] == l
+        all_ok = all_ok and ok and hull_ok
         rows.append(
             {
                 "family": fs.params.family,
@@ -280,8 +265,7 @@ def cmd_enumerate(args) -> int:
                 "l": l,
                 "classification": payload["report"]["classification"],
                 "mds_verified": payload["mds_verified"],
-                "hull_verified": payload["report"]["hull_dim"] == l
-                and payload["report"]["oracle_agrees"],
+                "hull_verified": hull_ok and payload["report"]["oracle_agrees"],
             }
         )
     _rows_to_output(args, rows)
@@ -413,8 +397,7 @@ def _selftest_certificates(rng: random.Random):
 def _selftest_ternary(rng: random.Random):
     expected = {"n2k1": (0, 2), "n3k1": (1, 3), "n4k1": (0, 4), "n4k2": (2, 3)}
     for kind, (hull, dist) in expected.items():
-        nv = 2 if kind == "n2k1" else 3
-        code = ternary_codes(kind, (1,) * nv)
+        code = ternary_codes(kind)
         report = hull_report(code)
         if report.hull_dim != hull or min_distance(code) != dist:
             return False, (

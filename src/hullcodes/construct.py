@@ -1,7 +1,7 @@
 """Hull-dimension reductions from self-orthogonal seed codes.
 
-Given a self-orthogonal (extended) GRS seed of dimension m, these
-routines output an MDS code of any dimension k <= m with any prescribed
+Given a self-orthogonal (extended) GRS seed of dimension m, reduce_hull
+outputs an MDS code of any dimension k <= m with any prescribed
 hull dimension l <= k, by scaling the first s = k - l multipliers with
 a fixed alpha (alpha != 0, alpha^2 != 1) and, in the extended case,
 twisting all multipliers by pi(a_i) for a monic degree-(m-k) polynomial
@@ -12,7 +12,7 @@ b.  When the evaluation points exhaust the field no such b exists; any
 monic root-free pi of the right degree works in the argument, so we
 fall back to a product of irreducible quadratics/cubics when m-k >= 2.
 For m - k = 1 no root-free monic linear polynomial exists, and the
-target l = k is then genuinely unreachable (see reduce_extended); the
+target l = k is then genuinely unreachable; the
 remaining targets l <= k-1 go through the pi-free route below.
 
 A self-orthogonal *non-extended* seed also yields extended codes of
@@ -72,11 +72,6 @@ def make_seed(spec: GrsSpec, m: int | None = None) -> SeedCode:
     return SeedCode(spec, cert, m)
 
 
-def _revalidate(seed: SeedCode) -> None:
-    if not check_certificate(seed.certificate, seed.spec.points, seed.spec.v):
-        raise ConstructionError("seed certificate fails re-validation")
-
-
 def choose_alpha(field: Field, override: int | None = None) -> int:
     """Smallest-encoding alpha with alpha != 0 and alpha^2 != 1."""
     if override is not None:
@@ -107,8 +102,6 @@ def choose_b(field: Field, points: EvaluationSet, override: int | None = None) -
 def _rootless_monic(field: Field, avoid, degree: int) -> list[int]:
     """Monic polynomial of the given degree with no roots among `avoid`,
     built from the smallest irreducible quadratic and cubic."""
-    if degree == 0:
-        return [1]
     pieces = []
     rem = degree
     quad = _smallest_irreducible(field, 2)
@@ -139,61 +132,49 @@ def _smallest_irreducible(field: Field, degree: int) -> list[int]:
     )
 
 
-def _scaled_multipliers(field, v, s, alpha, pi=None, points=None):
-    out = []
-    for i, vi in enumerate(v):
-        w = field.mul(alpha, vi) if i < s else vi
-        if pi is not None:
-            w = field.mul(w, poly_eval(field, pi, points.a[i]))
-        out.append(w)
-    return tuple(out)
-
-
-def _check_ranges(seed: SeedCode, k: int, l: int) -> None:
-    if seed.spec.field.q <= 3:
-        raise ConstructionError("reduction requires q > 3")
-    if not 0 <= l <= k <= seed.m:
-        raise ConstructionError(
-            f"need 0 <= l <= k <= m, got l={l}, k={k}, m={seed.m}"
-        )
-    if k < 1:
-        raise ConstructionError("target dimension k must be >= 1")
-
-
-def reduce_hull_grs(seed: SeedCode, k: int, l: int, alpha: int | None = None) -> GrsSpec:
-    """[n, k] MDS code with hull dimension exactly l from a non-extended
-    self-orthogonal seed of dimension m >= k."""
-    if seed.spec.extended:
-        raise ConstructionError("reduce_hull_grs needs a non-extended seed")
-    _check_ranges(seed, k, l)
-    _revalidate(seed)
-    field = seed.spec.field
-    s = k - l
-    a = choose_alpha(field, alpha)
-    v = _scaled_multipliers(field, seed.spec.v, s, a)
-    return grs(seed.spec.points, v, k, extended=False)
-
-
-def reduce_hull_egrs(
+def reduce_hull(
     seed: SeedCode,
     k: int,
     l: int,
+    *,
+    extend: bool = False,
     alpha: int | None = None,
     b: int | None = None,
 ) -> GrsSpec:
-    """[n+1, k] MDS code with hull dimension exactly l from an extended
-    self-orthogonal seed of dimension m >= k."""
-    if not seed.spec.extended:
-        raise ConstructionError("reduce_hull_egrs needs an extended seed")
-    _check_ranges(seed, k, l)
-    _revalidate(seed)
-    field = seed.spec.field
-    points = seed.spec.points
-    m = seed.m
-    s = k - l
-    if k == m:
-        pi = [1]
-    else:
+    """MDS code of dimension k with hull dimension exactly l from a
+    self-orthogonal seed of dimension m >= k.
+
+    extend adds the infinity coordinate to a non-extended seed (then
+    l <= k - 1); the output is extended when the seed is or when extend
+    is set.  b picks the (x - b)^(m-k) twist of an extended seed with
+    k < m and is rejected anywhere else.
+    """
+    spec, m = seed.spec, seed.m
+    field, points = spec.field, spec.points
+    if field.q <= 3:
+        raise ConstructionError("reduction requires q > 3")
+    if not 0 <= l <= k <= m:
+        raise ConstructionError(f"need 0 <= l <= k <= m, got l={l}, k={k}, m={m}")
+    if k < 1:
+        raise ConstructionError("target dimension k must be >= 1")
+    if extend and spec.extended:
+        raise ConstructionError("extend needs a non-extended seed")
+    if extend and l == k:
+        raise ConstructionError(
+            "extending a non-extended seed reaches only 0 <= l <= k-1"
+        )
+    twist = spec.extended and k < m
+    if b is not None and not twist:
+        raise ConstructionError(
+            f"b = {b} has no effect: the (x - b)^(m-k) twist applies only to "
+            "an extended seed with k < m"
+        )
+    if not check_certificate(seed.certificate, points, spec.v):
+        raise ConstructionError("seed certificate fails re-validation")
+
+    s = k - 1 - l if extend else k - l
+    pi = None
+    if twist:
         try:
             bb = choose_b(field, points, b)
             pi = poly_pow(field, [field.neg(bb), 1], m - k)
@@ -206,7 +187,6 @@ def reduce_hull_egrs(
             elif l < k:
                 # pi-free route: the infinity coordinate absorbs one
                 # hull dimension, so retarget s accordingly
-                pi = [1]
                 s = k - 1 - l
             else:
                 raise ConstructionError(
@@ -214,28 +194,40 @@ def reduce_hull_egrs(
                     "the evaluation points exhaust the field (n = q)"
                 )
     a = choose_alpha(field, alpha)
-    v = _scaled_multipliers(field, seed.spec.v, s, a, pi, points)
-    return grs(points, v, k, extended=True)
+    v = [field.mul(a, vi) if i < s else vi for i, vi in enumerate(spec.v)]
+    if pi is not None:
+        v = [field.mul(w, poly_eval(field, pi, ai)) for w, ai in zip(v, points.a)]
+    return grs(points, v, k, extended=spec.extended or extend)
+
+
+def reduce_hull_grs(seed: SeedCode, k: int, l: int, alpha: int | None = None) -> GrsSpec:
+    """reduce_hull for a non-extended seed: an [n, k] code."""
+    if seed.spec.extended:
+        raise ConstructionError("reduce_hull_grs needs a non-extended seed")
+    return reduce_hull(seed, k, l, alpha=alpha)
+
+
+def reduce_hull_egrs(
+    seed: SeedCode,
+    k: int,
+    l: int,
+    alpha: int | None = None,
+    b: int | None = None,
+) -> GrsSpec:
+    """reduce_hull for an extended seed: an [n+1, k] code."""
+    if not seed.spec.extended:
+        raise ConstructionError("reduce_hull_egrs needs an extended seed")
+    return reduce_hull(seed, k, l, alpha=alpha, b=b)
 
 
 def reduce_hull_egrs_from_grs(
     seed: SeedCode, k: int, l: int, alpha: int | None = None
 ) -> GrsSpec:
-    """[n+1, k] MDS code with hull dimension exactly l <= k-1 from a
-    *non-extended* self-orthogonal seed of dimension m >= k."""
+    """reduce_hull with extend on a non-extended seed: an [n+1, k] code
+    with 0 <= l <= k-1."""
     if seed.spec.extended:
         raise ConstructionError("reduce_hull_egrs_from_grs needs a non-extended seed")
-    _check_ranges(seed, k, l)
-    if l > k - 1:
-        raise ConstructionError(
-            "extending a non-extended seed reaches only 0 <= l <= k-1"
-        )
-    _revalidate(seed)
-    field = seed.spec.field
-    s = k - 1 - l
-    a = choose_alpha(field, alpha)
-    v = _scaled_multipliers(field, seed.spec.v, s, a)
-    return grs(seed.spec.points, v, k, extended=True)
+    return reduce_hull(seed, k, l, extend=True, alpha=alpha)
 
 
 # --- the explicit ternary codes (q = 3 is excluded by the reductions) ---
@@ -244,13 +236,13 @@ TERNARY_KINDS = ("n2k1", "n3k1", "n4k1", "n4k2")
 _TERNARY_SIZES = {"n2k1": 2, "n3k1": 3, "n4k1": 3, "n4k2": 3}
 
 
-def ternary_codes(kind: str, v) -> LinearCode:
+def ternary_codes(kind: str, v=None) -> LinearCode:
     """The four explicit 3-ary MDS codes: [2,1,2], [3,1,3], [4,1,4] and
-    [4,2,3], with hull dimensions 0, 1, 0 and 2."""
+    [4,2,3], with hull dimensions 0, 1, 0 and 2.  v defaults to all ones."""
     field = Field(3)
-    v = tuple(int(x) for x in v)
     if kind not in TERNARY_KINDS:
         raise ConstructionError(f"unknown ternary code kind {kind!r}")
+    v = (1,) * _TERNARY_SIZES[kind] if v is None else tuple(int(x) for x in v)
     if len(v) != _TERNARY_SIZES[kind]:
         raise ConstructionError(
             f"{kind} takes {_TERNARY_SIZES[kind]} multipliers, got {len(v)}"
@@ -270,16 +262,3 @@ def ternary_codes(kind: str, v) -> LinearCode:
         ]
     return linear_code(field, rows)
 
-
-# --- serialization ---
-
-
-def seed_to_dict(seed: SeedCode) -> dict:
-    from .grs import spec_to_dict
-    from .hull import code_from_grs, hull_report
-
-    report = hull_report(code_from_grs(seed.spec))
-    d = spec_to_dict(seed.spec)
-    d["certificate"] = seed.certificate.to_dict()
-    d["classification"] = report.classification
-    return d

@@ -27,23 +27,13 @@ parameter choice (or the documented exception case of even_cosets
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
-from .construct import (
-    SeedCode,
-    make_seed,
-    reduce_hull_egrs,
-    reduce_hull_egrs_from_grs,
-    reduce_hull_grs,
-)
+from .construct import SeedCode, make_seed, reduce_hull
 from .gf import Field, factor_prime_power
 from .grs import GrsSpec, eval_set, grs
 
 FAMILIES = ("even_cosets", "odd_cosets", "additive", "twisted_pair")
-
-ROUTE_GRS = "grs"
-ROUTE_EGRS = "egrs"
-ROUTE_EGRS_FROM_GRS = "egrs_from_grs"
 
 
 class FamilyError(ValueError):
@@ -67,19 +57,35 @@ class FamilyParams:
 
 @dataclass(frozen=True)
 class FamilySeed:
-    """A certified seed plus the reduction route and advertised ranges.
+    """A certified seed plus its advertised ranges.
 
     The reachable codes are [code_length, k] with 1 <= k <= k_max and
-    0 <= l <= k - l_offset, minus `excluded` (k, l) pairs.
+    0 <= l <= k - l_offset, minus `excluded` (k, l) pairs.  extend adds
+    the infinity coordinate to a non-extended seed (see reduce_hull).
     """
 
     params: FamilyParams
     seed: SeedCode
-    route: str
-    code_length: int
     k_max: int
-    l_offset: int
-    excluded: frozenset = dc_field(default_factory=frozenset)
+    extend: bool = False
+
+    @property
+    def code_length(self) -> int:
+        return self.seed.spec.length + self.extend
+
+    @property
+    def l_offset(self) -> int:
+        return int(self.extend)
+
+    @property
+    def excluded(self) -> frozenset:
+        # when the points of an extended seed exhaust the field, the
+        # (k, l) pair (m-1, m-1) needs a root-free linear twist that
+        # does not exist
+        spec, m = self.seed.spec, self.seed.m
+        if spec.extended and spec.n == spec.field.q and m >= 2:
+            return frozenset({(m - 1, m - 1)})
+        return frozenset()
 
 
 def _sqrt_or_fail(field: Field, x: int, what: str) -> int:
@@ -91,21 +97,22 @@ def _sqrt_or_fail(field: Field, x: int, what: str) -> int:
     return field.sqrt(x)
 
 
-def _coset_field(r: int) -> tuple[Field, int]:
-    """GF(r^2) for an odd prime power r, plus r itself."""
-    p, mr = factor_prime_power(r)
-    if p == 2:
-        raise FamilyError("base field size r must be odd")
-    return Field(p, 2 * mr), r
+def _sqrt_multipliers(field: Field, u, negate: bool) -> tuple:
+    """Multipliers v_i with v_i^2 = -u_i (negate) or u_i."""
+    sign = "-" if negate else ""
+    return tuple(
+        _sqrt_or_fail(field, field.neg(ui) if negate else ui, f"{sign}u_{i + 1}")
+        for i, ui in enumerate(u)
+    )
 
 
-def _default_mu(field: Field, beta: int, m: int, t: int, even_only: bool) -> tuple:
+def _default_mu(field: Field, beta: int, r: int, m: int, t: int, even_only: bool) -> tuple:
     """Greedy smallest exponents 0 <= mu_1 < ... < mu_t giving distinct
     cosets of the m-th roots of unity."""
     chosen: list[int] = []
     step = 2 if even_only else 1
-    r_plus_1 = _order_bound(field, beta)
-    for cand in range(0, r_plus_1, step):
+    # beta has order r + 1; exponents live mod that order
+    for cand in range(0, r + 1, step):
         if all(field.pow(field.pow(beta, cand - prev), m) != 1 for prev in chosen):
             chosen.append(cand)
             if len(chosen) == t:
@@ -114,16 +121,6 @@ def _default_mu(field: Field, beta: int, m: int, t: int, even_only: bool) -> tup
         f"could not find {t} distinct cosets (got {len(chosen)}); "
         "t exceeds the number of available coset representatives"
     )
-
-
-def _order_bound(field: Field, beta: int) -> int:
-    # beta has order r + 1; exponents live mod that order
-    order = 1
-    x = beta
-    while x != 1:
-        x = field.mul(x, beta)
-        order += 1
-    return order
 
 
 def _validate_mu(field: Field, beta: int, m: int, mu, even_only: bool) -> tuple:
@@ -142,49 +139,59 @@ def _validate_mu(field: Field, beta: int, m: int, mu, even_only: bool) -> tuple:
     return mu
 
 
-def _coset_points(field: Field, alpha: int, beta: int, m: int, mu) -> list[int]:
-    pts = []
+def _coset_set(params: FamilyParams, variants: tuple, odd: bool):
+    """(GF(r^2), r, mu, points) of the coset families: the points
+    alpha^c * beta^(mu_j) over t cosets of the m-th roots of unity, with
+    n = t*m odd and every mu_j even when odd is set, else n even."""
+    name = params.family
+    if params.r is None or params.m is None or params.t is None:
+        raise FamilyError(f"{name} needs r, m and t")
+    r, m, t = params.r, params.m, params.t
+    p, mr = factor_prime_power(r)
+    if p == 2:
+        raise FamilyError("base field size r must be odd")
+    field = Field(p, 2 * mr)
+    q = field.q
+    if params.variant not in variants:
+        raise FamilyError(
+            f"{name} has variants {variants[0]}-{variants[-1]}, not {params.variant!r}"
+        )
+    if m < 1 or (q - 1) % m != 0:
+        raise FamilyError(f"m = {m} must divide q - 1 = {q - 1}")
+    tmax = (r + 1) // ((1 + odd) * math.gcd(r + 1, m))
+    if not 1 <= t <= tmax:
+        raise FamilyError(f"t = {t} out of range 1..{tmax} for r = {r}, m = {m}")
+    n = t * m
+    if n % 2 != odd:
+        raise FamilyError(f"n = t*m = {n} must be {'odd' if odd else 'even'}")
+
+    alpha = field.root_of_unity(m)
+    beta = field.root_of_unity(r + 1)
+    if params.mu is not None:
+        mu = _validate_mu(field, beta, m, params.mu, even_only=odd)
+    else:
+        mu = _default_mu(field, beta, r, m, t, even_only=odd)
+    if len(mu) != t:
+        raise FamilyError(f"need exactly {t} coset exponents, got {len(mu)}")
+    a = []
     for mj in mu:
         bm = field.pow(beta, mj)
         for c in range(1, m + 1):
-            pts.append(field.mul(field.pow(alpha, c), bm))
-    return pts
+            a.append(field.mul(field.pow(alpha, c), bm))
+    return field, r, mu, a
 
 
 def family_even_cosets(params: FamilyParams) -> FamilySeed:
     """Coset family with n = t*m even (four variants)."""
-    if params.r is None or params.m is None or params.t is None:
-        raise FamilyError("even_cosets needs r, m and t")
-    field, r = _coset_field(params.r)
-    q = field.q
-    m, t = params.m, params.t
+    field, r, mu, a = _coset_set(params, ("i", "ii", "iii", "iv"), odd=False)
+    q, m, t, n = field.q, params.m, params.t, len(a)
     variant = params.variant
-    if variant not in ("i", "ii", "iii", "iv"):
-        raise FamilyError(f"even_cosets has variants i-iv, not {variant!r}")
-    if m < 1 or (q - 1) % m != 0:
-        raise FamilyError(f"m = {m} must divide q - 1 = {q - 1}")
-    tmax = (r + 1) // math.gcd(r + 1, m)
-    if not 1 <= t <= tmax:
-        raise FamilyError(f"t = {t} out of range 1..{tmax} for r = {r}, m = {m}")
-    n = t * m
-    if n % 2:
-        raise FamilyError(f"n = t*m = {n} must be even")
     if variant in ("i", "ii") and ((q - 1) // m) % 2:
         raise FamilyError(f"(q-1)/m = {(q - 1) // m} must be even for variant {variant}")
     if variant in ("iii", "iv") and t % 2 == 0 and m % 2 == 0 and r % 4 == 1:
         raise FamilyError(
             "even_cosets (iii)/(iv) exclude t even, m even, r = 1 mod 4"
         )
-
-    alpha = field.root_of_unity(m)
-    beta = field.root_of_unity(r + 1)
-    if params.mu is not None:
-        mu = _validate_mu(field, beta, m, params.mu, even_only=False)
-    else:
-        mu = _default_mu(field, beta, m, t, even_only=False)
-    if len(mu) != t:
-        raise FamilyError(f"need exactly {t} coset exponents, got {len(mu)}")
-    a = _coset_points(field, alpha, beta, m, mu)
 
     if variant in ("i", "ii"):
         points = eval_set(field, a)
@@ -197,73 +204,30 @@ def family_even_cosets(params: FamilyParams) -> FamilySeed:
         )
         seed = make_seed(grs(points, v, n // 2, extended=False))
         if variant == "i":
-            return FamilySeed(params, seed, ROUTE_GRS, n, n // 2, 0)
-        return FamilySeed(params, seed, ROUTE_EGRS_FROM_GRS, n + 1, (n - 1) // 2, 1)
+            return FamilySeed(params, seed, n // 2)
+        return FamilySeed(params, seed, (n - 1) // 2, extend=True)
 
     # variants iii/iv: append the point 0 and use the (n+1)-point u_i
     points = eval_set(field, a + [0])
-    sign = (lambda x: x) if variant == "iii" else field.neg
-    v = tuple(
-        _sqrt_or_fail(field, sign(ui), f"(-)u_{i + 1}")
-        for i, ui in enumerate(points.u)
-    )
+    v = _sqrt_multipliers(field, points.u, negate=variant == "iv")
     if variant == "iii":
-        seed = make_seed(grs(points, v, n // 2, extended=False))
-        return FamilySeed(params, seed, ROUTE_GRS, n + 1, n // 2, 0)
+        return FamilySeed(params, make_seed(grs(points, v, n // 2)), n // 2)
     seed = make_seed(grs(points, v, (n + 2) // 2, extended=True))
-    return _egrs_family_seed(params, seed, n + 2, (n + 2) // 2)
+    return FamilySeed(params, seed, (n + 2) // 2)
 
 
 def family_odd_cosets(params: FamilyParams) -> FamilySeed:
     """Coset family with n = t*m odd and even exponents (three variants)."""
-    if params.r is None or params.m is None or params.t is None:
-        raise FamilyError("odd_cosets needs r, m and t")
-    field, r = _coset_field(params.r)
-    q = field.q
-    m, t = params.m, params.t
+    field, _, _, a = _coset_set(params, ("i", "ii", "iii"), odd=True)
+    n = len(a)
     variant = params.variant
-    if variant not in ("i", "ii", "iii"):
-        raise FamilyError(f"odd_cosets has variants i-iii, not {variant!r}")
-    if m < 1 or (q - 1) % m != 0:
-        raise FamilyError(f"m = {m} must divide q - 1 = {q - 1}")
-    tmax = (r + 1) // (2 * math.gcd(r + 1, m))
-    if not 1 <= t <= tmax:
-        raise FamilyError(f"t = {t} out of range 1..{tmax} for r = {r}, m = {m}")
-    n = t * m
-    if n % 2 == 0:
-        raise FamilyError(f"n = t*m = {n} must be odd")
-
-    alpha = field.root_of_unity(m)
-    beta = field.root_of_unity(r + 1)
-    if params.mu is not None:
-        mu = _validate_mu(field, beta, m, params.mu, even_only=True)
-    else:
-        mu = _default_mu(field, beta, m, t, even_only=True)
-    if len(mu) != t:
-        raise FamilyError(f"need exactly {t} coset exponents, got {len(mu)}")
-    a = _coset_points(field, alpha, beta, m, mu)
-
-    if variant in ("i", "ii"):
-        points = eval_set(field, a)
-        sign = (lambda x: x) if variant == "i" else field.neg
-        v = tuple(
-            _sqrt_or_fail(field, sign(ui), f"(-)u_{i + 1}")
-            for i, ui in enumerate(points.u)
-        )
-        if variant == "i":
-            seed = make_seed(grs(points, v, (n - 1) // 2, extended=False))
-            return FamilySeed(params, seed, ROUTE_GRS, n, (n - 1) // 2, 0)
-        seed = make_seed(grs(points, v, (n + 1) // 2, extended=True))
-        return _egrs_family_seed(params, seed, n + 1, (n + 1) // 2)
-
-    # variant iii: append 0, self-dual non-extended seed on n+1 points
-    points = eval_set(field, a + [0])
-    v = tuple(
-        _sqrt_or_fail(field, field.neg(ui), f"-u_{i + 1}")
-        for i, ui in enumerate(points.u)
-    )
-    seed = make_seed(grs(points, v, (n + 1) // 2, extended=False))
-    return FamilySeed(params, seed, ROUTE_EGRS_FROM_GRS, n + 2, (n + 1) // 2, 1)
+    # variant iii appends 0: a self-dual non-extended seed on n+1 points
+    points = eval_set(field, a + [0] if variant == "iii" else a)
+    v = _sqrt_multipliers(field, points.u, negate=variant != "i")
+    if variant == "i":
+        return FamilySeed(params, make_seed(grs(points, v, (n - 1) // 2)), (n - 1) // 2)
+    seed = make_seed(grs(points, v, (n + 1) // 2, extended=variant == "ii"))
+    return FamilySeed(params, seed, (n + 1) // 2, extend=variant == "iii")
 
 
 def family_additive(params: FamilyParams) -> FamilySeed:
@@ -303,16 +267,11 @@ def family_additive(params: FamilyParams) -> FamilySeed:
 
     a = [field.add(field.mul(ak, beta), aj) for aj in S for ak in S]
     points = eval_set(field, a)
-    sign = (lambda x: x) if variant == "i" else field.neg
-    v = tuple(
-        _sqrt_or_fail(field, sign(ui), f"(-)u_{i + 1}")
-        for i, ui in enumerate(points.u)
-    )
+    v = _sqrt_multipliers(field, points.u, negate=variant == "ii")
     if variant == "i":
-        seed = make_seed(grs(points, v, (n - 1) // 2, extended=False))
-        return FamilySeed(params, seed, ROUTE_GRS, n, (n - 1) // 2, 0)
+        return FamilySeed(params, make_seed(grs(points, v, (n - 1) // 2)), (n - 1) // 2)
     seed = make_seed(grs(points, v, (n + 1) // 2, extended=True))
-    return _egrs_family_seed(params, seed, n + 1, (n + 1) // 2)
+    return FamilySeed(params, seed, (n + 1) // 2)
 
 
 def family_twisted_pair(params: FamilyParams) -> FamilySeed:
@@ -362,16 +321,7 @@ def family_twisted_pair(params: FamilyParams) -> FamilySeed:
         for i, (ai, ui) in enumerate(zip(points.a, points.u))
     )
     seed = make_seed(grs(points, v, t - 1, extended=False), m=t - 1)
-    return FamilySeed(params, seed, ROUTE_GRS, 2 * t, t - 1, 0)
-
-
-def _egrs_family_seed(params: FamilyParams, seed: SeedCode, length: int, k_max: int) -> FamilySeed:
-    # when the evaluation points exhaust the field, the (k, l) pair
-    # (m-1, m-1) needs a root-free linear twist that does not exist
-    excluded = frozenset()
-    if seed.spec.n == seed.spec.field.q and seed.m >= 2:
-        excluded = frozenset({(seed.m - 1, seed.m - 1)})
-    return FamilySeed(params, seed, ROUTE_EGRS, length, k_max, 0, excluded)
+    return FamilySeed(params, seed, t - 1)
 
 
 _DISPATCH = {
@@ -411,8 +361,4 @@ def construct_from_family(fs: FamilySeed, k: int, l: int, alpha: int | None = No
             f"(k, l) = ({k}, {l}) is excluded for this seed (no root-free "
             "linear twist exists when the points exhaust the field)"
         )
-    if fs.route == ROUTE_GRS:
-        return reduce_hull_grs(fs.seed, k, l, alpha=alpha)
-    if fs.route == ROUTE_EGRS:
-        return reduce_hull_egrs(fs.seed, k, l, alpha=alpha, b=b)
-    return reduce_hull_egrs_from_grs(fs.seed, k, l, alpha=alpha)
+    return reduce_hull(fs.seed, k, l, extend=fs.extend, alpha=alpha, b=b)

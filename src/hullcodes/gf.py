@@ -9,7 +9,8 @@ All arithmetic lives on the Field object.  The multiplicative structure
 is table-driven: the field precomputes antilog/log tables against a
 fixed primitive element, so mul, inv, pow, is_square, sqrt and
 root_of_unity are O(1) lookups.  This is comfortable at the desk scale
-this package targets (q up to a few thousand).
+this package targets; fields above MAX_Q elements are refused before any
+table is built.
 """
 
 from __future__ import annotations
@@ -19,8 +20,17 @@ import itertools
 import numpy as np
 
 
+MAX_Q = 2**16
+
+
 class FieldError(ValueError):
     """Invalid field parameters or an illegal field operation."""
+
+
+def _check_size(p: int, m: int) -> None:
+    # m is bounded first so that p**m stays cheap to compute
+    if p > 1 and (m >= MAX_Q.bit_length() or p**m > MAX_Q):
+        raise FieldError(f"field size {p}^{m} is larger than MAX_Q = {MAX_Q}")
 
 
 def is_prime(n: int) -> bool:
@@ -51,6 +61,7 @@ def prime_factors(n: int) -> list[int]:
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Write q = p^m with p prime, or raise."""
+    _check_size(q, 1)
     fs = prime_factors(q)
     if len(fs) != 1:
         raise FieldError(f"{q} is not a prime power")
@@ -125,10 +136,11 @@ class Field:
     """The finite field GF(p^m); elements are ints in range(p**m)."""
 
     def __init__(self, p: int, m: int = 1, modulus=None):
-        if not is_prime(p):
-            raise FieldError(f"characteristic {p} is not prime")
         if m < 1:
             raise FieldError(f"extension degree must be >= 1, got {m}")
+        _check_size(p, m)
+        if not is_prime(p):
+            raise FieldError(f"characteristic {p} is not prime")
         self.p = p
         self.m = m
         self.q = p**m
@@ -340,4 +352,21 @@ class Field:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Field":
-        return cls(int(d["p"]), int(d["m"]), d["modulus"])
+        if not (
+            isinstance(d, dict)
+            and {"p", "m", "modulus"} <= d.keys()
+            and is_int_list([d["p"], d["m"]])
+            and (d["modulus"] is None or is_int_list(d["modulus"]))
+        ):
+            raise FieldError(
+                "field must be an object with integer p and m and a modulus "
+                "that is a list of integers or null"
+            )
+        return cls(d["p"], d["m"], d["modulus"])
+
+
+def is_int_list(x) -> bool:
+    """Whether x, read from JSON, is a list of integers."""
+    return isinstance(x, list) and all(
+        isinstance(c, int) and not isinstance(c, bool) for c in x
+    )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import Field
+from .gf import Field, is_int_list
 from .linalg import Matrix, poly_coeff, poly_deg, poly_eval
 
 
@@ -127,8 +127,21 @@ def spec_to_dict(spec: GrsSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> GrsSpec:
+    if not isinstance(d, dict):
+        raise GrsError("a code must be a JSON object")
     if d.get("schema") != 1:
         raise GrsError(f"unsupported code schema {d.get('schema')!r}, expected 1")
+    if not (
+        {"field", "a", "v", "k"} <= d.keys()
+        and is_int_list(d["a"])
+        and is_int_list(d["v"])
+        and is_int_list([d["k"]])
+        and isinstance(d.get("extended", False), bool)
+    ):
+        raise GrsError(
+            "a code needs a field, integer lists a and v, an integer k "
+            "and an optional boolean extended"
+        )
     field = Field.from_dict(d["field"])
     points = eval_set(field, d["a"])
-    return grs(points, d["v"], int(d["k"]), bool(d.get("extended", False)))
+    return grs(points, d["v"], d["k"], d.get("extended", False))

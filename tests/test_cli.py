@@ -261,3 +261,69 @@ def test_output_file(tmp_path):
     rc = main(f"enumerate --q 3 --format csv --output {path}".split())
     assert rc == 0
     assert path.read_text().startswith("family,variant")
+
+
+def _seed_file(tmp_path, extended):
+    from hullcodes.gf import Field
+    from hullcodes.grs import eval_set, grs, spec_to_dict
+
+    f = Field(13)
+    if extended:  # m = 3 on 5 < q points, so b = 5 is free
+        pts = eval_set(f, [0, 1, 2, 3, 8])
+        spec = grs(pts, [f.sqrt(f.neg(u)) for u in pts.u], 3, extended=True)
+    else:
+        spec = grs(eval_set(f, range(13)), [1] * 13, 6)
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(spec_to_dict(spec)))
+    return path
+
+
+@pytest.mark.parametrize(
+    "args, extended",
+    [
+        # b = 1 is an evaluation point of a non-extended family seed
+        ("--family twisted_pair --q 7 --t 3 --k 2 --l 1 --b 1", None),
+        ("--seed-json {seed} --k 4 --l 2 --b 3", False),
+        ("--seed-json {seed} --extend --k 4 --l 2 --b 0", False),
+        # k = m: the twist (x - b)^0 is trivial
+        ("--seed-json {seed} --k 3 --l 1 --b 5", True),
+        ("--family twisted_pair --q 7 --t 3 --k 2 --l 1 --extend", None),
+        ("--ternary n4k2 --extend", None),
+    ],
+)
+def test_construct_rejects_inputs_that_do_nothing(args, extended, tmp_path, capsys):
+    seed = _seed_file(tmp_path, extended) if extended is not None else None
+    assert main(["construct"] + args.format(seed=seed).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "has no effect" in captured.err or "--extend" in captured.err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # 2^30 elements: refused before any table is built
+        {"field": {"p": 2, "m": 30, "modulus": None}},
+        {"field": {"p": 3, "m": 10**12, "modulus": None}},
+        {"field": {"p": 5, "m": 1}},
+        {"field": {"p": 5, "m": 1, "modulus": [[0], 1]}},
+        {"field": [5, 1]},
+        {"a": None},
+        {"k": "1"},
+        [1, 2, 3],
+    ],
+)
+def test_verify_rejects_malformed_or_oversized_json(doc, tmp_path, capsys):
+    if isinstance(doc, dict):
+        base = {
+            "schema": 1,
+            "field": {"p": 5, "m": 1, "modulus": [0, 1]},
+            "a": [0, 1, 2],
+            "v": [1, 1, 1],
+            "k": 1,
+        }
+        doc = {key: val for key, val in {**base, **doc}.items() if val is not None}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    assert "error" in capsys.readouterr().err

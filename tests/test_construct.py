@@ -5,10 +5,10 @@ from hullcodes.construct import (
     choose_alpha,
     choose_b,
     make_seed,
+    reduce_hull,
     reduce_hull_egrs,
     reduce_hull_egrs_from_grs,
     reduce_hull_grs,
-    seed_to_dict,
     ternary_codes,
 )
 from hullcodes.gf import Field
@@ -141,6 +141,22 @@ def test_extend_from_grs_seed():
         reduce_hull_egrs_from_grs(seed, 4, 4)  # l = k unreachable
 
 
+def test_reduce_hull_rejects_b_without_twist():
+    seed = _full_field_seed(13, 6)
+    with pytest.raises(ConstructionError, match="no effect"):
+        reduce_hull(seed, 4, 2, b=0)
+    with pytest.raises(ConstructionError, match="no effect"):
+        reduce_hull(seed, 4, 2, extend=True, b=0)
+    f = Field(13)
+    pts = eval_set(f, [0, 1, 2, 3, 8])
+    ext = make_seed(grs(pts, [f.sqrt(f.neg(u)) for u in pts.u], 3, extended=True))
+    with pytest.raises(ConstructionError, match="no effect"):
+        reduce_hull(ext, 3, 1, b=5)  # k = m: no twist
+    assert hull_report(code_from_grs(reduce_hull(ext, 2, 1, b=5))).hull_dim == 1
+    with pytest.raises(ConstructionError):
+        reduce_hull(ext, 2, 1, extend=True)  # already extended
+
+
 def test_reduction_rejects_small_fields():
     f = Field(3)
     pts = eval_set(f, range(3))
@@ -174,11 +190,3 @@ def test_ternary_codes_validation():
     with pytest.raises(ConstructionError):
         ternary_codes("n3k1", [1, 0, 1])
 
-
-def test_seed_serialization():
-    seed = _full_field_seed(13, 6)
-    d = seed_to_dict(seed)
-    assert d["schema"] == 1
-    assert d["classification"] == "almost-self-dual"
-    assert d["certificate"]["kind"] == "grs"
-    assert d["certificate"]["lambda"] == [12]

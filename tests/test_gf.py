@@ -1,6 +1,6 @@
 import pytest
 
-from hullcodes.gf import Field, FieldError, default_modulus, factor_prime_power, is_prime
+from hullcodes.gf import MAX_Q, Field, FieldError, default_modulus, factor_prime_power, is_prime
 
 
 def test_prime_helpers():
@@ -9,6 +9,16 @@ def test_prime_helpers():
     assert factor_prime_power(27) == (3, 3)
     with pytest.raises(FieldError):
         factor_prime_power(12)
+
+
+def test_field_size_is_capped_before_construction():
+    assert MAX_Q >= 1031  # the largest field the tests and benchmark use
+    with pytest.raises(FieldError, match="MAX_Q"):
+        factor_prime_power(2 * MAX_Q)
+    with pytest.raises(FieldError, match="MAX_Q"):
+        Field(65537)  # prime, but above the cap
+    with pytest.raises(FieldError, match="MAX_Q"):
+        Field(2, 10**12)
 
 
 def test_default_modulus_is_smallest_irreducible():
