@@ -221,6 +221,8 @@ def family_odd_cosets(params: FamilyParams) -> FamilySeed:
     field, _, _, a = _coset_set(params, ("i", "ii", "iii"), odd=True)
     n = len(a)
     variant = params.variant
+    if variant == "i" and n < 3:
+        raise FamilyError(f"odd_cosets variant i needs n = t*m >= 3, got n = {n}")
     # variant iii appends 0: a self-dual non-extended seed on n+1 points
     points = eval_set(field, a + [0] if variant == "iii" else a)
     v = _sqrt_multipliers(field, points.u, negate=variant != "i")

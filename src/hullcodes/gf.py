@@ -11,6 +11,16 @@ fixed primitive element, so mul, inv, pow, is_square, sqrt and
 root_of_unity are O(1) lookups.  This is comfortable at the desk scale
 this package targets; fields above MAX_Q elements are refused before any
 table is built.
+
+The same arithmetic also runs on whole int64 numpy arrays of encodings
+(mul_array, add_array, sub_array, inv_array, sum_array), which is what
+the linear algebra is built on.  Their tables are O(q) and built on
+first use: a log table whose entry for 0 points into a zero tail of a
+doubled exp table, so a product is one gather with no mask for zero,
+and sums go through base-p digits (plain % p in a prime field).  The
+array ops trust their inputs; asarray is the one check, made once per
+input array where it enters, and it raises FieldError for any entry
+that is not an element, as the scalar ops do per element.
 """
 
 from __future__ import annotations
@@ -155,6 +165,7 @@ class Field:
             self.modulus = modulus
         self.generator = self._find_generator()
         self._build_tables()
+        self._array_tables = None
         self._np_tables = None
 
     # -- element encoding --
@@ -183,7 +194,7 @@ class Field:
         return n % self.p
 
     def _check(self, x):
-        if not isinstance(x, (int, np.integer)) or not 0 <= x < self.q:
+        if not _is_element(x, self.q):
             raise FieldError(f"{x!r} is not an element of GF({self.q})")
 
     # -- construction helpers --
@@ -302,6 +313,68 @@ class Field:
             raise FieldError(f"{d} does not divide q-1 = {self.q - 1}")
         return self._exp[(self.q - 1) // d % (self.q - 1)]
 
+    # -- arithmetic on int64 arrays of encodings --
+
+    def asarray(self, x) -> np.ndarray:
+        """x as an int64 array; FieldError unless every entry is an element."""
+        a = np.asarray(x)
+        if a.size == 0:
+            return a.astype(np.int64)
+        if a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= self.q:
+            entries = a.ravel().tolist()
+            bad = next((v for v in entries if not _is_element(v, self.q)), x)
+            raise FieldError(f"{bad!r} is not an element of GF({self.q})")
+        return a.astype(np.int64)
+
+    def _arrays(self):
+        """(exp, log, digit weights) as int64 arrays, built on first use.
+
+        exp holds two periods of the antilog table followed by a zero
+        tail, and log[0] points at the start of that tail, so
+        exp[log[a] + log[b]] is a * b for every a and b, zero included.
+        """
+        if self._array_tables is None:
+            n = self.q - 1
+            period = np.array(self._exp, dtype=np.int64)
+            exp = np.concatenate([period, period, np.zeros(2 * n + 1, dtype=np.int64)])
+            log = np.array([2 * n] + self._log[1:], dtype=np.int64)
+            weights = self.p ** np.arange(self.m, dtype=np.int64)
+            self._array_tables = (exp, log, weights)
+        return self._array_tables
+
+    def _digits(self, a):
+        """Base-p digits of a along a new last axis."""
+        return a[..., None] // self._arrays()[2] % self.p
+
+    def _undigits(self, d):
+        return (d % self.p) @ self._arrays()[2]
+
+    def mul_array(self, a, b):
+        exp, log, _ = self._arrays()
+        return exp[log[a] + log[b]]
+
+    def add_array(self, a, b):
+        if self.m == 1:
+            return (a + b) % self.p
+        return self._undigits(self._digits(a) + self._digits(b))
+
+    def sub_array(self, a, b):
+        if self.m == 1:
+            return (a - b) % self.p
+        return self._undigits(self._digits(a) - self._digits(b))
+
+    def inv_array(self, a):
+        exp, log, _ = self._arrays()
+        if np.any(a == 0):
+            raise FieldError("inversion of zero")
+        return exp[-log[a] % (self.q - 1)]
+
+    def sum_array(self, a) -> int:
+        """Field sum of all entries of a."""
+        if self.m == 1:
+            return int(a.sum()) % self.p
+        return int(self._undigits(self._digits(a).reshape(-1, self.m).sum(0)))
+
     # -- vectorized operation tables (used by the brute-force oracle) --
 
     NP_TABLE_CAP = 1024
@@ -363,6 +436,10 @@ class Field:
                 "that is a list of integers or null"
             )
         return cls(d["p"], d["m"], d["modulus"])
+
+
+def _is_element(x, q: int) -> bool:
+    return isinstance(x, (int, np.integer)) and 0 <= x < q
 
 
 def is_int_list(x) -> bool:

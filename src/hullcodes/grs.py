@@ -6,8 +6,9 @@ a_i, nonzero column multipliers v_i, dimension k.  The codewords are
 x^(k-1) appended as an extra coordinate in the extended case.
 
 Alongside each evaluation set we keep the derived quantities
-u_i = prod_{j != i} (a_i - a_j)^(-1), which tie a GRS code to its dual
-in everything downstream (certificates, hull membership, duality).
+u_i = prod_{j != i} (a_i - a_j)^(-1) = 1 / P'(a_i) for P = prod_j (x - a_j)
+(linalg.node_weights), which tie a GRS code to its dual in everything
+downstream (certificates, hull membership, duality).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf import Field, is_int_list
-from .linalg import Matrix, poly_coeff, poly_deg, poly_eval
+from .linalg import Matrix, node_weights, poly_coeff, poly_deg, poly_eval
 
 
 class GrsError(ValueError):
@@ -46,14 +47,8 @@ def eval_set(field: Field, a) -> EvaluationSet:
         raise GrsError(f"{len(a)} points cannot be distinct in GF({field.q})")
     if len(set(a)) != len(a):
         raise GrsError("evaluation points must be pairwise distinct")
-    u = []
-    for i, ai in enumerate(a):
-        prod = 1
-        for j, aj in enumerate(a):
-            if j != i:
-                prod = field.mul(prod, field.sub(ai, aj))
-        u.append(field.inv(prod))
-    return EvaluationSet(field, a, tuple(u))
+    u = node_weights(field, field.asarray(a))[1]
+    return EvaluationSet(field, a, tuple(u.tolist()))
 
 
 @dataclass(frozen=True)

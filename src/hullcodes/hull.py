@@ -29,7 +29,6 @@ from .linalg import (
     poly_deg,
     poly_eval,
     rank,
-    rref,
 )
 from .grs import EvaluationSet, GrsSpec
 
@@ -106,9 +105,9 @@ def classify(n: int, k: int, hull_dim: int) -> str:
 def hull_report(code: LinearCode) -> HullReport:
     G = code.generator
     gram = G.matmul(G.transpose())
-    gram_rank = rank(gram)
-    hull_dim = code.k - gram_rank
     coeff = nullspace(gram)
+    hull_dim = coeff.nrows
+    gram_rank = code.k - hull_dim
     basis = coeff.matmul(G)
     stacked = G.vstack(dual_generator(G))
     oracle_dim = code.n - rank(stacked)

@@ -4,9 +4,18 @@ Everything is exact Gaussian elimination; there are no numerical
 concerns, so pivoting just takes the first nonzero entry.  Polynomials
 are lists of element encodings, constant term first, with no trailing
 zeros (the zero polynomial is the empty list, of degree -1).
+
+rref, matmul and interpolate run on whole int64 arrays through the
+field's array ops (see gf.py): Gauss-Jordan makes one broadcast update
+of the matrix per pivot, a prime-field product is A @ B % p, and
+interpolation takes O(n) array steps.  Each input is checked once, as
+it is converted (Field.asarray), and results go back as Python ints.
+determinant and the polynomial helpers stay scalar.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .gf import Field
 
@@ -40,6 +49,10 @@ class Matrix:
     def row(self, i: int):
         return self.rows[i]
 
+    def array(self) -> np.ndarray:
+        """The entries as an nrows x ncols int64 array, checked to be elements."""
+        return self.field.asarray(self.rows).reshape(self.nrows, self.ncols)
+
     def transpose(self) -> "Matrix":
         return Matrix(self.field, zip(*self.rows), ncols=self.nrows)
 
@@ -47,15 +60,15 @@ class Matrix:
         if self.ncols != other.nrows:
             raise LinalgError("dimension mismatch")
         f = self.field
-        out = []
-        for r in self.rows:
-            out.append(
-                [
-                    _dot(f, r, [other.rows[t][j] for t in range(other.nrows)])
-                    for j in range(other.ncols)
-                ]
-            )
-        return Matrix(f, out, ncols=other.ncols)
+        A, B = self.array(), other.array()
+        if f.m == 1:
+            # exact in int64: (p - 1)^2 * ncols < 2^48 for q <= MAX_Q
+            out = A @ B % f.p
+        else:
+            out = np.zeros((self.nrows, other.ncols), dtype=np.int64)
+            for t in range(self.ncols):
+                out = f.add_array(out, f.mul_array(A[:, t, None], B[t]))
+        return Matrix(f, out.tolist(), ncols=other.ncols)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.ncols:
@@ -77,35 +90,29 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over GF({self.field.q}))"
 
 
-def _dot(f: Field, a, b) -> int:
-    acc = 0
-    for x, y in zip(a, b):
-        acc = f.add(acc, f.mul(x, y))
-    return acc
-
-
 def rref(M: Matrix):
     """Reduced row echelon form: (R, rank, pivot_columns)."""
     f = M.field
-    rows = [list(r) for r in M.rows]
+    A = M.array()
     pivots = []
     r = 0
     for c in range(M.ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
+        if r == M.nrows:
+            break
+        nonzero = np.flatnonzero(A[r:, c])
+        if nonzero.size == 0:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        scale = f.inv(rows[r][c])
-        rows[r] = [f.mul(scale, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                coef = rows[i][c]
-                rows[i] = [f.sub(x, f.mul(coef, y)) for x, y in zip(rows[i], rows[r])]
+        i = r + nonzero[0]
+        if i != r:
+            A[[r, i]] = A[[i, r]]
+        # row r is zero left of c, so only columns c.. change
+        A[r, c:] = f.mul_array(f.inv(int(A[r, c])), A[r, c:])
+        coef = A[:, c].copy()
+        coef[r] = 0
+        A[:, c:] = f.sub_array(A[:, c:], f.mul_array(coef[:, None], A[r, c:]))
         pivots.append(c)
         r += 1
-        if r == len(rows):
-            break
-    return Matrix(f, rows, ncols=M.ncols), r, tuple(pivots)
+    return Matrix(f, A.tolist(), ncols=M.ncols), r, tuple(pivots)
 
 
 def rank(M: Matrix) -> int:
@@ -129,14 +136,16 @@ def nullspace(M: Matrix) -> Matrix:
 
 def dual_generator(G: Matrix) -> Matrix:
     """Full-row-rank generator of the Euclidean dual of the row space of G."""
-    if rank(G) != G.nrows:
+    H = nullspace(G)
+    if H.nrows != G.ncols - G.nrows:
         raise LinalgError("generator matrix is not full row rank")
-    return nullspace(G)
+    return H
 
 
 def row_space_equal(A: Matrix, B: Matrix) -> bool:
     """Row spaces compared via their canonical RREFs."""
-    return rref(A)[0].rows[: rank(A)] == rref(B)[0].rows[: rank(B)]
+    (RA, ra, _), (RB, rb, _) = rref(A), rref(B)
+    return RA.rows[:ra] == RB.rows[:rb]
 
 
 def determinant(M: Matrix) -> int:
@@ -185,18 +194,6 @@ def poly_add(f: Field, a, b) -> list[int]:
     return poly_trim(f.add(poly_coeff(a, i), poly_coeff(b, i)) for i in range(n))
 
 
-def poly_neg(f: Field, a) -> list[int]:
-    return [f.neg(x) for x in a]
-
-
-def poly_sub(f: Field, a, b) -> list[int]:
-    return poly_add(f, a, poly_neg(f, b))
-
-
-def poly_scale(f: Field, c: int, a) -> list[int]:
-    return poly_trim(f.mul(c, x) for x in a)
-
-
 def poly_mul(f: Field, a, b) -> list[int]:
     if not a or not b:
         return []
@@ -231,22 +228,46 @@ def poly_from_roots(f: Field, roots) -> list[int]:
     return out
 
 
+def node_weights(f: Field, xs) -> tuple[np.ndarray, np.ndarray]:
+    """(P, w) for distinct nodes xs (an int64 array of elements).
+
+    P holds the coefficients of P = prod_j (x - x_j), constant term
+    first, and w_i = 1 / prod_{j != i} (x_i - x_j), which is 1 / P'(x_i).
+    Both take O(n) array steps and O(n) memory.
+    """
+    n = len(xs)
+    P = np.zeros(n + 1, dtype=np.int64)
+    P[0] = 1
+    for x in xs:
+        # P <- (x - x_j) P; P's top entry is still 0
+        P = f.sub_array(np.concatenate(([0], P[:-1])), f.mul_array(x, P))
+    # P' = sum_j j P_j x^(j-1); the integer j is the element j % p
+    dP = f.mul_array(np.arange(1, n + 1) % f.p, P[1:])
+    at_nodes = np.zeros(n, dtype=np.int64)
+    for c in dP[::-1]:
+        at_nodes = f.add_array(f.mul_array(at_nodes, xs), c)
+    return P, f.inv_array(at_nodes)
+
+
 def interpolate(f: Field, points) -> list[int]:
     """Unique polynomial of degree <= n-1 through n points with distinct
-    x coordinates (Lagrange)."""
+    x coordinates: sum_i y_i w_i P(x) / (x - x_i) with P and w from
+    node_weights, the n synthetic divisions run in lockstep."""
     points = list(points)
     xs = [x for x, _ in points]
     if len(set(xs)) != len(xs):
         raise LinalgError("duplicate interpolation nodes")
     if not points:
         raise LinalgError("no interpolation points")
-    result = []
-    for xi, yi in points:
-        basis = [1]
-        denom = 1
-        for xj, _ in points:
-            if xj != xi:
-                basis = poly_mul(f, basis, [f.neg(xj), 1])
-                denom = f.mul(denom, f.sub(xi, xj))
-        result = poly_add(f, result, poly_scale(f, f.div(yi, denom), basis))
-    return result
+    xs = f.asarray(xs)
+    ys = f.asarray([y for _, y in points])
+    P, w = node_weights(f, xs)
+    c = f.mul_array(ys, w)
+    n = len(xs)
+    out = [0] * n
+    quot = np.zeros(n, dtype=np.int64)
+    for j in range(n, 0, -1):
+        # quot_i = coefficient j-1 of P / (x - x_i)
+        quot = f.add_array(P[j], f.mul_array(xs, quot))
+        out[j - 1] = f.sum_array(f.mul_array(c, quot))
+    return poly_trim(out)

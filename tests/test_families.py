@@ -173,3 +173,8 @@ def test_out_of_range_targets():
         construct_from_family(fs, 3, 0)  # k > k_max
     with pytest.raises(FamilyError):
         construct_from_family(fs, 2, 3)  # l > k
+
+
+def test_odd_cosets_variant_i_needs_three_points():
+    with pytest.raises(FamilyError, match=r"variant i .*n = t\*m"):
+        build_family(FamilyParams("odd_cosets", "i", r=5, m=1, t=1))

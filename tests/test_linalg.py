@@ -1,8 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
-from hullcodes.gf import Field
+from hullcodes.gf import Field, FieldError
 from hullcodes.linalg import (
     LinalgError,
     Matrix,
@@ -112,3 +113,25 @@ def test_empty_matrix_needs_ncols():
     M = Matrix(F5, [], ncols=3)
     assert M.nrows == 0 and M.ncols == 3
     assert rank(M) == 0
+
+
+def test_entries_outside_the_field_are_rejected():
+    with pytest.raises(FieldError):
+        rref(Matrix(F13, [[1, 13], [2, 3]]))
+    with pytest.raises(FieldError):
+        rref(Matrix(F13, [[-1, 2]]))
+    with pytest.raises(FieldError):
+        interpolate(F13, [(1, 20), (2, 3)])
+    with pytest.raises(FieldError):
+        Matrix(F13, [[1, 2]]).matmul(Matrix(F13, [[14], [1]]))
+
+
+def test_numpy_integer_entries_work():
+    rows = [[1, 5, 7], [2, 10, 3]]
+    M = Matrix(F13, rows)
+    N = Matrix(F13, [[np.int64(x) for x in r] for r in rows])
+    assert rref(N) == rref(M)
+    assert N.matmul(N.transpose()) == M.matmul(M.transpose())
+    points = [(1, 4), (3, 0), (8, 12)]
+    as_numpy = [(np.int64(x), np.int32(y)) for x, y in points]
+    assert interpolate(F13, as_numpy) == interpolate(F13, points)

@@ -8,7 +8,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from hullcodes.construct import ConstructionError, reduce_hull
 from hullcodes.families import FamilyError, FamilyParams, build_family, family_grid
-from hullcodes.grs import GrsError
 from hullcodes.hull import code_from_grs, hull_report
 from hullcodes.oracle import OracleBudget, is_mds
 
@@ -53,7 +52,7 @@ _params = st.one_of(
 def _family(params):
     try:
         return build_family(params)
-    except (FamilyError, GrsError):  # GrsError: odd_cosets (i) with n = 1
+    except FamilyError:
         return None
 
 
