@@ -5,22 +5,24 @@ polynomial-basis one: an element with coefficients (c_0, ..., c_{m-1}),
 constant term first, is encoded as sum(c_i * p**i).  Thus enc(0) = 0,
 enc(1) = 1, and for prime fields the encoding is just the residue.
 
-All arithmetic lives on the Field object.  The multiplicative structure
-is table-driven: the field precomputes antilog/log tables against a
-fixed primitive element, so mul, inv, pow, is_square, sqrt and
-root_of_unity are O(1) lookups.  This is comfortable at the desk scale
-this package targets; fields above MAX_Q elements are refused before any
-table is built.
+All arithmetic lives on the Field object and runs on one set of O(q)
+tables against a fixed primitive element g, built with the field: exp,
+log and, for m > 1, Zech logarithms.  exp holds two periods of the
+antilog table followed by a zero tail, and log[0] points at the start
+of that tail, so exp[log a + log b] is a * b with no branch for zero.
+The Zech table makes an extension-field sum one more lookup:
+a + b = exp[log a + zech[log b - log a + Z]], Z = log 0 (Huber, IEEE
+Trans. Inf. Theory 36(3), 1990; the layouts follow GF-Complete, Plank,
+Greenan and Miller, FAST 2013).  Prime fields add with % p.  Fields
+above MAX_Q elements are refused before any table is built.
 
-The same arithmetic also runs on whole int64 numpy arrays of encodings
-(mul_array, add_array, sub_array, inv_array, sum_array), which is what
-the linear algebra is built on.  Their tables are O(q) and built on
-first use: a log table whose entry for 0 points into a zero tail of a
-doubled exp table, so a product is one gather with no mask for zero,
-and sums go through base-p digits (plain % p in a prime field).  The
-array ops trust their inputs; asarray is the one check, made once per
-input array where it enters, and it raises FieldError for any entry
-that is not an element, as the scalar ops do per element.
+The tables are kept as Python lists for the scalar ops (add, mul, inv,
+...) and as int64 numpy arrays for the same ops on whole arrays of
+encodings (mul_array, add_array, sub_array, inv_array, sum_array),
+which the linear algebra and the oracle are built on.  The array ops
+trust their inputs; asarray is the one check, made once per input array
+where it enters, and it raises FieldError for any entry that is not an
+element, as the scalar ops do per element.
 """
 
 from __future__ import annotations
@@ -165,8 +167,6 @@ class Field:
             self.modulus = modulus
         self.generator = self._find_generator()
         self._build_tables()
-        self._array_tables = None
-        self._np_tables = None
 
     # -- element encoding --
 
@@ -225,38 +225,60 @@ class Field:
         raise FieldError("no primitive element found")  # pragma: no cover
 
     def _build_tables(self):
-        self._exp = [0] * (self.q - 1)
-        self._log = [None] * self.q
-        acc = 1
-        for i in range(self.q - 1):
-            self._exp[i] = acc
-            self._log[acc] = i
-            acc = self._raw_mul(acc, self.generator)
+        """exp, log and (m > 1) zech, as lists and as int64 arrays.
+
+        With n = q - 1 and Z = log[0] = 2n, exp is two periods of g^i
+        and then a zero tail up to index 2Z, so exp[Z + s] = 0 for every
+        s in 0..Z.  zech[log b - log a + Z] is the s with
+        a + b = exp[log a + s]: log(1 + g^d), d = log b - log a, when a
+        and b are nonzero (Z if 1 + g^d = 0); log b - Z when a = 0; and
+        0 when b = 0.  When both are 0 the index is Z and any entry gives
+        exp[Z + s] = 0.
+        """
+        p, n = self.p, self.q - 1
+        Z = 2 * n
+        if self.m == 1:
+            # g^(k..2k-1) = g^(0..k-1) * g^k: log2(n) array steps
+            period = np.ones(n, dtype=np.int64)
+            k, gk = 1, self.generator
+            while k < n:
+                period[k : 2 * k] = period[: min(k, n - k)] * gk % p
+                k, gk = 2 * k, gk * gk % p
+        else:
+            powers = [1] * n
+            for i in range(1, n):
+                powers[i] = self._raw_mul(powers[i - 1], self.generator)
+            period = np.array(powers, dtype=np.int64)
+        exp = np.concatenate([period, period, np.zeros(Z + 1, dtype=np.int64)])
+        log = np.empty(self.q, dtype=np.int64)
+        log[0] = Z
+        log[period] = np.arange(n)
+        cycle = period.tolist()
+        self._exp = cycle + cycle + [0] * (Z + 1)
+        self._log = log.tolist()
+        self._exp_array, self._log_array = exp, log
+        self._zero_log = Z
+        if self.m > 1:
+            # 1 + g^d differs from g^d only in the constant digit
+            one_plus = log[period - period % p + (period + 1) % p]
+            zech = one_plus[(np.arange(2 * Z + 1) - Z) % n]
+            zech[:n] = np.arange(n) - Z
+            zech[-n:] = 0
+            self._zech, self._zech_array = zech.tolist(), zech
+            self._log_minus_one = self._log[p - 1]
 
     # -- arithmetic --
 
     def add(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a + b) % self.p
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.m):
-            a, ca = divmod(a, p)
-            b, cb = divmod(b, p)
-            out += (ca + cb) % p * mult
-            mult *= p
-        return out
+        la = self._log[a]
+        return self._exp[la + self._zech[self._log[b] - la + self._zero_log]]
 
     def neg(self, a: int) -> int:
         if self.m == 1:
             return -a % self.p
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.m):
-            a, ca = divmod(a, p)
-            out += -ca % p * mult
-            mult *= p
-        return out
+        return self._exp[self._log[a] + self._log_minus_one]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -264,15 +286,13 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         self._check(a)
         if a == 0:
             raise FieldError("inversion of zero")
-        return self._exp[-self._log[a] % (self.q - 1)]
+        return self._exp[self.q - 1 - self._log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -326,85 +346,39 @@ class Field:
             raise FieldError(f"{bad!r} is not an element of GF({self.q})")
         return a.astype(np.int64)
 
-    def _arrays(self):
-        """(exp, log, digit weights) as int64 arrays, built on first use.
-
-        exp holds two periods of the antilog table followed by a zero
-        tail, and log[0] points at the start of that tail, so
-        exp[log[a] + log[b]] is a * b for every a and b, zero included.
-        """
-        if self._array_tables is None:
-            n = self.q - 1
-            period = np.array(self._exp, dtype=np.int64)
-            exp = np.concatenate([period, period, np.zeros(2 * n + 1, dtype=np.int64)])
-            log = np.array([2 * n] + self._log[1:], dtype=np.int64)
-            weights = self.p ** np.arange(self.m, dtype=np.int64)
-            self._array_tables = (exp, log, weights)
-        return self._array_tables
-
-    def _digits(self, a):
-        """Base-p digits of a along a new last axis."""
-        return a[..., None] // self._arrays()[2] % self.p
-
-    def _undigits(self, d):
-        return (d % self.p) @ self._arrays()[2]
-
     def mul_array(self, a, b):
-        exp, log, _ = self._arrays()
-        return exp[log[a] + log[b]]
+        log = self._log_array
+        return self._exp_array[log[a] + log[b]]
 
     def add_array(self, a, b):
         if self.m == 1:
             return (a + b) % self.p
-        return self._undigits(self._digits(a) + self._digits(b))
+        log = self._log_array
+        la = log[a]
+        return self._exp_array[la + self._zech_array[log[b] - la + self._zero_log]]
 
     def sub_array(self, a, b):
         if self.m == 1:
             return (a - b) % self.p
-        return self._undigits(self._digits(a) - self._digits(b))
+        return self.add_array(a, self._exp_array[self._log_array[b] + self._log_minus_one])
 
     def inv_array(self, a):
-        exp, log, _ = self._arrays()
         if np.any(a == 0):
             raise FieldError("inversion of zero")
-        return exp[-log[a] % (self.q - 1)]
+        return self._exp_array[self.q - 1 - self._log_array[a]]
 
     def sum_array(self, a) -> int:
         """Field sum of all entries of a."""
         if self.m == 1:
             return int(a.sum()) % self.p
-        return int(self._undigits(self._digits(a).reshape(-1, self.m).sum(0)))
-
-    # -- vectorized operation tables (used by the brute-force oracle) --
-
-    NP_TABLE_CAP = 1024
-
-    def np_tables(self):
-        """(add, mul) lookup tables as q x q numpy arrays, or None when q
-        is too large to tabulate."""
-        if self.q > self.NP_TABLE_CAP:
-            return None
-        if self._np_tables is None:
-            q, p = self.q, self.p
-            if self.m == 1:
-                idx = np.arange(q, dtype=np.int64)
-                add = (idx[:, None] + idx[None, :]) % p
-            else:
-                digits = np.zeros((q, self.m), dtype=np.int64)
-                x = np.arange(q)
-                for i in range(self.m):
-                    digits[:, i] = x % p
-                    x //= p
-                sums = (digits[:, None, :] + digits[None, :, :]) % p
-                weights = p ** np.arange(self.m)
-                add = sums @ weights
-            logs = np.array([0] + [self._log[x] for x in range(1, q)])
-            exps = np.array(self._exp)
-            mul = exps[(logs[:, None] + logs[None, :]) % (q - 1)]
-            mul[0, :] = 0
-            mul[:, 0] = 0
-            self._np_tables = (add.astype(np.int16), mul.astype(np.int16))
-        return self._np_tables
+        a = a.ravel()
+        while a.size > 1:
+            # pairwise halving, padded with a zero at odd sizes
+            if a.size % 2:
+                a = np.append(a, 0)
+            half = a.size // 2
+            a = self.add_array(a[:half], a[half:])
+        return int(a.sum())
 
     # -- identity / serialization --
 

@@ -6,15 +6,13 @@ checking every k x k minor, and the hull dimension is recomputed from
 the stacked generator/dual-generator rank.  These are the referees for
 everything the constructive modules claim.
 
-The minor check eliminates batches of column subsets at once over the
-field's numpy tables, stopping at the first batch that holds a
-singular minor.  Above Field.NP_TABLE_CAP, where there are no tables,
-it computes one determinant per subset instead.
-
-Enumeration is table-driven numpy over one projective representative
-per 1-dimensional message subspace (first nonzero message digit
-normalized to 1), which covers all nonzero weights with
-(q^k - 1)/(q - 1) codewords.
+Both brute-force checks run on the field's array ops (gf.py), with one
+route for every field up to MAX_Q.  The minor check eliminates batches
+of column subsets at once, stopping at the first batch that holds a
+singular minor.  Enumeration covers one projective representative per
+1-dimensional message subspace (first nonzero message digit normalized
+to 1), which reaches all nonzero weights with (q^k - 1)/(q - 1)
+codewords, _CHUNK at a time.
 """
 
 from __future__ import annotations
@@ -40,7 +38,8 @@ class OracleBudget:
 
 DEFAULT_BUDGET = OracleBudget()
 
-_CHUNK = 1 << 16
+# codewords per enumeration step; bounds the (chunk, n) int64 arrays
+_CHUNK = 1 << 12
 
 # column subsets per batched elimination; bounds the (batch, k, k) arrays
 _MINOR_BATCH = 1024
@@ -48,18 +47,15 @@ _MINOR_BATCH = 1024
 
 def min_distance(code: LinearCode, budget: OracleBudget = DEFAULT_BUDGET) -> int:
     """Exact minimum distance by exhaustive enumeration."""
-    q = code.field.q
+    f = code.field
+    q = f.q
     k, n = code.k, code.n
     if q**k > budget.max_codewords:
         raise BudgetError(
             f"enumerating q^k = {q}^{k} codewords exceeds the budget of "
             f"{budget.max_codewords}"
         )
-    tables = code.field.np_tables()
-    if tables is None:
-        return _min_distance_python(code)
-    add_t, mul_t = tables
-    G = np.array(code.generator.rows, dtype=np.int16)
+    G = code.generator.array()
     best = n
     for j in range(k):
         # messages with digits 0..j-1 zero and digit j equal to 1
@@ -68,31 +64,13 @@ def min_distance(code: LinearCode, budget: OracleBudget = DEFAULT_BUDGET) -> int
         nfree = free.shape[0]
         total = q**nfree
         for start in range(0, total, _CHUNK):
-            idx = np.arange(start, min(start + _CHUNK, total))
-            words = np.broadcast_to(lead, (len(idx), n)).copy()
-            rem = idx
+            rem = np.arange(start, min(start + _CHUNK, total))
+            words = lead
             for row in free:
                 rem, digit = np.divmod(rem, q)
-                words = add_t[words, mul_t[digit[:, None], row[None, :]]]
-            weights = np.count_nonzero(words, axis=1)
+                words = f.add_array(words, f.mul_array(digit[:, None], row))
+            weights = np.count_nonzero(words, axis=-1)
             best = min(best, int(weights.min()))
-            if best == 1:
-                return 1
-    return best
-
-
-def _min_distance_python(code: LinearCode) -> int:
-    f = code.field
-    q, k, n = f.q, code.k, code.n
-    best = n
-    for j in range(k):
-        for tail in itertools.product(range(q), repeat=k - 1 - j):
-            msg = (0,) * j + (1,) + tail
-            word = [0] * n
-            for digit, row in zip(msg, code.generator.rows):
-                if digit:
-                    word = [f.add(w, f.mul(digit, x)) for w, x in zip(word, row)]
-            best = min(best, sum(1 for x in word if x))
             if best == 1:
                 return 1
     return best
@@ -117,17 +95,10 @@ def _all_minors_nonzero(code: LinearCode) -> bool:
     """Whether every k x k minor of G is nonzero.
 
     Column subsets are taken in chunks of _MINOR_BATCH and eliminated
-    together over the field's numpy tables; fields too large to
-    tabulate fall back to one determinant per subset."""
-    f = code.field
+    together on the field's array ops."""
     k = code.k
-    tables = f.np_tables()
-    if tables is None:
-        return _all_minors_nonzero_by_determinant(code)
     subsets = itertools.combinations(range(code.n), k)
-    add_t, mul_t = tables
-    neg_t = mul_t[:, f.neg(1)]
-    G = np.array(code.generator.rows, dtype=np.int16)
+    G = code.generator.array()
     while True:
         chunk = np.fromiter(
             itertools.chain.from_iterable(itertools.islice(subsets, _MINOR_BATCH)),
@@ -138,16 +109,17 @@ def _all_minors_nonzero(code: LinearCode) -> bool:
         # M[b] is the transpose of the k x k submatrix of G on the
         # columns chunk[b]; the two are singular together
         M = G.T[chunk]
-        if not _all_nonsingular(M, add_t, mul_t, neg_t):
+        if not _all_nonsingular(M, code.field):
             return False
 
 
-def _all_nonsingular(M, add_t, mul_t, neg_t) -> bool:
-    """Whether every matrix in the (batch, k, k) stack M is nonsingular.
+def _all_nonsingular(M, f) -> bool:
+    """Whether every matrix in the (batch, k, k) stack M is nonsingular
+    over the field f.
 
-    Division-free elimination: row_i <- M[c,c] * row_i - M[i,c] * row_c
+    Division-free elimination: row_i <- -M[c,c] * row_i + M[i,c] * row_c
     scales each determinant by a nonzero factor, so it keeps the
-    verdict without an inverse table.  M is overwritten."""
+    verdict without an inverse.  M is overwritten."""
     batch, k, _ = M.shape
     every = np.arange(batch)
     for c in range(k):
@@ -157,19 +129,18 @@ def _all_nonsingular(M, add_t, mul_t, neg_t) -> bool:
         pivot = c + nonzero.argmax(axis=1)
         pivot_row = M[every, pivot].copy()
         M[every, pivot] = M[:, c]
-        lead = pivot_row[:, c, None, None]
-        coef = neg_t[M[:, c + 1 :, c, None]]
-        M[:, c + 1 :, c + 1 :] = add_t[
-            mul_t[lead, M[:, c + 1 :, c + 1 :]],
-            mul_t[coef, pivot_row[:, None, c + 1 :]],
-        ]
+        # negating the pivot, not the product, keeps the large op an add
+        minus_lead = f.sub_array(0, pivot_row[:, c, None, None])
+        M[:, c + 1 :, c + 1 :] = f.add_array(
+            f.mul_array(minus_lead, M[:, c + 1 :, c + 1 :]),
+            f.mul_array(M[:, c + 1 :, c, None], pivot_row[:, None, c + 1 :]),
+        )
     return True
 
 
 def _all_minors_nonzero_by_determinant(code: LinearCode) -> bool:
-    """One determinant per k-subset of columns: the route for fields
-    without numpy tables, and the reference the batched route is
-    tested against."""
+    """One determinant per k-subset of columns: the reference the
+    batched route is tested against."""
     f = code.field
     cols = list(zip(*code.generator.rows))
     for subset in itertools.combinations(range(code.n), code.k):

@@ -4,7 +4,7 @@ sympy is a second, independent implementation: DomainMatrix over GF(p)
 for rref, rank, nullspace, matmul and a Vandermonde solve that stands in
 for interpolation, and galoistools for arithmetic in GF(p)[x]/(f).  The
 array ops of Field are checked against its scalar ops, exhaustively up
-to q = 49 and by sampling in GF(3^7), which has no q x q tables.
+to q = 49 and by sampling in GF(3^7) and GF(2^11).
 """
 
 import functools
@@ -14,7 +14,7 @@ import random
 import numpy as np
 import pytest
 from sympy.polys.domains import GF, ZZ
-from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_rem
+from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_neg, gf_rem, gf_sub
 from sympy.polys.matrices import DomainMatrix
 
 from hullcodes.gf import Field
@@ -116,19 +116,28 @@ def _element(f, poly):
     return f.from_coeffs(reversed([0] * (f.m - len(poly)) + poly))
 
 
-@pytest.mark.parametrize("p, m", [(2, 2), (3, 2), (7, 2), (3, 7)])
+@pytest.mark.parametrize("p, m", [(2, 2), (3, 2), (7, 2), (3, 7), (2, 11)])
 def test_extension_field_arithmetic_matches_galoistools(p, m):
+    # GF(2^11): 1 + 1 = 0, so the Zech entry lands in the zero tail
     f = Field(p, m)
     modulus = list(reversed(f.modulus))
     assert gf_irreducible_p(modulus, p, ZZ)
-    pairs = itertools.product(range(f.q), repeat=2)
-    if f.q > 49:
-        rng = random.Random(f.q)
+    rng = random.Random(f.q)
+    if f.q <= 49:
+        pairs = list(itertools.product(range(f.q), repeat=2))
+    else:
         pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(500)]
+    # the Zech table's edge cases: a zero operand, and a sum that is zero
+    for x in rng.sample(range(1, f.q), 3):
+        minus_x = _element(f, gf_neg(_poly(f, x), p, ZZ))
+        pairs += [(0, x), (x, 0), (0, 0), (x, minus_x)]
+        assert f.add(x, minus_x) == 0
     for a, b in pairs:
         A, B = _poly(f, a), _poly(f, b)
         assert f.mul(a, b) == _element(f, gf_rem(gf_mul(A, B, p, ZZ), modulus, p, ZZ))
         assert f.add(a, b) == _element(f, gf_add(A, B, p, ZZ))
+        assert f.sub(a, b) == _element(f, gf_sub(A, B, p, ZZ))
+        assert f.neg(b) == _element(f, gf_neg(B, p, ZZ))
 
 
 def _scalar_sum(f, xs):
@@ -136,13 +145,12 @@ def _scalar_sum(f, xs):
 
 
 @pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2), (13, 1),
-                                  (5, 2), (3, 3), (7, 2), (3, 7)])
+                                  (5, 2), (3, 3), (7, 2), (3, 7), (2, 11)])
 def test_array_ops_match_scalar_ops(p, m):
     f = Field(p, m)
     if f.q <= 49:
         a, b = (x.ravel() for x in np.meshgrid(np.arange(f.q), np.arange(f.q)))
     else:
-        assert f.np_tables() is None  # above NP_TABLE_CAP
         rng = np.random.default_rng(f.q)
         a, b = rng.integers(0, f.q, 20000), rng.integers(0, f.q, 20000)
     pairs = list(zip(a.tolist(), b.tolist()))

@@ -108,15 +108,6 @@ def test_root_of_unity():
         f.root_of_unity(5)
 
 
-def test_np_tables_match_scalar_ops():
-    f = Field(3, 2)
-    add_t, mul_t = f.np_tables()
-    for a in range(9):
-        for b in range(9):
-            assert add_t[a, b] == f.add(a, b)
-            assert mul_t[a, b] == f.mul(a, b)
-
-
 def test_field_equality_and_serialization():
     f = Field(5, 2)
     g = Field.from_dict(f.to_dict())

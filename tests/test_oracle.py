@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -36,20 +37,56 @@ def test_min_distance_repetition_code():
     assert min_distance(code2) == 2
 
 
-def test_min_distance_python_fallback_agrees():
-    # force the non-numpy path by faking a large q cap
-    from hullcodes import oracle
+def _scalar_min_distance(code):
+    """Smallest weight over one message per 1-dimensional subspace
+    (first nonzero digit 1), with the scalar field ops."""
+    f = code.field
+    best = code.n
+    for j in range(code.k):
+        for tail in itertools.product(range(f.q), repeat=code.k - 1 - j):
+            word = [0] * code.n
+            for digit, row in zip((0,) * j + (1,) + tail, code.generator.rows):
+                word = [f.add(w, f.mul(digit, x)) for w, x in zip(word, row)]
+            best = min(best, sum(1 for x in word if x))
+    return best
 
-    f = Field(7)
-    rng = random.Random(1)
-    for _ in range(5):
-        rows = [[rng.randrange(7) for _ in range(6)] for _ in range(2)]
-        if rank(Matrix(f, rows)) != 2:
+
+@pytest.mark.parametrize("p, m, k", [(3, 2, 3), (7, 2, 2), (1031, 1, 2)])
+def test_min_distance_matches_scalar_enumeration(p, m, k):
+    f = Field(p, m)
+    rng = random.Random(f.q)
+    budget = OracleBudget(max_codewords=f.q**k)
+    at_bound = set()
+    for _ in range(8):
+        n = rng.randint(k, 7)
+        # sparse rows give some codes below the Singleton bound
+        rows = [[rng.randrange(1, f.q) if rng.random() < 0.6 else 0 for _ in range(n)]
+                for _ in range(k)]
+        if rank(Matrix(f, rows)) != k:
             continue
         code = linear_code(f, rows)
-        fast = min_distance(code)
-        slow = oracle._min_distance_python(code)
-        assert fast == slow
+        d = min_distance(code, budget)
+        assert d == _scalar_min_distance(code)
+        at_bound.add(d == n - k + 1)
+    assert at_bound == {True, False}
+
+
+def test_min_distance_memory_is_bounded():
+    # q^k = 531441 codewords, enumerated _CHUNK at a time
+    f = Field(3, 2)
+    rng = random.Random(9)
+    while True:
+        rows = [[rng.randrange(9) for _ in range(8)] for _ in range(6)]
+        if rank(Matrix(f, rows)) == 6:
+            break
+    code = linear_code(f, rows)
+    tracemalloc.start()
+    try:
+        min_distance(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_min_distance_budget():
@@ -82,9 +119,10 @@ def test_is_mds_rejects_repeated_columns():
     assert not is_mds(code, OracleBudget(max_codewords=1, max_minor_k=2))
 
 
-def _random_code(f, rng, n, k, grs_like):
+def _random_code(f, rng, n, k, grs_like, twin=False):
     """A random [n, k] code; grs_like gives a (possibly scaled) Vandermonde
-    generator on distinct points, which is MDS."""
+    generator on distinct points, which is MDS, and twin makes column 1
+    a multiple of column 0, which is not (needs k < n)."""
     q = f.q
     while True:
         if grs_like:
@@ -93,11 +131,14 @@ def _random_code(f, rng, n, k, grs_like):
             rows = [[f.mul(vi, f.pow(a, r)) for a, vi in zip(points, v)] for r in range(k)]
         else:
             rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+        if twin:
+            for row in rows:
+                row[1] = f.mul(f.generator, row[0])
         if rank(Matrix(f, rows)) == k:
             return linear_code(f, rows)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 7, 9, 49])
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 9, 49, 1031, 2187])
 def test_batched_minors_match_determinant_loop(q):
     p, m = factor_prime_power(q)
     f = Field(p, m)
@@ -107,7 +148,9 @@ def test_batched_minors_match_determinant_loop(q):
         n = rng.randint(1, min(8, q + 1))
         # the first trials pin the edge cases k = 1 and k = n
         k = (1, n)[trial % 2] if trial < 8 else rng.randint(1, n)
-        code = _random_code(f, rng, n, k, grs_like=n <= q and trial % 3 == 0)
+        # in large fields random codes are almost always MDS
+        twin = q > 49 and trial % 3 == 1 and k < n
+        code = _random_code(f, rng, n, k, grs_like=n <= q and trial % 3 == 0, twin=twin)
         fast = oracle._all_minors_nonzero(code)
         assert fast == oracle._all_minors_nonzero_by_determinant(code)
         verdicts.append(fast)
@@ -155,11 +198,21 @@ def test_batched_minors_exit_in_later_chunk(monkeypatch):
     assert chunks == [1024, 1024, 32]
 
 
-def test_minors_above_table_cap_use_determinants():
+def test_minors_batched_in_large_prime_field(monkeypatch):
     f = Field(1031)
-    assert f.np_tables() is None
-    code = linear_code(f, [[1, 1, 1, 2], [0, 1, 2, 4]])
-    assert not is_mds(code, OracleBudget(max_codewords=1, max_minor_k=2))
+    batches = []
+    batched = oracle._all_nonsingular
+
+    def counting(M, *args):
+        batches.append(len(M))
+        return batched(M, *args)
+
+    monkeypatch.setattr(oracle, "_all_nonsingular", counting)
+    minors_only = OracleBudget(max_codewords=1, max_minor_k=2)
+    # column 3 is twice column 2
+    assert not is_mds(linear_code(f, [[1, 1, 1, 2], [0, 1, 2, 4]]), minors_only)
+    assert is_mds(linear_code(f, [[1, 1, 1, 0], [0, 1, 2, 1]]), minors_only)
+    assert batches == [6, 6]
 
 
 def test_hull_dim_oracle_matches_report():
