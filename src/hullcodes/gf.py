@@ -18,8 +18,9 @@ above MAX_Q elements are refused before any table is built.
 
 The tables are kept as Python lists for the scalar ops (add, mul, inv,
 ...) and as int64 numpy arrays for the same ops on whole arrays of
-encodings (mul_array, add_array, sub_array, inv_array, sum_array),
-which the linear algebra and the oracle are built on.  The array ops
+encodings (mul_array, add_array, sub_array, inv_array, pow_array and
+sum_array, which also sums along one axis), which the linear algebra,
+the GRS evaluation maps and the oracle are built on.  The array ops
 trust their inputs; asarray is the one check, made once per input array
 where it enters, and it raises FieldError for any entry that is not an
 element, as the scalar ops do per element.
@@ -193,9 +194,10 @@ class Field:
         """Embed an integer via the prime subfield."""
         return n % self.p
 
-    def _check(self, x):
-        if not _is_element(x, self.q):
-            raise FieldError(f"{x!r} is not an element of GF({self.q})")
+    def _check(self, *xs):
+        for x in xs:
+            if not _is_element(x, self.q):
+                raise FieldError(f"{x!r} is not an element of GF({self.q})")
 
     # -- construction helpers --
 
@@ -269,13 +271,19 @@ class Field:
 
     # -- arithmetic --
 
+    # A plain int in range(q) passes the inline test; anything else goes
+    # through _check, so every op accepts exactly the elements.
     def add(self, a: int, b: int) -> int:
+        if not (type(a) is int and type(b) is int and 0 <= a < self.q and 0 <= b < self.q):
+            self._check(a, b)
         if self.m == 1:
             return (a + b) % self.p
         la = self._log[a]
         return self._exp[la + self._zech[self._log[b] - la + self._zero_log]]
 
     def neg(self, a: int) -> int:
+        if not (type(a) is int and 0 <= a < self.q):
+            self._check(a)
         if self.m == 1:
             return -a % self.p
         return self._exp[self._log[a] + self._log_minus_one]
@@ -284,21 +292,20 @@ class Field:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
+        if not (type(a) is int and type(b) is int and 0 <= a < self.q and 0 <= b < self.q):
+            self._check(a, b)
         return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
-        self._check(a)
+        if not (type(a) is int and 0 <= a < self.q):
+            self._check(a)
         if a == 0:
             raise FieldError("inversion of zero")
         return self._exp[self.q - 1 - self._log[a]]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, x: int, e: int) -> int:
-        self._check(x)
+        if not (type(x) is int and 0 <= x < self.q):
+            self._check(x)
         if x == 0:
             if e > 0:
                 return 0
@@ -367,18 +374,26 @@ class Field:
             raise FieldError("inversion of zero")
         return self._exp_array[self.q - 1 - self._log_array[a]]
 
-    def sum_array(self, a) -> int:
-        """Field sum of all entries of a."""
+    def pow_array(self, a, e):
+        """a ** e, broadcast, for integers e >= 0 (0 ** 0 is 1)."""
+        idx = np.where((a == 0) & (e > 0), self._zero_log, self._log_array[a] * e % (self.q - 1))
+        return self._exp_array[idx]
+
+    def sum_array(self, a, axis=None):
+        """Field sum of all entries of a (an int), or of a along one axis
+        (an array)."""
+        if axis is None:
+            return int(self.sum_array(np.ravel(a), 0))
         if self.m == 1:
-            return int(a.sum()) % self.p
-        a = a.ravel()
-        while a.size > 1:
-            # pairwise halving, padded with a zero at odd sizes
-            if a.size % 2:
-                a = np.append(a, 0)
-            half = a.size // 2
+            return a.sum(axis) % self.p
+        a = np.moveaxis(a, axis, 0)
+        while len(a) > 1:
+            # pairwise halving, padded with a zero row at odd lengths
+            if len(a) % 2:
+                a = np.concatenate([a, np.zeros_like(a[:1])])
+            half = len(a) // 2
             a = self.add_array(a[:half], a[half:])
-        return int(a.sum())
+        return a[0] if len(a) else np.zeros(a.shape[1:], dtype=np.int64)
 
     # -- identity / serialization --
 

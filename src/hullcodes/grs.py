@@ -9,21 +9,31 @@ Alongside each evaluation set we keep the derived quantities
 u_i = prod_{j != i} (a_i - a_j)^(-1) = 1 / P'(a_i) for P = prod_j (x - a_j)
 (linalg.node_weights), which tie a GRS code to its dual in everything
 downstream (certificates, hull membership, duality).
+
+Each spec carries its evaluation map as int64 arrays, O(kn) memory, in
+its own attributes, so the map lives and dies with the spec:
+generator_array G = V diag(v) (V[j, i] = a_i^j, plus the extended
+column), built with the spec, and witness_map L, whose row j
+interpolates v_i^2 a_i^j / u_i, built on the first hull_membership
+query only.  encode(f) is f G and the hull witness of f is f L.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+from functools import cached_property
+
+import numpy as np
 
 from .gf import Field, is_int_list
-from .linalg import Matrix, node_weights, poly_coeff, poly_deg, poly_eval
+from .linalg import Matrix, interpolate_batch, lincomb, node_weights, poly_deg
 
 
 class GrsError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class EvaluationSet:
     field: Field
     a: tuple
@@ -51,12 +61,34 @@ def eval_set(field: Field, a) -> EvaluationSet:
     return EvaluationSet(field, a, tuple(u.tolist()))
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class GrsSpec:
     points: EvaluationSet
     v: tuple
     k: int
     extended: bool = False
+    # row j is (v_i a_i^j), then 1 at the extended column of row k-1
+    generator_array: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        f = self.field
+        a, v = f.asarray(self.points.a), f.asarray(self.v)
+        G = f.mul_array(f.pow_array(a, np.arange(self.k)[:, None]), v)
+        if self.extended:
+            G = np.hstack([G, np.arange(self.k)[:, None] == self.k - 1])
+        object.__setattr__(self, "generator_array", G)
+
+    def dual_interpolants(self, rows: int) -> np.ndarray:
+        """rows x n, rows <= k: row j holds the coefficients of the
+        interpolant of v_i^2 a_i^j / u_i (row 0 is the certificate
+        polynomial of hull.py)."""
+        f = self.field
+        scale = f.mul_array(f.asarray(self.v), f.inv_array(f.asarray(self.points.u)))
+        values = f.mul_array(self.generator_array[:rows, : self.n], scale)
+        return interpolate_batch(f, f.asarray(self.points.a), values)
+
+    # L = dual_interpolants(k), built on first use and then kept
+    witness_map = cached_property(lambda self: self.dual_interpolants(self.k))
 
     @property
     def field(self) -> Field:
@@ -86,25 +118,15 @@ def grs(points: EvaluationSet, v, k: int, extended: bool = False) -> GrsSpec:
 
 def generator_matrix(spec: GrsSpec) -> Matrix:
     """The k x n (or k x (n+1)) Vandermonde-with-multipliers generator."""
-    f = spec.field
-    rows = []
-    for r in range(spec.k):
-        row = [f.mul(vi, f.pow(ai, r)) for ai, vi in zip(spec.points.a, spec.v)]
-        if spec.extended:
-            row.append(1 if r == spec.k - 1 else 0)
-        rows.append(row)
-    return Matrix(f, rows, ncols=spec.length)
+    return Matrix(spec.field, spec.generator_array.tolist(), ncols=spec.length)
 
 
 def encode(spec: GrsSpec, fx) -> list[int]:
-    """Codeword of the message polynomial fx (deg < k)."""
+    """Codeword of the message polynomial fx (deg < k): fx G."""
     if poly_deg(fx) > spec.k - 1:
         raise GrsError(f"message degree {poly_deg(fx)} >= dimension {spec.k}")
     f = spec.field
-    word = [f.mul(vi, poly_eval(f, fx, ai)) for ai, vi in zip(spec.points.a, spec.v)]
-    if spec.extended:
-        word.append(poly_coeff(fx, spec.k - 1))
-    return word
+    return lincomb(f, f.asarray(fx), spec.generator_array[: len(fx)]).tolist()
 
 
 # --- serialization (elements as their integer encodings) ---

@@ -13,24 +13,34 @@ n - 2m; GRS_m(a, v, oo) iff it has degree exactly n - 2m + 1 with
 leading coefficient -1 (for 2m = n + 1 this degenerates to the constant
 -1, i.e. v_i^2 = -u_i).  Degree inspection is a complete decision
 procedure because the interpolant of degree <= n - 1 is unique.
+
+encode(f) lies in the hull iff the interpolant g of v_i^2 f(a_i) / u_i
+has degree <= n - k - 1 (extended: <= n - k and f_{k-1} = -g_{n-k}).  g
+is linear in f, so hull_membership reads it off as f L from the spec's
+witness map L (grs.py), built on the first query and kept with the
+spec.  check_certificate, which guards every reduction, never reads L:
+it evaluates lam at every point itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gf import Field
 from .linalg import (
     Matrix,
     dual_generator,
-    interpolate,
+    lincomb,
     nullspace,
     poly_coeff,
     poly_deg,
-    poly_eval,
+    poly_eval_array,
+    poly_trim,
     rank,
 )
-from .grs import EvaluationSet, GrsSpec
+from .grs import EvaluationSet, GrsSpec, generator_matrix
 
 LCD = "LCD"
 SELF_ORTHOGONAL = "self-orthogonal"
@@ -66,8 +76,6 @@ def linear_code(field: Field, rows) -> LinearCode:
 
 
 def code_from_grs(spec: GrsSpec) -> LinearCode:
-    from .grs import generator_matrix
-
     return LinearCode(spec.field, generator_matrix(spec))
 
 
@@ -134,12 +142,7 @@ class Certificate:
 
 
 def _interpolated_lambda(spec: GrsSpec) -> list[int]:
-    f = spec.field
-    pts = [
-        (ai, f.div(f.mul(vi, vi), ui))
-        for ai, vi, ui in zip(spec.points.a, spec.v, spec.points.u)
-    ]
-    return interpolate(f, pts)
+    return poly_trim(spec.dual_interpolants(1)[0].tolist())
 
 
 def certify_grs_self_orthogonal(spec: GrsSpec, m: int) -> Certificate | None:
@@ -187,10 +190,9 @@ def check_certificate(cert: Certificate, points: EvaluationSet, v) -> bool:
             return False
     else:
         return False
-    for ai, vi, ui in zip(points.a, v, points.u):
-        if f.mul(poly_eval(f, lam, ai), ui) != f.mul(vi, vi):
-            return False
-    return True
+    v = f.asarray(v)
+    lam_u = f.mul_array(poly_eval_array(f, lam, f.asarray(points.a)), f.asarray(points.u))
+    return bool(np.array_equal(lam_u, f.mul_array(v, v)))
 
 
 # --- hull membership witnesses ---
@@ -208,11 +210,7 @@ def hull_membership(spec: GrsSpec, fx) -> list[int] | None:
         raise HullError(f"message degree {poly_deg(fx)} >= dimension {spec.k}")
     f = spec.field
     n, k = spec.n, spec.k
-    pts = [
-        (ai, f.div(f.mul(f.mul(vi, vi), poly_eval(f, fx, ai)), ui))
-        for ai, vi, ui in zip(spec.points.a, spec.v, spec.points.u)
-    ]
-    g = interpolate(f, pts)
+    g = poly_trim(lincomb(f, f.asarray(fx), spec.witness_map[: len(fx)]).tolist())
     if not spec.extended:
         return g if poly_deg(g) <= n - k - 1 else None
     if poly_deg(g) <= n - k and poly_coeff(fx, k - 1) == f.neg(poly_coeff(g, n - k)):
@@ -223,11 +221,9 @@ def hull_membership(spec: GrsSpec, fx) -> list[int] | None:
 def verify_power_sums(points: EvaluationSet) -> bool:
     """sum_i a_i^m u_i is 0 for 0 <= m <= n-2 and 1 for m = n-1."""
     f = points.field
-    n = points.n
-    for m in range(n):
-        acc = 0
-        for ai, ui in zip(points.a, points.u):
-            acc = f.add(acc, f.mul(f.pow(ai, m), ui))
-        if acc != (1 if m == n - 1 else 0):
+    a, terms = f.asarray(points.a), f.asarray(points.u)
+    for m in range(points.n):  # terms = a_i^m u_i: O(n) memory
+        if f.sum_array(terms) != (1 if m == points.n - 1 else 0):
             return False
+        terms = f.mul_array(terms, a)
     return True

@@ -5,12 +5,14 @@ concerns, so pivoting just takes the first nonzero entry.  Polynomials
 are lists of element encodings, constant term first, with no trailing
 zeros (the zero polynomial is the empty list, of degree -1).
 
-rref, matmul and interpolate run on whole int64 arrays through the
-field's array ops (see gf.py): Gauss-Jordan makes one broadcast update
-of the matrix per pivot, a prime-field product is A @ B % p, and
-interpolation takes O(n) array steps.  Each input is checked once, as
-it is converted (Field.asarray), and results go back as Python ints.
-determinant and the polynomial helpers stay scalar.
+rref, nullspace, matmul, interpolation (interpolate_batch), evaluation
+at many points (poly_eval_array) and vector-matrix products (lincomb)
+run on whole int64 arrays through the field's array ops (see gf.py):
+Gauss-Jordan makes one broadcast update of the matrix per pivot, a
+prime-field product is A @ B % p, and a batch of interpolations takes
+O(n) array steps.  Each input is checked once, as it is converted
+(Field.asarray), and results go back as Python ints.  determinant and
+the other polynomial helpers stay scalar.
 """
 
 from __future__ import annotations
@@ -45,9 +47,6 @@ class Matrix:
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def row(self, i: int):
-        return self.rows[i]
 
     def array(self) -> np.ndarray:
         """The entries as an nrows x ncols int64 array, checked to be elements."""
@@ -124,14 +123,11 @@ def nullspace(M: Matrix) -> Matrix:
     f = M.field
     R, rk, pivots = rref(M)
     free = [c for c in range(M.ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * M.ncols
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = f.neg(R.rows[i][fc])
-        basis.append(v)
-    return Matrix(f, basis, ncols=M.ncols)
+    # row t: 1 at free column free[t], -R[i, free[t]] at pivot column i
+    basis = np.zeros((len(free), M.ncols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, list(pivots)] = f.sub_array(0, R.array()[:rk, free]).T
+    return Matrix(f, basis.tolist(), ncols=M.ncols)
 
 
 def dual_generator(G: Matrix) -> Matrix:
@@ -228,6 +224,24 @@ def poly_from_roots(f: Field, roots) -> list[int]:
     return out
 
 
+def poly_eval_array(f: Field, fx, xs) -> np.ndarray:
+    """fx at every entry of the array xs: Horner, one array step per
+    coefficient."""
+    acc = np.zeros(np.shape(xs), dtype=np.int64)
+    for c in f.asarray(fx)[::-1]:
+        acc = f.add_array(f.mul_array(acc, xs), c)
+    return acc
+
+
+def lincomb(f: Field, x, M) -> np.ndarray:
+    """x M: sum_j x_j M[j] for a vector x and a 2-D array M with len(x)
+    rows.  Over GF(p^m) the len(x) x ncols products are summed pairwise."""
+    if f.m == 1:
+        # exact in int64: (p - 1)^2 * len(x) < 2^48 for q <= MAX_Q
+        return x @ M % f.p
+    return f.sum_array(f.mul_array(x[:, None], M), axis=0)
+
+
 def node_weights(f: Field, xs) -> tuple[np.ndarray, np.ndarray]:
     """(P, w) for distinct nodes xs (an int64 array of elements).
 
@@ -243,16 +257,30 @@ def node_weights(f: Field, xs) -> tuple[np.ndarray, np.ndarray]:
         P = f.sub_array(np.concatenate(([0], P[:-1])), f.mul_array(x, P))
     # P' = sum_j j P_j x^(j-1); the integer j is the element j % p
     dP = f.mul_array(np.arange(1, n + 1) % f.p, P[1:])
-    at_nodes = np.zeros(n, dtype=np.int64)
-    for c in dP[::-1]:
-        at_nodes = f.add_array(f.mul_array(at_nodes, xs), c)
-    return P, f.inv_array(at_nodes)
+    return P, f.inv_array(poly_eval_array(f, dP, xs))
+
+
+def interpolate_batch(f: Field, xs, Y) -> np.ndarray:
+    """Untrimmed coefficient rows of the interpolants through
+    (xs_i, Y[r, i]), one per row of Y: sum_i Y[r, i] w_i P(x) / (x - x_i)
+    with P and w from node_weights (Berrut and Trefethen, SIAM Rev.
+    46(3), 2004).  The n synthetic divisions P / (x - x_i) do not depend
+    on Y, so they run once, in lockstep, for the whole batch: O(n) array
+    steps and O(n * rows) memory, never an n x n array."""
+    P, w = node_weights(f, xs)
+    C = f.mul_array(Y, w)
+    out = np.zeros(C.shape, dtype=np.int64)
+    quot = np.zeros(len(xs), dtype=np.int64)
+    for j in range(len(xs), 0, -1):
+        # quot_i = coefficient j-1 of P / (x - x_i)
+        quot = f.add_array(P[j], f.mul_array(xs, quot))
+        out[:, j - 1] = lincomb(f, quot, C.T)
+    return out
 
 
 def interpolate(f: Field, points) -> list[int]:
     """Unique polynomial of degree <= n-1 through n points with distinct
-    x coordinates: sum_i y_i w_i P(x) / (x - x_i) with P and w from
-    node_weights, the n synthetic divisions run in lockstep."""
+    x coordinates (interpolate_batch with one row)."""
     points = list(points)
     xs = [x for x, _ in points]
     if len(set(xs)) != len(xs):
@@ -261,13 +289,4 @@ def interpolate(f: Field, points) -> list[int]:
         raise LinalgError("no interpolation points")
     xs = f.asarray(xs)
     ys = f.asarray([y for _, y in points])
-    P, w = node_weights(f, xs)
-    c = f.mul_array(ys, w)
-    n = len(xs)
-    out = [0] * n
-    quot = np.zeros(n, dtype=np.int64)
-    for j in range(n, 0, -1):
-        # quot_i = coefficient j-1 of P / (x - x_i)
-        quot = f.add_array(P[j], f.mul_array(xs, quot))
-        out[j - 1] = f.sum_array(f.mul_array(c, quot))
-    return poly_trim(out)
+    return poly_trim(interpolate_batch(f, xs, ys[None])[0].tolist())

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hull import LinearCode
+from .gf import Field
+from .hull import LinearCode, hull_report
 from .linalg import Matrix, determinant, dual_generator, rank
 
 
@@ -165,9 +166,6 @@ def ternary_4_2_census(budget: OracleBudget = DEFAULT_BUDGET):
     and tallies hull dimensions.  The histogram has no codes with hull
     dimension 1.
     """
-    from .gf import Field
-    from .hull import hull_report
-
     f = Field(3)
     histogram = {0: 0, 1: 0, 2: 0}
     total = 0

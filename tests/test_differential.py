@@ -7,9 +7,15 @@ array ops of Field are checked against its scalar ops, exhaustively up
 to q = 49 and by sampling in GF(3^7) and GF(2^11).
 """
 
+import contextlib
 import functools
+import gc
+import io
 import itertools
+import pathlib
 import random
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -17,8 +23,21 @@ from sympy.polys.domains import GF, ZZ
 from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_neg, gf_rem, gf_sub
 from sympy.polys.matrices import DomainMatrix
 
+from hullcodes import cli
+from hullcodes.construct import make_seed, reduce_hull
 from hullcodes.gf import Field
-from hullcodes.linalg import Matrix, interpolate, nullspace, poly_eval, rank, rref
+from hullcodes.grs import GrsError, GrsSpec, encode, eval_set, generator_matrix, grs
+from hullcodes.hull import HullError, hull_membership
+from hullcodes.linalg import (
+    Matrix,
+    interpolate,
+    interpolate_batch,
+    nullspace,
+    poly_eval,
+    poly_trim,
+    rank,
+    rref,
+)
 
 PRIMES = (2, 3, 13, 73, 1031)
 
@@ -194,3 +213,180 @@ def test_extension_field_linear_algebra(p, m):
         assert all(x == 0 for r in R.rows[rk:] for x in r)
         assert rank(M.vstack(R)) == rk  # same row space
         assert rref(R)[0] == R
+
+
+# --- the per-spec evaluation map against scalar references ---
+
+
+def _scalar_eval(f, fx, x):
+    acc = 0
+    for c in reversed(fx):
+        acc = f.add(f.mul(acc, x), c)
+    return acc
+
+
+def _scalar_generator(spec):
+    f, k = spec.field, spec.k
+    rows = [[f.mul(v, f.pow(a, j)) for a, v in zip(spec.points.a, spec.v)] for j in range(k)]
+    if spec.extended:
+        for j, row in enumerate(rows):
+            row.append(int(j == k - 1))
+    return rows
+
+
+def _scalar_encode(spec, fx):
+    f = spec.field
+    word = [f.mul(v, _scalar_eval(f, fx, a)) for a, v in zip(spec.points.a, spec.v)]
+    if spec.extended:
+        word.append(fx[spec.k - 1] if len(fx) >= spec.k else 0)
+    return word
+
+
+def _lagrange(f, xs, ys):
+    """Interpolant by the Lagrange formula, one scalar op at a time."""
+    out = [0] * len(xs)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        basis, denom = [1], 1
+        for j, xj in enumerate(xs):
+            if j != i:
+                # basis <- basis * (x - xj)
+                basis = [f.sub(lo, f.mul(xj, hi)) for lo, hi in zip([0] + basis, basis + [0])]
+                denom = f.mul(denom, f.sub(xi, xj))
+        scale = f.mul(yi, f.inv(denom))
+        out = [f.add(o, f.mul(scale, b)) for o, b in zip(out, basis)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _in_hull(spec, word):
+    """A codeword lies in the hull iff it is orthogonal to every generator row."""
+    f = spec.field
+    return all(_scalar_sum(f, [f.mul(x, y) for x, y in zip(word, row)]) == 0
+               for row in _scalar_generator(spec))
+
+
+def _evaluation_map_specs():
+    """(spec, l): GF(p), GF(p^m) and extended specs, with 0 among the
+    points, k = 1 and k = n.  Specs reduced from a self-orthogonal seed
+    come with their hull dimension l; random ones with None."""
+    rng = random.Random(2004)
+    specs = []
+    for p, m in ((5, 1), (7, 1), (2, 2), (3, 2)):
+        f = Field(p, m)
+        full = eval_set(f, range(f.q))
+        if f.q > 4:
+            # v_i = g, not 1, so that v_i^2 != v_i on every coordinate
+            seed = make_seed(grs(full, [f.generator] * f.q, (f.q - 1) // 2))
+            specs += [(reduce_hull(seed, k, l), l) for k, l in ((2, 1), (2, 2), (1, 0))]
+            specs.append((reduce_hull(seed, 2, 1, extend=True), 1))
+            eseed = make_seed(grs(full, [1] * f.q, (f.q + 1) // 2, extended=True))
+            specs += [(reduce_hull(eseed, k, l), l) for k, l in ((3, 2), (2, 1), (1, 1))]
+        for n, k, extended in ((3, 1, False), (3, 3, False), (2, 3, True), (4, 2, True)):
+            points = eval_set(f, [0] + rng.sample(range(1, f.q), n - 1))
+            specs.append((grs(points, [rng.randrange(1, f.q) for _ in range(n)], k, extended), None))
+    return specs
+
+
+@pytest.mark.parametrize("spec, l", _evaluation_map_specs(), ids=lambda s: (
+    f"GF{s.field.q}-n{s.n}-k{s.k}{'-ext' if s.extended else ''}" if isinstance(s, GrsSpec) else f"l{s}"))
+def test_evaluation_map_matches_scalar_reference(spec, l):
+    f, k = spec.field, spec.k
+    assert [list(r) for r in generator_matrix(spec).rows] == _scalar_generator(spec)
+    assert 0 in spec.points.a
+    members = 0
+    for msg in itertools.product(range(f.q), repeat=k):
+        fx = list(msg)  # every length-k message, trailing zeros included
+        word = encode(spec, fx)
+        assert word == _scalar_encode(spec, fx)
+        witness = hull_membership(spec, fx)
+        in_hull = _in_hull(spec, word)
+        assert (witness is not None) == in_hull, msg
+        members += in_hull
+        # the witness is the interpolant of v_i^2 f(a_i) / u_i
+        values = [f.mul(f.mul(f.mul(v, v), _scalar_eval(f, fx, a)), f.inv(u))
+                  for a, v, u in zip(spec.points.a, spec.v, spec.points.u)]
+        assert witness in (None, _lagrange(f, spec.points.a, values))
+        # a message shorter than k reads the same maps
+        short = fx[:max((i + 1 for i, c in enumerate(fx) if c), default=0)]
+        assert encode(spec, short) == word
+        assert hull_membership(spec, short) == witness
+    if l is not None:
+        assert members == f.q**l
+    with pytest.raises(GrsError):
+        encode(spec, [0] * k + [1])
+    with pytest.raises(HullError):
+        hull_membership(spec, [0] * k + [1])
+
+
+@pytest.mark.parametrize("p, m", [(13, 1), (1031, 1), (3, 2), (2, 11)])
+def test_interpolate_batch_matches_row_by_row(p, m):
+    f = Field(p, m)
+    rng = random.Random(f.q)
+    for rows in (0, 1, 5):
+        n = rng.randint(1, min(f.q, 24))
+        xs = rng.sample(range(f.q), n)
+        Y = [[rng.randrange(f.q) for _ in range(n)] for _ in range(rows)]
+        out = interpolate_batch(f, f.asarray(xs), np.array(Y, dtype=np.int64).reshape(rows, n))
+        assert out.shape == (rows, n)
+        for coeffs, ys in zip(out.tolist(), Y):
+            assert poly_trim(coeffs) == interpolate(f, zip(xs, ys))
+
+
+def test_witness_map_memory_is_linear_in_n():
+    # an n x n int64 array would be 32 MB here; L itself is 2 x 2000
+    f = Field(2003)
+    spec = grs(eval_set(f, range(2000)), [1] * 2000, 2)
+    tracemalloc.start()
+    try:
+        L = spec.witness_map
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert L.shape == (2, 2000)
+    assert peak < 2 * 2**20, peak
+    # row j interpolates v_i^2 a_i^j / u_i (here v_i = 1)
+    xs = list(range(0, 2000, 97))
+    g = L[1].tolist()
+    assert [_scalar_eval(f, g, x) for x in xs] == [f.mul(x, f.inv(spec.points.u[x])) for x in xs]
+
+
+def test_witness_map_is_built_once_per_spec_and_dies_with_it(monkeypatch):
+    built = []
+    original = GrsSpec.dual_interpolants
+
+    def counting(spec, rows):
+        built.append(rows)
+        return original(spec, rows)
+
+    monkeypatch.setattr(GrsSpec, "dual_interpolants", counting)
+    seed = make_seed(grs(eval_set(Field(13), range(13)), [1] * 13, 6))
+    spec = reduce_hull(seed, 4, 2)
+    built.clear()
+    witnesses = [hull_membership(spec, fx) for fx in ([1], [0, 1], [3, 0, 2], [1, 2, 3, 4]) * 3]
+    assert built == [4]
+    assert witnesses == [hull_membership(spec, fx) for fx in ([1], [0, 1], [3, 0, 2], [1, 2, 3, 4]) * 3]
+    assert built == [4]
+    # an equal spec is a different object with its own map
+    twin = reduce_hull(seed, 4, 2)
+    assert twin == spec and hull_membership(twin, [1]) == witnesses[0]
+    assert built == [4, 4]
+    L = weakref.ref(spec.witness_map)
+    del spec, witnesses
+    gc.collect()
+    assert L() is None
+
+
+def test_cli_construct_never_builds_the_witness_map(monkeypatch, tmp_path):
+    def refuse(spec):
+        raise AssertionError("construct built the witness map")
+
+    monkeypatch.setattr(GrsSpec, "witness_map", property(refuse))
+    seed_json = pathlib.Path(__file__).parent / "golden" / "seed13.json"
+    for argv in (
+        f"construct --seed-json {seed_json} --k 4 --l 2",
+        "construct --family odd_cosets --r 5 --m 3 --t 1 --variant ii --k 2 --l 1",
+        f"construct --family twisted_pair --q 7 --t 3 --k 2 --l 1 --output {tmp_path}/c.json",
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv.split()) == 0

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from hullcodes.gf import MAX_Q, Field, FieldError, default_modulus, factor_prime_power, is_prime
@@ -119,3 +120,35 @@ def test_field_equality_and_serialization():
         Field(5, 2, modulus=[1, 0, 0, 1])  # wrong degree
     with pytest.raises(FieldError):
         Field(5, 2, modulus=[4, 0, 1])  # x^2 + 4 = (x-1)(x+1)
+
+
+def test_every_scalar_op_rejects_non_elements():
+    # add, neg and sub used to return a wrong element for these
+    with pytest.raises(FieldError):
+        Field(7, 2).add(-1, 0)
+    with pytest.raises(FieldError):
+        Field(7).add(50, 0)
+    with pytest.raises(FieldError):
+        Field(7).neg(50)
+    with pytest.raises(FieldError):
+        Field(7, 2).sub(3, -2)
+    for f in (Field(7), Field(7, 2)):
+        for bad in (-1, f.q, 2.0, "1", None):
+            for op in (f.add, f.sub, f.mul):
+                with pytest.raises(FieldError):
+                    op(bad, 1)
+                with pytest.raises(FieldError):
+                    op(1, bad)
+            for op in (f.neg, f.inv, lambda x: f.pow(x, 2)):
+                with pytest.raises(FieldError):
+                    op(bad)
+
+
+def test_scalar_ops_accept_numpy_integers_and_bools():
+    # the fast check is only a shortcut: the accepted values are unchanged
+    f = Field(7, 2)
+    x, y = np.int64(10), np.uint16(33)
+    assert f.add(x, y) == f.add(10, 33) and f.sub(x, y) == f.sub(10, 33)
+    assert f.mul(x, y) == f.mul(10, 33) and f.neg(x) == f.neg(10)
+    assert f.inv(x) == f.inv(10) and f.pow(x, 3) == f.pow(10, 3)
+    assert f.add(True, 0) == 1 and f.mul(True, 5) == 5
