@@ -173,7 +173,8 @@ class Field:
 
     def coeffs(self, x: int) -> list[int]:
         """Polynomial-basis coefficients of x, constant term first."""
-        self._check(x)
+        if not (type(x) is int and 0 <= x < self.q):
+            self._check(x)
         out = []
         for _ in range(self.m):
             x, c = divmod(x, self.p)
@@ -386,14 +387,15 @@ class Field:
             return int(self.sum_array(np.ravel(a), 0))
         if self.m == 1:
             return a.sum(axis) % self.p
-        a = np.moveaxis(a, axis, 0)
+        a = np.moveaxis(a, axis, 0) if axis else a
+        # zero rows up to a power of two, then pairwise halving
+        pad = (1 << (len(a) - 1).bit_length()) - len(a) if len(a) else 1
+        if pad:
+            a = np.concatenate([a, np.zeros((pad,) + a.shape[1:], dtype=np.int64)])
         while len(a) > 1:
-            # pairwise halving, padded with a zero row at odd lengths
-            if len(a) % 2:
-                a = np.concatenate([a, np.zeros_like(a[:1])])
             half = len(a) // 2
             a = self.add_array(a[:half], a[half:])
-        return a[0] if len(a) else np.zeros(a.shape[1:], dtype=np.int64)
+        return a[0]
 
     # -- identity / serialization --
 

@@ -13,14 +13,15 @@ downstream (certificates, hull membership, duality).
 Each spec carries its evaluation map as int64 arrays, O(kn) memory, in
 its own attributes, so the map lives and dies with the spec:
 generator_array G = V diag(v) (V[j, i] = a_i^j, plus the extended
-column), built with the spec, and witness_map L, whose row j
-interpolates v_i^2 a_i^j / u_i, built on the first hull_membership
-query only.  encode(f) is f G and the hull witness of f is f L.
+column), built on the first encode or generator_matrix call, and
+witness_map L, whose row j interpolates v_i^2 a_i^j / u_i, built on the
+first hull_membership query.  encode(f) is f G and the hull witness of
+f is f L.
 """
 
 from __future__ import annotations
 
-import dataclasses
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -33,7 +34,7 @@ class GrsError(ValueError):
     pass
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclass(frozen=True)
 class EvaluationSet:
     field: Field
     a: tuple
@@ -61,31 +62,33 @@ def eval_set(field: Field, a) -> EvaluationSet:
     return EvaluationSet(field, a, tuple(u.tolist()))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclass(frozen=True)
 class GrsSpec:
     points: EvaluationSet
     v: tuple
     k: int
     extended: bool = False
-    # row j is (v_i a_i^j), then 1 at the extended column of row k-1
-    generator_array: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    @cached_property
+    def generator_array(self) -> np.ndarray:
+        """k x length: row j is (v_i a_i^j), then 1 at the extended
+        column of row k-1.  Built on first use, then kept."""
         f = self.field
         a, v = f.asarray(self.points.a), f.asarray(self.v)
         G = f.mul_array(f.pow_array(a, np.arange(self.k)[:, None]), v)
         if self.extended:
             G = np.hstack([G, np.arange(self.k)[:, None] == self.k - 1])
-        object.__setattr__(self, "generator_array", G)
+        return G
 
     def dual_interpolants(self, rows: int) -> np.ndarray:
         """rows x n, rows <= k: row j holds the coefficients of the
         interpolant of v_i^2 a_i^j / u_i (row 0 is the certificate
         polynomial of hull.py)."""
         f = self.field
-        scale = f.mul_array(f.asarray(self.v), f.inv_array(f.asarray(self.points.u)))
-        values = f.mul_array(self.generator_array[:rows, : self.n], scale)
-        return interpolate_batch(f, f.asarray(self.points.a), values)
+        a, v, u = (f.asarray(x) for x in (self.points.a, self.v, self.points.u))
+        scale = f.mul_array(f.mul_array(v, v), f.inv_array(u))
+        values = f.mul_array(f.pow_array(a, np.arange(rows)[:, None]), scale)
+        return interpolate_batch(f, a, values)
 
     # L = dual_interpolants(k), built on first use and then kept
     witness_map = cached_property(lambda self: self.dual_interpolants(self.k))
