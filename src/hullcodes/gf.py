@@ -390,8 +390,7 @@ class Field:
         a = np.moveaxis(a, axis, 0) if axis else a
         # zero rows up to a power of two, then pairwise halving
         pad = (1 << (len(a) - 1).bit_length()) - len(a) if len(a) else 1
-        if pad:
-            a = np.concatenate([a, np.zeros((pad,) + a.shape[1:], dtype=np.int64)])
+        a = np.concatenate([a, np.zeros((pad,) + a.shape[1:], dtype=np.int64)])
         while len(a) > 1:
             half = len(a) // 2
             a = self.add_array(a[:half], a[half:])

@@ -10,13 +10,12 @@ u_i = prod_{j != i} (a_i - a_j)^(-1) = 1 / P'(a_i) for P = prod_j (x - a_j)
 (linalg.node_weights), which tie a GRS code to its dual in everything
 downstream (certificates, hull membership, duality).
 
-Each spec carries its evaluation map as int64 arrays, O(kn) memory, in
-its own attributes, so the map lives and dies with the spec:
-generator_array G = V diag(v) (V[j, i] = a_i^j, plus the extended
-column), built on the first encode or generator_matrix call, and
-witness_map L, whose row j interpolates v_i^2 a_i^j / u_i, built on the
-first hull_membership query.  encode(f) is f G and the hull witness of
-f is f L.
+Each spec keeps its evaluation map, int64 arrays of O(kn) memory, in
+its own attributes, so the map lives and dies with the spec: G = V diag(v)
+(V[j, i] = a_i^j, plus the extended column) on the first encode or
+generator_matrix call, and L, whose row j interpolates v_i^2 a_i^j / u_i,
+on the first hull_membership query.  encode(f) is f G and the hull
+witness of f is f L.
 """
 
 from __future__ import annotations
@@ -71,8 +70,7 @@ class GrsSpec:
 
     @cached_property
     def generator_array(self) -> np.ndarray:
-        """k x length: row j is (v_i a_i^j), then 1 at the extended
-        column of row k-1.  Built on first use, then kept."""
+        """G, k x length: row j is (v_i a_i^j), then [j = k-1] if extended."""
         f = self.field
         a, v = f.asarray(self.points.a), f.asarray(self.v)
         G = f.mul_array(f.pow_array(a, np.arange(self.k)[:, None]), v)
@@ -81,7 +79,7 @@ class GrsSpec:
         return G
 
     def dual_interpolants(self, rows: int) -> np.ndarray:
-        """rows x n, rows <= k: row j holds the coefficients of the
+        """rows x n: row j holds the coefficients of the
         interpolant of v_i^2 a_i^j / u_i (row 0 is the certificate
         polynomial of hull.py)."""
         f = self.field

@@ -141,10 +141,6 @@ class Certificate:
         return {"lambda": list(self.lam), "kind": self.kind, "m": self.m}
 
 
-def _interpolated_lambda(spec: GrsSpec) -> list[int]:
-    return poly_trim(spec.dual_interpolants(1)[0].tolist())
-
-
 def certify_grs_self_orthogonal(spec: GrsSpec, m: int) -> Certificate | None:
     """Certificate that GRS_m(a, v) is self-orthogonal, or None.
 
@@ -154,7 +150,7 @@ def certify_grs_self_orthogonal(spec: GrsSpec, m: int) -> Certificate | None:
     n = spec.n
     if not 1 <= m <= n // 2:
         raise HullError(f"seed dimension {m} out of range 1..{n // 2}")
-    lam = _interpolated_lambda(spec)
+    lam = poly_trim(spec.dual_interpolants(1)[0].tolist())
     if poly_deg(lam) <= n - 2 * m:
         return Certificate(tuple(lam), "grs", m)
     return None
@@ -169,7 +165,7 @@ def certify_egrs_self_orthogonal(spec: GrsSpec, m: int) -> Certificate | None:
     n = spec.n
     if not 1 <= m <= (n + 1) // 2:
         raise HullError(f"seed dimension {m} out of range 1..{(n + 1) // 2}")
-    lam = _interpolated_lambda(spec)
+    lam = poly_trim(spec.dual_interpolants(1)[0].tolist())
     top = n - 2 * m + 1
     if poly_deg(lam) == top and lam[top] == spec.field.neg(1):
         return Certificate(tuple(lam), "egrs", m)
