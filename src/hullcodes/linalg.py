@@ -91,12 +91,16 @@ class Matrix:
 
 def rref(M: Matrix):
     """Reduced row echelon form: (R, rank, pivot_columns)."""
-    f = M.field
-    A = M.array()
+    A, r, pivots = _rref_array(M.field, M.array())
+    return Matrix(M.field, A.tolist(), ncols=M.ncols), r, pivots
+
+
+def _rref_array(f: Field, A: np.ndarray):
+    """rref of an int64 array of elements, which it overwrites."""
     pivots = []
     r = 0
-    for c in range(M.ncols):
-        if r == M.nrows:
+    for c in range(A.shape[1]):
+        if r == A.shape[0]:
             break
         nonzero = np.flatnonzero(A[r:, c])
         if nonzero.size == 0:
@@ -111,22 +115,22 @@ def rref(M: Matrix):
         A[:, c:] = f.sub_array(A[:, c:], f.mul_array(coef[:, None], A[r, c:]))
         pivots.append(c)
         r += 1
-    return Matrix(f, A.tolist(), ncols=M.ncols), r, tuple(pivots)
+    return A, r, tuple(pivots)
 
 
 def rank(M: Matrix) -> int:
-    return rref(M)[1]
+    return _rref_array(M.field, M.array())[1]
 
 
 def nullspace(M: Matrix) -> Matrix:
     """Basis rows of {x : M x^T = 0}; row count = ncols - rank."""
     f = M.field
-    R, rk, pivots = rref(M)
+    R, rk, pivots = _rref_array(f, M.array())
     free = [c for c in range(M.ncols) if c not in pivots]
     # row t: 1 at free column free[t], -R[i, free[t]] at pivot column i
     basis = np.zeros((len(free), M.ncols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
-    basis[:, list(pivots)] = f.sub_array(0, R.array()[:rk, free]).T
+    basis[:, list(pivots)] = f.sub_array(0, R[:rk, free]).T
     return Matrix(f, basis.tolist(), ncols=M.ncols)
 
 
@@ -225,8 +229,7 @@ def poly_from_roots(f: Field, roots) -> list[int]:
 
 
 def poly_eval_array(f: Field, fx, xs) -> np.ndarray:
-    """fx at every entry of the array xs: Horner, one array step per
-    coefficient."""
+    """fx at every entry of the array xs, one Horner step per coefficient."""
     acc = np.zeros(np.shape(xs), dtype=np.int64)
     for c in f.asarray(fx)[::-1]:
         acc = f.add_array(f.mul_array(acc, xs), c)
@@ -234,8 +237,7 @@ def poly_eval_array(f: Field, fx, xs) -> np.ndarray:
 
 
 def lincomb(f: Field, x, M) -> np.ndarray:
-    """x M: sum_j x_j M[j] for a vector x and a 2-D array M with len(x)
-    rows.  Over GF(p^m) the len(x) x ncols products are summed pairwise."""
+    """x M = sum_j x_j M[j] for a vector x and a 2-D array M."""
     if f.m == 1:
         # exact in int64: (p - 1)^2 * len(x) < 2^48 for q <= MAX_Q
         return x @ M % f.p
