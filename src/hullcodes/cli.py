@@ -37,8 +37,8 @@ from .families import (
     construct_from_family,
     family_grid,
 )
-from .gf import Field, FieldError, factor_prime_power
-from .grs import GrsError, eval_set, generator_matrix, grs, spec_from_dict, spec_to_dict
+from .gf import Field, FieldError
+from .grs import GrsError, spec_from_dict, spec_to_dict
 from .hull import (
     HullError,
     certify_egrs_self_orthogonal,
@@ -48,7 +48,7 @@ from .hull import (
     linear_code,
     verify_power_sums,
 )
-from .linalg import LinalgError, Matrix, dual_generator, rank, row_space_equal
+from .linalg import LinalgError, row_space_equal
 from .oracle import (
     BudgetError,
     OracleBudget,
@@ -196,9 +196,17 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-# the keys of an enumerate row, in CSV column order
-_CSV_COLUMNS = ("family", "variant", "q", "n", "k", "l", "classification",
-                "mds_verified", "hull_verified")
+_CSV_COLUMNS = (
+    "family",
+    "variant",
+    "q",
+    "n",
+    "k",
+    "l",
+    "classification",
+    "mds_verified",
+    "hull_verified",
+)
 
 
 def _rows_to_output(args, rows: list[dict]) -> None:
@@ -220,10 +228,20 @@ def cmd_enumerate(args) -> int:
         for kind in TERNARY_KINDS:
             code = ternary_codes(kind)
             report = hull_report(code)
-            mds = min_distance(code, budget) == code.n - code.k + 1
-            rows.append(dict(zip(_CSV_COLUMNS, (
-                "ternary", kind, 3, code.n, code.k, report.hull_dim,
-                report.classification, mds, report.oracle_agrees))))
+            rows.append(
+                {
+                    "family": "ternary",
+                    "variant": kind,
+                    "q": 3,
+                    "n": code.n,
+                    "k": code.k,
+                    "l": report.hull_dim,
+                    "classification": report.classification,
+                    "mds_verified": min_distance(code, budget)
+                    == code.n - code.k + 1,
+                    "hull_verified": report.oracle_agrees,
+                }
+            )
         _rows_to_output(args, rows)
         return 0
     if args.family is None:
@@ -238,11 +256,19 @@ def cmd_enumerate(args) -> int:
         payload, ok = _verified_payload(spec, budget)
         hull_ok = payload["report"]["hull_dim"] == l
         all_ok = all_ok and ok and hull_ok
-        report = payload["report"]
-        rows.append(dict(zip(_CSV_COLUMNS, (
-            fs.params.family, fs.params.variant, spec.field.q, n, k, l,
-            report["classification"], payload["mds_verified"],
-            hull_ok and report["oracle_agrees"]))))
+        rows.append(
+            {
+                "family": fs.params.family,
+                "variant": fs.params.variant,
+                "q": spec.field.q,
+                "n": n,
+                "k": k,
+                "l": l,
+                "classification": payload["report"]["classification"],
+                "mds_verified": payload["mds_verified"],
+                "hull_verified": hull_ok and payload["report"]["oracle_agrees"],
+            }
+        )
     _rows_to_output(args, rows)
     return 0 if all_ok else 1
 
@@ -260,7 +286,11 @@ def cmd_census(args) -> int:
 
 def _selftest_power_sums(rng: random.Random):
     for q in (5, 7, 9, 13, 25, 27, 49):
-        field = Field(*factor_prime_power(q))
+        from .gf import factor_prime_power
+        from .grs import eval_set
+
+        p, m = factor_prime_power(q)
+        field = Field(p, m)
         for _ in range(5):
             n = rng.randint(2, min(q, 10))
             a = rng.sample(range(q), n)
@@ -270,8 +300,14 @@ def _selftest_power_sums(rng: random.Random):
 
 
 def _selftest_duality(rng: random.Random):
+    from .grs import eval_set, generator_matrix, grs
+    from .linalg import dual_generator
+
     for q, n in ((7, 3), (13, 6), (25, 6)):
-        field = Field(*factor_prime_power(q))
+        from .gf import factor_prime_power
+
+        p, deg = factor_prime_power(q)
+        field = Field(p, deg)
         h = field.root_of_unity(n)
         a = [field.pow(h, i) for i in range(n)]
         points = eval_set(field, a)
@@ -304,8 +340,13 @@ def _selftest_duality(rng: random.Random):
 
 
 def _selftest_oracle(rng: random.Random):
+    from .linalg import Matrix, rank
+
     for q in (3, 5, 7, 9):
-        field = Field(*factor_prime_power(q))
+        from .gf import factor_prime_power
+
+        p, deg = factor_prime_power(q)
+        field = Field(p, deg)
         for _ in range(10):
             n = rng.randint(3, 8)
             k = rng.randint(1, n - 1)
@@ -324,6 +365,8 @@ def _selftest_oracle(rng: random.Random):
 
 
 def _selftest_certificates(rng: random.Random):
+    from .grs import eval_set, grs
+
     for q in (7, 13):
         field = Field(q)
         for _ in range(20):
@@ -333,8 +376,11 @@ def _selftest_certificates(rng: random.Random):
             v = [rng.randint(1, q - 1) for _ in range(n)]
             spec = grs(eval_set(field, a), v, m)
             cert = certify_grs_self_orthogonal(spec, m)
-            G = code_from_grs(spec).generator
-            gram_zero = not any(map(any, G.matmul(G.transpose()).rows))
+            code = code_from_grs(spec)
+            G = code.generator
+            gram_zero = all(
+                x == 0 for row in G.matmul(G.transpose()).rows for x in row
+            )
             if (cert is not None) != gram_zero:
                 return False, f"certificate/Gram mismatch for q={q}, n={n}, m={m}"
         # planted positive: the full field with v = 1 has u_i = -1

@@ -25,7 +25,6 @@ seeds.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .gf import Field
@@ -122,6 +121,8 @@ def _smallest_irreducible(field: Field, degree: int) -> list[int]:
     # smallest by (c_{d-1}, ..., c_0) in encoding order; irreducible over
     # F_q is overkill -- root-free is all we need, and for degree 2 and 3
     # the two notions coincide.
+    import itertools
+
     for high_first in itertools.product(range(field.q), repeat=degree):
         poly = list(reversed(high_first)) + [1]
         if all(poly_eval(field, poly, x) != 0 for x in range(field.q)):

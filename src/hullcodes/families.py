@@ -173,7 +173,11 @@ def _coset_set(params: FamilyParams, variants: tuple, odd: bool):
         mu = _default_mu(field, beta, r, m, t, even_only=odd)
     if len(mu) != t:
         raise FamilyError(f"need exactly {t} coset exponents, got {len(mu)}")
-    a = [field.mul(field.pow(alpha, c), field.pow(beta, mj)) for mj in mu for c in range(1, m + 1)]
+    a = []
+    for mj in mu:
+        bm = field.pow(beta, mj)
+        for c in range(1, m + 1):
+            a.append(field.mul(field.pow(alpha, c), bm))
     return field, r, mu, a
 
 

@@ -5,10 +5,12 @@ a_i, nonzero column multipliers v_i, dimension k.  The codewords are
 (v_1 f(a_1), ..., v_n f(a_n)) for deg f < k, with the coefficient of
 x^(k-1) appended as an extra coordinate in the extended case.
 
-Alongside each evaluation set we keep the derived quantities
-u_i = prod_{j != i} (a_i - a_j)^(-1) = 1 / P'(a_i) for P = prod_j (x - a_j)
-(linalg.node_weights), which tie a GRS code to its dual in everything
-downstream (certificates, hull membership, duality).
+Alongside each evaluation set we keep the node polynomial
+P = prod_j (x - a_j) and the derived quantities
+u_i = prod_{j != i} (a_i - a_j)^(-1) = 1 / P'(a_i) (linalg.node_weights),
+which tie a GRS code to its dual in everything downstream (certificates,
+hull membership, duality); every interpolation over the points reuses
+both.
 
 Each spec keeps its evaluation map, int64 arrays of O(kn) memory, in
 its own attributes, so the map lives and dies with the spec: G = V diag(v)
@@ -20,6 +22,7 @@ witness of f is f L.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,6 +41,8 @@ class EvaluationSet:
     field: Field
     a: tuple
     u: tuple
+    # the node polynomial prod_j (x - a_j), constant term first; fixed by a
+    P: tuple = dataclasses.field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -57,8 +62,8 @@ def eval_set(field: Field, a) -> EvaluationSet:
         raise GrsError(f"{len(a)} points cannot be distinct in GF({field.q})")
     if len(set(a)) != len(a):
         raise GrsError("evaluation points must be pairwise distinct")
-    u = node_weights(field, field.asarray(a))[1]
-    return EvaluationSet(field, a, tuple(u.tolist()))
+    P, u = node_weights(field, field.asarray(a))
+    return EvaluationSet(field, a, tuple(u.tolist()), tuple(P.tolist()))
 
 
 @dataclass(frozen=True)
@@ -83,10 +88,10 @@ class GrsSpec:
         interpolant of v_i^2 a_i^j / u_i (row 0 is the certificate
         polynomial of hull.py)."""
         f = self.field
-        a, v, u = (f.asarray(x) for x in (self.points.a, self.v, self.points.u))
+        a, v, u, P = (f.asarray(x) for x in (self.points.a, self.v, self.points.u, self.points.P))
         scale = f.mul_array(f.mul_array(v, v), f.inv_array(u))
         values = f.mul_array(f.pow_array(a, np.arange(rows)[:, None]), scale)
-        return interpolate_batch(f, a, values)
+        return interpolate_batch(f, a, values, P, u)
 
     # L = dual_interpolants(k), built on first use and then kept
     witness_map = cached_property(lambda self: self.dual_interpolants(self.k))

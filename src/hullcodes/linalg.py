@@ -5,14 +5,14 @@ concerns, so pivoting just takes the first nonzero entry.  Polynomials
 are lists of element encodings, constant term first, with no trailing
 zeros (the zero polynomial is the empty list, of degree -1).
 
-rref, nullspace, matmul, interpolation (interpolate_batch), evaluation
-at many points (poly_eval_array) and vector-matrix products (lincomb)
-run on whole int64 arrays through the field's array ops (see gf.py):
-Gauss-Jordan makes one broadcast update of the matrix per pivot, a
-prime-field product is A @ B % p, and a batch of interpolations takes
-O(n) array steps.  Each input is checked once, as it is converted
-(Field.asarray), and results go back as Python ints.  determinant and
-the other polynomial helpers stay scalar.
+rref, nullspace, products (lincomb, which Matrix.matmul calls),
+interpolation (interpolate_batch) and evaluation at many points
+(poly_eval_array) run on whole int64 arrays through the field's array
+ops (see gf.py): Gauss-Jordan makes one broadcast update of the matrix
+per pivot, a prime-field product is A @ B % p, and a batch of
+interpolations takes O(n) array steps.  Each input is checked once, as
+it is converted (Field.asarray), and results go back as Python ints.
+determinant and the other polynomial helpers stay scalar.
 """
 
 from __future__ import annotations
@@ -58,16 +58,8 @@ class Matrix:
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise LinalgError("dimension mismatch")
-        f = self.field
-        A, B = self.array(), other.array()
-        if f.m == 1:
-            # exact in int64: (p - 1)^2 * ncols < 2^48 for q <= MAX_Q
-            out = A @ B % f.p
-        else:
-            out = np.zeros((self.nrows, other.ncols), dtype=np.int64)
-            for t in range(self.ncols):
-                out = f.add_array(out, f.mul_array(A[:, t, None], B[t]))
-        return Matrix(f, out.tolist(), ncols=other.ncols)
+        out = lincomb(self.field, self.array(), other.array())
+        return Matrix(self.field, out.tolist(), ncols=other.ncols)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.ncols:
@@ -236,12 +228,16 @@ def poly_eval_array(f: Field, fx, xs) -> np.ndarray:
     return acc
 
 
-def lincomb(f: Field, x, M) -> np.ndarray:
-    """x M = sum_j x_j M[j] for a vector x and a 2-D array M."""
+def lincomb(f: Field, X, M) -> np.ndarray:
+    """X M for a 2-D array M and a vector or 2-D array X: each row x of
+    X gives sum_j x_j M[j].  The one field matrix product."""
     if f.m == 1:
         # exact in int64: (p - 1)^2 * len(x) < 2^48 for q <= MAX_Q
-        return x @ M % f.p
-    return f.sum_array(f.mul_array(x[:, None], M), axis=0)
+        return X @ M % f.p
+    if X.ndim == 2:
+        # row by row, so memory stays O(M.size)
+        return np.array([lincomb(f, x, M) for x in X], dtype=np.int64).reshape(len(X), M.shape[1])
+    return f.sum_array(f.mul_array(X[:, None], M), axis=0)
 
 
 def node_weights(f: Field, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -262,14 +258,13 @@ def node_weights(f: Field, xs) -> tuple[np.ndarray, np.ndarray]:
     return P, f.inv_array(poly_eval_array(f, dP, xs))
 
 
-def interpolate_batch(f: Field, xs, Y) -> np.ndarray:
+def interpolate_batch(f: Field, xs, Y, P, w) -> np.ndarray:
     """Untrimmed coefficient rows of the interpolants through
     (xs_i, Y[r, i]), one per row of Y: sum_i Y[r, i] w_i P(x) / (x - x_i)
-    with P and w from node_weights (Berrut and Trefethen, SIAM Rev.
+    with P and w the node_weights of xs (Berrut and Trefethen, SIAM Rev.
     46(3), 2004).  The n synthetic divisions P / (x - x_i) do not depend
     on Y, so they run once, in lockstep, for the whole batch: O(n) array
     steps and O(n * rows) memory, never an n x n array."""
-    P, w = node_weights(f, xs)
     C = f.mul_array(Y, w)
     out = np.zeros(C.shape, dtype=np.int64)
     quot = np.zeros(len(xs), dtype=np.int64)
@@ -291,4 +286,4 @@ def interpolate(f: Field, points) -> list[int]:
         raise LinalgError("no interpolation points")
     xs = f.asarray(xs)
     ys = f.asarray([y for _, y in points])
-    return poly_trim(interpolate_batch(f, xs, ys[None])[0].tolist())
+    return poly_trim(interpolate_batch(f, xs, ys[None], *node_weights(f, xs))[0].tolist())

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import Field
-from .hull import LinearCode, hull_report
+from .hull import LinearCode
 from .linalg import Matrix, determinant, dual_generator, rank
 
 
@@ -166,6 +165,9 @@ def ternary_4_2_census(budget: OracleBudget = DEFAULT_BUDGET):
     and tallies hull dimensions.  The histogram has no codes with hull
     dimension 1.
     """
+    from .gf import Field
+    from .hull import hull_report
+
     f = Field(3)
     histogram = {0: 0, 1: 0, 2: 0}
     total = 0

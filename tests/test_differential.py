@@ -32,6 +32,7 @@ from hullcodes.linalg import (
     Matrix,
     interpolate,
     interpolate_batch,
+    node_weights,
     nullspace,
     poly_eval,
     poly_trim,
@@ -205,6 +206,9 @@ def test_extension_field_linear_algebra(p, m):
         want = [[_scalar_sum(f, [f.mul(x, B[t][j]) for t, x in enumerate(row)])
                  for j in range(inner)] for row in rows]
         assert [list(r) for r in M.matmul(Matrix(f, B)).rows] == want
+        # no rows, and an empty inner dimension
+        assert Matrix(f, [], ncols=M.nrows).matmul(M).rows == ()
+        assert Matrix(f, [[]] * 2).matmul(Matrix(f, [], ncols=inner)) == Matrix(f, [[0] * inner] * 2)
 
         R, rk, pivots = rref(M)
         for i, c in enumerate(pivots):
@@ -327,7 +331,9 @@ def test_interpolate_batch_matches_row_by_row(p, m):
         n = rng.randint(1, min(f.q, 24))
         xs = rng.sample(range(f.q), n)
         Y = [[rng.randrange(f.q) for _ in range(n)] for _ in range(rows)]
-        out = interpolate_batch(f, f.asarray(xs), np.array(Y, dtype=np.int64).reshape(rows, n))
+        nodes = f.asarray(xs)
+        Y_array = np.array(Y, dtype=np.int64).reshape(rows, n)
+        out = interpolate_batch(f, nodes, Y_array, *node_weights(f, nodes))
         assert out.shape == (rows, n)
         for coeffs, ys in zip(out.tolist(), Y):
             assert poly_trim(coeffs) == interpolate(f, zip(xs, ys))
