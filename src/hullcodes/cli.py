@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 
 from .construct import (
@@ -37,26 +36,12 @@ from .families import (
     construct_from_family,
     family_grid,
 )
-from .gf import Field, FieldError
+from . import selftest
+from .gf import FieldError
 from .grs import GrsError, spec_from_dict, spec_to_dict
-from .hull import (
-    HullError,
-    certify_egrs_self_orthogonal,
-    certify_grs_self_orthogonal,
-    code_from_grs,
-    hull_report,
-    linear_code,
-    verify_power_sums,
-)
-from .linalg import LinalgError, row_space_equal
-from .oracle import (
-    BudgetError,
-    OracleBudget,
-    hull_dim_oracle,
-    is_mds,
-    min_distance,
-    ternary_4_2_census,
-)
+from .hull import HullError, code_from_grs, hull_report
+from .linalg import LinalgError
+from .oracle import BudgetError, OracleBudget, is_mds, min_distance, ternary_4_2_census
 
 ENV_MAX_CODEWORDS = "HULLCODES_MAX_CODEWORDS"
 ENV_MAX_MINOR_K = "HULLCODES_MAX_MINOR_K"
@@ -281,154 +266,8 @@ def cmd_census(args) -> int:
     return 0 if hist[1] == 0 and hist[2] >= 1 else 1
 
 
-# --- selftest suites ---
-
-
-def _selftest_power_sums(rng: random.Random):
-    for q in (5, 7, 9, 13, 25, 27, 49):
-        from .gf import factor_prime_power
-        from .grs import eval_set
-
-        p, m = factor_prime_power(q)
-        field = Field(p, m)
-        for _ in range(5):
-            n = rng.randint(2, min(q, 10))
-            a = rng.sample(range(q), n)
-            if not verify_power_sums(eval_set(field, a)):
-                return False, f"power sums fail for q={q}, a={a}"
-    return True, "power-sum identity holds on random evaluation sets"
-
-
-def _selftest_duality(rng: random.Random):
-    from .grs import eval_set, generator_matrix, grs
-    from .linalg import dual_generator
-
-    for q, n in ((7, 3), (13, 6), (25, 6)):
-        from .gf import factor_prime_power
-
-        p, deg = factor_prime_power(q)
-        field = Field(p, deg)
-        h = field.root_of_unity(n)
-        a = [field.pow(h, i) for i in range(n)]
-        points = eval_set(field, a)
-        lam = field.scalar(n)
-        v = [field.sqrt(field.mul(lam, ui)) for ui in points.u]
-        m = n // 2
-        spec = grs(points, v, m)
-        dual = dual_generator(generator_matrix(spec))
-        expect = generator_matrix(grs(points, v, n - m))
-        if not row_space_equal(dual, expect):
-            return False, f"dual of GRS_{m} != GRS_{n - m} for q={q}, n={n}"
-        # perturbing one multiplier must break the constant-lambda form
-        c = next(x for x in range(2, q) if field.mul(x, x) != 1)
-        bad = [field.mul(c, v[0])] + list(v[1:])
-        dual_bad = dual_generator(generator_matrix(grs(points, bad, m)))
-        expect_bad = generator_matrix(grs(points, bad, n - m))
-        if row_space_equal(dual_bad, expect_bad):
-            return False, f"perturbed duality unexpectedly holds for q={q}"
-    for q in (5, 13):
-        field = Field(q)
-        points = eval_set(field, range(q))
-        v = [1] * q
-        m = (q + 1) // 2
-        spec = grs(points, v, m, extended=True)
-        dual = dual_generator(generator_matrix(spec))
-        expect = generator_matrix(grs(points, v, q + 1 - m, extended=True))
-        if not row_space_equal(dual, expect):
-            return False, f"extended duality fails for q={q}"
-    return True, "GRS/extended-GRS duality matches the closed forms"
-
-
-def _selftest_oracle(rng: random.Random):
-    from .linalg import Matrix, rank
-
-    for q in (3, 5, 7, 9):
-        from .gf import factor_prime_power
-
-        p, deg = factor_prime_power(q)
-        field = Field(p, deg)
-        for _ in range(10):
-            n = rng.randint(3, 8)
-            k = rng.randint(1, n - 1)
-            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
-            M = Matrix(field, rows)
-            if rank(M) != k:
-                continue
-            code = linear_code(field, rows)
-            report = hull_report(code)
-            if report.hull_dim != hull_dim_oracle(code) or not report.oracle_agrees:
-                return False, f"hull formulas disagree for q={q}, n={n}, k={k}"
-            d = min_distance(code)
-            if d > n - k + 1:
-                return False, f"Singleton bound violated: d={d} for [{n},{k}]"
-    return True, "Gram-rank and stacked-rank hull formulas agree"
-
-
-def _selftest_certificates(rng: random.Random):
-    from .grs import eval_set, grs
-
-    for q in (7, 13):
-        field = Field(q)
-        for _ in range(20):
-            n = rng.randint(4, min(q, 9))
-            m = rng.randint(1, n // 2)
-            a = rng.sample(range(q), n)
-            v = [rng.randint(1, q - 1) for _ in range(n)]
-            spec = grs(eval_set(field, a), v, m)
-            cert = certify_grs_self_orthogonal(spec, m)
-            code = code_from_grs(spec)
-            G = code.generator
-            gram_zero = all(
-                x == 0 for row in G.matmul(G.transpose()).rows for x in row
-            )
-            if (cert is not None) != gram_zero:
-                return False, f"certificate/Gram mismatch for q={q}, n={n}, m={m}"
-        # planted positive: the full field with v = 1 has u_i = -1
-        points = eval_set(field, range(q))
-        for m in range(1, q // 2 + 1):
-            if certify_grs_self_orthogonal(grs(points, [1] * q, m), m) is None:
-                return False, f"full-field seed not certified for q={q}, m={m}"
-        m = (q + 1) // 2
-        espec = grs(points, [1] * q, m, extended=True)
-        if certify_egrs_self_orthogonal(espec, m) is None:
-            return False, f"extended full-field seed not certified for q={q}"
-    return True, "certificate existence matches Gram self-orthogonality"
-
-
-def _selftest_ternary(rng: random.Random):
-    expected = {"n2k1": (0, 2), "n3k1": (1, 3), "n4k1": (0, 4), "n4k2": (2, 3)}
-    for kind, (hull, dist) in expected.items():
-        code = ternary_codes(kind)
-        report = hull_report(code)
-        if report.hull_dim != hull or min_distance(code) != dist:
-            return False, (
-                f"{kind}: got hull {report.hull_dim}, d {min_distance(code)}; "
-                f"expected {hull}, {dist}"
-            )
-    return True, "ternary golden table reproduced"
-
-
-SELFTEST_SUITES = [
-    ("power-sums", _selftest_power_sums),
-    ("duality", _selftest_duality),
-    ("oracle-equivalence", _selftest_oracle),
-    ("certificates", _selftest_certificates),
-    ("ternary-table", _selftest_ternary),
-]
-
-
 def cmd_selftest(args) -> int:
-    rng = random.Random(args.selftest_seed)
-    failures = 0
-    for name, suite in SELFTEST_SUITES:
-        ok, detail = suite(rng)
-        print(f"{'ok' if ok else 'FAIL'}  {name}: {detail}")
-        failures += not ok
-    if failures:
-        print(f"{failures} suite(s) failed")
-        return 1
-    print("all selftest suites passed")
-    return 0
+    return selftest.run(args.selftest_seed, _budget(args))
 
 
 def _build_parser() -> argparse.ArgumentParser:

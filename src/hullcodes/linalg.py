@@ -181,11 +181,6 @@ def poly_coeff(fx, i: int) -> int:
     return fx[i] if 0 <= i < len(fx) else 0
 
 
-def poly_add(f: Field, a, b) -> list[int]:
-    n = max(len(a), len(b))
-    return poly_trim(f.add(poly_coeff(a, i), poly_coeff(b, i)) for i in range(n))
-
-
 def poly_mul(f: Field, a, b) -> list[int]:
     if not a or not b:
         return []
@@ -211,13 +206,6 @@ def poly_eval(f: Field, fx, x: int) -> int:
     for c in reversed(fx):
         acc = f.add(f.mul(acc, x), c)
     return acc
-
-
-def poly_from_roots(f: Field, roots) -> list[int]:
-    out = [1]
-    for r in roots:
-        out = poly_mul(f, out, [f.neg(r), 1])
-    return out
 
 
 def poly_eval_array(f: Field, fx, xs) -> np.ndarray:

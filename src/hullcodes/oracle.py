@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hull import LinearCode
+from .gf import Field
+from .hull import LinearCode, hull_report
 from .linalg import Matrix, determinant, dual_generator, rank
 
 
@@ -165,9 +166,6 @@ def ternary_4_2_census(budget: OracleBudget = DEFAULT_BUDGET):
     and tallies hull dimensions.  The histogram has no codes with hull
     dimension 1.
     """
-    from .gf import Field
-    from .hull import hull_report
-
     f = Field(3)
     histogram = {0: 0, 1: 0, 2: 0}
     total = 0
@@ -187,6 +185,6 @@ def ternary_4_2_census(budget: OracleBudget = DEFAULT_BUDGET):
                 continue
             mds_total += 1
             histogram[hull_report(code).hull_dim] += 1
-    if total != 130:  # q^2 + q^... : gaussian binomial [4 choose 2]_3
+    if total != 130:  # the Gaussian binomial [4 choose 2]_3
         raise RuntimeError(f"census enumerated {total} subspaces, expected 130")
     return {"subspaces": total, "mds": mds_total, "hull_histogram": histogram}

@@ -16,10 +16,10 @@ import pytest
 
 from hullcodes.construct import (
     ConstructionError,
+    choose_alpha,
     make_seed,
     reduce_hull_egrs,
     reduce_hull_grs,
-    ternary_codes,
 )
 from hullcodes.families import (
     FamilyError,
@@ -28,18 +28,9 @@ from hullcodes.families import (
     construct_from_family,
     family_grid,
 )
-from hullcodes.gf import Field, factor_prime_power
-from hullcodes.grs import encode, eval_set, generator_matrix, grs
-from hullcodes.hull import (
-    certify_egrs_self_orthogonal,
-    certify_grs_self_orthogonal,
-    code_from_grs,
-    hull_membership,
-    hull_report,
-    linear_code,
-    verify_power_sums,
-)
-from hullcodes.linalg import Matrix, dual_generator, rank, row_space_equal
+from hullcodes.gf import Field
+from hullcodes.grs import encode, eval_set, grs
+from hullcodes.hull import code_from_grs, hull_membership, hull_report
 from hullcodes.oracle import (
     OracleBudget,
     hull_dim_oracle,
@@ -47,15 +38,17 @@ from hullcodes.oracle import (
     min_distance,
     ternary_4_2_census,
 )
-
-
-def _field(q):
-    return Field(*factor_prime_power(q))
-
-
-def _gram_is_zero(code):
-    G = code.generator
-    return all(x == 0 for row in G.matmul(G.transpose()).rows for x in row)
+from hullcodes.selftest import (
+    certificates,
+    duality,
+    field_of_order,
+    hull_formulas,
+    power_sums,
+    random_code,
+    random_points,
+    subgroup_points,
+    ternary_table,
+)
 
 
 def test_criterion_1_ternary_golden_table():
@@ -66,13 +59,9 @@ def test_criterion_1_ternary_golden_table():
         ("n4k1", 3, 0, 4),
         ("n4k2", 3, 2, 3),
     ]
-    for kind, nv, hull, dist in expected:
-        for v in itertools.product((1, 2), repeat=nv):
-            code = ternary_codes(kind, v)
-            report = hull_report(code)
-            assert report.hull_dim == hull, (kind, v)
-            assert min_distance(code) == dist, (kind, v)
-            assert report.oracle_agrees
+    cases = [(kind, v, hull, dist) for kind, nv, hull, dist in expected
+             for v in itertools.product((1, 2), repeat=nv)]
+    assert ternary_table(cases) == (len(cases), None)
     elapsed = time.time() - t0
     assert elapsed < 1.0
     print(f"\n[criterion 1] PASS: ternary hull dims (0,1,0,2), distances "
@@ -170,58 +159,42 @@ def test_criterion_4_egrs_reduction_grid():
 
 def test_criterion_5_power_sum_identity():
     rng = random.Random(20260823)
-    fields = [(5, 1), (7, 1), (3, 2), (13, 1), (5, 2), (3, 3), (7, 2)]
-    checked = 0
-    while checked < 200:
-        p, m = fields[checked % len(fields)]
-        field = Field(p, m)
-        q = field.q
-        n = rng.randint(2, min(q, 12))
-        a = rng.sample(range(q), n)
-        assert verify_power_sums(eval_set(field, a)), (q, a)
-        checked += 1
+    fields = [Field(p, m) for p, m in ((5, 1), (7, 1), (3, 2), (13, 1), (5, 2), (3, 3), (7, 2))]
+    checked, bad = power_sums(random_points(rng, fields[i % len(fields)], 12) for i in range(200))
+    assert (checked, bad) == (200, None)
     print(f"\n[criterion 5] PASS: power-sum identity exact on {checked} "
           f"random evaluation sets over GF(5..49)")
 
 
 def test_criterion_6_certificate_biconditionals():
     rng = random.Random(97)
-    mismatches = 0
-    total = 0
-    for q in (7, 13, 25):
-        field = _field(q)
-        for trial in range(100):
-            n = rng.randint(4, min(q, 10))
-            m = rng.randint(1, n // 2)
-            a = rng.sample(range(q), n)
-            if trial % 5 == 0 and n == q:
-                v = [1] * n  # planted positive: u_i = -1, lambda = -1
-            else:
-                v = [rng.randint(1, q - 1) for _ in range(n)]
-            pts = eval_set(field, a)
-            spec = grs(pts, v, m)
-            cert = certify_grs_self_orthogonal(spec, m)
-            if (cert is not None) != _gram_is_zero(code_from_grs(spec)):
-                mismatches += 1
-            me = rng.randint(1, (n + 1) // 2)
-            espec = grs(pts, v, me, extended=True)
-            ecert = certify_egrs_self_orthogonal(espec, me)
-            if (ecert is not None) != _gram_is_zero(code_from_grs(espec)):
-                mismatches += 1
-            total += 2
-        # planted extended positive at the 2m = n + 1 boundary
-        pts = eval_set(field, range(q))
-        espec = grs(pts, [1] * q, (q + 1) // 2, extended=True)
-        assert certify_egrs_self_orthogonal(espec, (q + 1) // 2) is not None
-        assert _gram_is_zero(code_from_grs(espec))
-        # and a one-coordinate perturbation kills both sides
-        c = next(x for x in range(2, q) if field.mul(x, x) != 1)
-        bad = [field.mul(c, 1)] + [1] * (q - 1)
-        bspec = grs(pts, bad, (q + 1) // 2, extended=True)
-        assert certify_egrs_self_orthogonal(bspec, (q + 1) // 2) is None
-        assert not _gram_is_zero(code_from_grs(bspec))
-        total += 2
-    assert mismatches == 0
+    fields = [field_of_order(q) for q in (7, 13, 25)]
+
+    def drawn():
+        for field in fields:
+            q = field.q
+            for trial in range(100):
+                n = rng.randint(4, min(q, 10))
+                m = rng.randint(1, n // 2)
+                a = rng.sample(range(q), n)
+                if trial % 5 == 0 and n == q:
+                    v = [1] * n  # planted positive: u_i = -1, lambda = -1
+                else:
+                    v = [rng.randint(1, q - 1) for _ in range(n)]
+                pts = eval_set(field, a)
+                yield grs(pts, v, m)
+                yield grs(pts, v, rng.randint(1, (n + 1) // 2), extended=True)
+
+    # planted extended positives at the 2m = n + 1 boundary, and a
+    # one-coordinate perturbation of each that kills both sides
+    planted, perturbed = [], []
+    for f in fields:
+        pts, m = eval_set(f, range(f.q)), (f.q + 1) // 2
+        planted.append(grs(pts, [1] * f.q, m, extended=True))
+        perturbed.append(grs(pts, [choose_alpha(f)] + [1] * (f.q - 1), m, extended=True))
+    results = [certificates(drawn()), certificates(planted, True), certificates(perturbed, False)]
+    assert results == [(600, None), (3, None), (3, None)]
+    total = sum(examined for examined, _ in results)
     print(f"\n[criterion 6] PASS: certificate existence matches Gram "
           f"self-orthogonality on {total} instances, zero mismatches")
 
@@ -239,44 +212,21 @@ _NEG_U_SQUARE_SETS = {
 def test_criterion_7_duality_corollaries():
     checked = 0
     for q in (7, 13, 25):
-        field = _field(q)
+        field = field_of_order(q)
         # constant-lambda instances: subgroups of order n with (q-1)/n
-        # even, so that n*u_i = h_i is always a square
+        # even, so that n*u_i = h_i is always a square; breaking the
+        # constant-lambda form must break duality
         for n in [d for d in range(2, 13) if (q - 1) % d == 0 and ((q - 1) // d) % 2 == 0]:
-            h = field.root_of_unity(n)
-            pts = eval_set(field, [field.pow(h, i) for i in range(n)])
-            lam = field.scalar(n)
-            v = [field.sqrt(field.mul(lam, u)) for u in pts.u]
-            for m in range(1, n // 2 + 1):
-                spec = grs(pts, v, m)
-                dual = dual_generator(generator_matrix(spec))
-                assert row_space_equal(dual, generator_matrix(grs(pts, v, n - m)))
-                checked += 1
-            # breaking the constant-lambda form must break duality
-            c = next(x for x in range(2, q) if field.mul(x, x) != 1)
-            bad = [field.mul(c, v[0])] + list(v[1:])
-            m = n // 2
-            dual = dual_generator(generator_matrix(grs(pts, bad, m)))
-            assert not row_space_equal(dual, generator_matrix(grs(pts, bad, n - m)))
-            checked += 1
+            examined, bad = duality(*subgroup_points(field, n), range(1, n // 2 + 1))
+            assert (examined, bad) == (n // 2 + 1, None)
+            checked += examined
         # extended duality: v_i^2 = -u_i on the frozen point sets
-        a = _NEG_U_SQUARE_SETS[q]
-        pts = eval_set(field, a)
-        n = len(a)
+        pts = eval_set(field, _NEG_U_SQUARE_SETS[q])
         v = [field.sqrt(field.neg(u)) for u in pts.u]
-        for m in range(1, (n + 1) // 2 + 1):
-            spec = grs(pts, v, m, extended=True)
-            dual = dual_generator(generator_matrix(spec))
-            expect = generator_matrix(grs(pts, v, n + 1 - m, extended=True))
-            assert row_space_equal(dual, expect)
-            checked += 1
-        c = next(x for x in range(2, q) if field.mul(x, x) != 1)
-        bad = [field.mul(c, v[0])] + list(v[1:])
-        m = (n + 1) // 2
-        dual = dual_generator(generator_matrix(grs(pts, bad, m, extended=True)))
-        expect = generator_matrix(grs(pts, bad, n + 1 - m, extended=True))
-        assert not row_space_equal(dual, expect)
-        checked += 1
+        ms = range(1, (pts.n + 1) // 2 + 1)
+        examined, bad = duality(pts, v, ms, extended=True)
+        assert (examined, bad) == (len(ms) + 1, None)
+        checked += examined
     print(f"\n[criterion 7] PASS: GRS/extended-GRS duality biconditionals "
           f"hold on {checked} instances over GF(7)/GF(13)/GF(25)")
 
@@ -337,20 +287,17 @@ def test_criterion_8_families_coverage():
 def test_criterion_9_oracle_equivalence_and_membership():
     rng = random.Random(500)
     fields = [Field(2), Field(3), Field(5), Field(7), Field(2, 2), Field(3, 2)]
-    checked = 0
-    while checked < 500:
-        field = fields[checked % len(fields)]
-        q = field.q
-        n = rng.randint(2, 9)
-        k = rng.randint(1, n - 1)
-        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
-        if rank(Matrix(field, rows)) != k:
-            continue
-        code = linear_code(field, rows)
-        report = hull_report(code)
-        assert report.hull_dim == hull_dim_oracle(code)
-        assert report.oracle_agrees
-        checked += 1
+
+    def codes():
+        accepted = 0
+        while accepted < 500:
+            code = random_code(rng, fields[accepted % len(fields)], 2, 9)
+            if code is not None:
+                accepted += 1
+                yield code
+
+    checked, bad = hull_formulas(codes())
+    assert (checked, bad) == (500, None)
 
     # membership witnesses vs the hull basis, exhaustive over messages
     f13 = Field(13)

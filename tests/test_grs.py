@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from hullcodes.gf import Field
@@ -12,7 +10,6 @@ from hullcodes.grs import (
     spec_from_dict,
     spec_to_dict,
 )
-from hullcodes.hull import verify_power_sums
 
 F5 = Field(5)
 F13 = Field(13)
@@ -42,14 +39,6 @@ def test_eval_set_validation():
     with pytest.raises(GrsError):
         eval_set(F5, range(6))
     assert eval_set(F5, [3]).u == (1,)
-
-
-def test_power_sums_random():
-    rng = random.Random(11)
-    for _ in range(30):
-        n = rng.randint(2, 10)
-        a = rng.sample(range(13), n)
-        assert verify_power_sums(eval_set(F13, a))
 
 
 def test_grs_validation():

