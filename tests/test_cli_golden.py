@@ -35,6 +35,11 @@ CASES = {
     "construct_eseed13_full": "construct --seed-json {golden}/eseed13_full.json --k 6 --l 3",
     "construct_eseed13_pi_free": "construct --seed-json {golden}/eseed13_full.json --k 6 --l 5",
     "construct_eseed13_twist_b": "construct --seed-json {golden}/eseed13_small.json --k 2 --l 1 --b 5",
+    # n = q, so the twist is root-free and b-free: quadratic, cubic, cubic * quadratic^2
+    "construct_eseed13_twist_quad": "construct --seed-json {golden}/eseed13_full.json --k 5 --l 2",
+    "construct_eseed13_twist_cubic": "construct --seed-json {golden}/eseed13_full.json --k 4 --l 1",
+    "construct_eseed13_twist_cubic_quad2": "construct --seed-json {golden}/eseed13_full.json --k 2 --l 0",
+    "construct_eseed13_twist_square": "construct --seed-json {golden}/eseed13_small.json --k 1 --l 0",
     **{
         f"enumerate_even_cosets_{v}": f"enumerate --family even_cosets --r 5 --m 4 --t 1 --variant {v} --format csv"
         for v in ("i", "ii", "iii", "iv")
