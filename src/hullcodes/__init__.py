@@ -14,6 +14,7 @@ from .hull import (
     HullError,
     HullReport,
     LinearCode,
+    certify,
     certify_egrs_self_orthogonal,
     certify_grs_self_orthogonal,
     code_from_grs,

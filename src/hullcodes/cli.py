@@ -133,10 +133,24 @@ def _verified_payload(spec, budget: OracleBudget) -> tuple[dict, bool]:
     return payload, report.oracle_agrees and mds is not False
 
 
+def _reject_unread_flags(args) -> None:
+    """Refuse a flag that construct's chosen mode never reads."""
+    if args.ternary:
+        unread, mode = ("k", "l", "alpha", "b", "family", "seed_json"), "with --ternary"
+    elif args.seed_json:
+        unread, mode = ("v", "family"), "with --seed-json"
+    else:
+        unread, mode = ("v",), "without --ternary"
+    for name in unread:
+        if getattr(args, name) is not None:
+            raise ConstructionError(f"--{name.replace('_', '-')} has no effect {mode}")
+
+
 def cmd_construct(args) -> int:
     budget = _budget(args)
     if args.extend and not args.seed_json:
         raise ConstructionError("--extend applies only to --seed-json")
+    _reject_unread_flags(args)
     if args.ternary:
         code = ternary_codes(args.ternary, _int_list(args.v) if args.v else None)
         report = hull_report(code)

@@ -25,19 +25,15 @@ seeds.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .gf import Field
 from .grs import EvaluationSet, GrsSpec, grs
-from .hull import (
-    Certificate,
-    LinearCode,
-    certify_egrs_self_orthogonal,
-    certify_grs_self_orthogonal,
-    check_certificate,
-    linear_code,
-)
-from .linalg import poly_eval, poly_mul, poly_pow
+from .hull import Certificate, LinearCode, certify, check_certificate, linear_code
+from .linalg import poly_eval_array
 
 
 class ConstructionError(ValueError):
@@ -48,28 +44,27 @@ class ConstructionError(ValueError):
 class SeedCode:
     spec: GrsSpec
     certificate: Certificate
-    m: int
+
+    @property
+    def m(self) -> int:
+        return self.spec.k
 
 
-def make_seed(spec: GrsSpec, m: int | None = None) -> SeedCode:
-    """Certify a (possibly extended) GRS code as self-orthogonal.
+def make_seed(spec: GrsSpec) -> SeedCode:
+    """Certify a (possibly extended) GRS code of dimension m = spec.k as
+    self-orthogonal.
 
-    m defaults to spec.k; the certificate is found by interpolation and
-    the construction refuses codes that fail the degree criterion.
+    The certificate is found by interpolation and the construction
+    refuses codes that fail the degree criterion.
     """
-    if m is None:
-        m = spec.k
-    if spec.extended:
-        cert = certify_egrs_self_orthogonal(spec, m)
-    else:
-        cert = certify_grs_self_orthogonal(spec, m)
+    cert = certify(spec)
     if cert is None:
         kind = "extended GRS" if spec.extended else "GRS"
         raise ConstructionError(
-            f"{kind} code of dimension {m} on {spec.n} points is not "
+            f"{kind} code of dimension {spec.k} on {spec.n} points is not "
             "self-orthogonal (no certificate polynomial)"
         )
-    return SeedCode(spec, cert, m)
+    return SeedCode(spec, cert)
 
 
 def choose_alpha(field: Field, override: int | None = None) -> int:
@@ -99,34 +94,23 @@ def choose_b(field: Field, points: EvaluationSet, override: int | None = None) -
     )
 
 
-def _rootless_monic(field: Field, avoid, degree: int) -> list[int]:
-    """Monic polynomial of the given degree with no roots among `avoid`,
-    built from the smallest irreducible quadratic and cubic."""
-    pieces = []
-    rem = degree
-    quad = _smallest_irreducible(field, 2)
-    if rem % 2 == 1:
-        pieces.append(_smallest_irreducible(field, 3))
-        rem -= 3
-    pieces.extend([quad] * (rem // 2))
-    pi = [1]
-    for piece in pieces:
-        pi = poly_mul(field, pi, piece)
-    if any(poly_eval(field, pi, a) == 0 for a in avoid):  # pragma: no cover
-        raise ConstructionError("failed to build a root-free twist polynomial")
-    return pi
+def _rootless_twist(field: Field, xs: np.ndarray, degree: int) -> np.ndarray:
+    """pi(x) at each x in xs for a monic pi of the given degree with no
+    root in the field: a power of the smallest root-free quadratic, times
+    the smallest root-free cubic when degree is odd."""
+    odd = degree % 2
+    values = field.pow_array(_smallest_root_free(field, 2, xs), (degree - 3 * odd) // 2)
+    return field.mul_array(values, _smallest_root_free(field, 3, xs)) if odd else values
 
 
-def _smallest_irreducible(field: Field, degree: int) -> list[int]:
-    # smallest by (c_{d-1}, ..., c_0) in encoding order; irreducible over
-    # F_q is overkill -- root-free is all we need, and for degree 2 and 3
-    # the two notions coincide.
-    import itertools
-
+def _smallest_root_free(field: Field, degree: int, xs: np.ndarray) -> np.ndarray:
+    # the values at xs of the smallest monic polynomial of the degree, by
+    # (c_{d-1}, ..., c_0) in encoding order, with no root in the field;
+    # for degree 2 and 3 that is the smallest irreducible one.
     for high_first in itertools.product(range(field.q), repeat=degree):
-        poly = list(reversed(high_first)) + [1]
-        if all(poly_eval(field, poly, x) != 0 for x in range(field.q)):
-            return poly
+        values = poly_eval_array(field, list(reversed(high_first)) + [1], np.arange(field.q))
+        if values.all():
+            return values[xs]
     raise ConstructionError(  # pragma: no cover
         f"no root-free monic polynomial of degree {degree} over GF({field.q})"
     )
@@ -173,17 +157,17 @@ def reduce_hull(
         raise ConstructionError("seed certificate fails re-validation")
 
     s = k - 1 - l if extend else k - l
-    pi = None
+    pi = None  # the twist's values pi(a_i)
     if twist:
+        xs = field.asarray(points.a)
         try:
-            bb = choose_b(field, points, b)
-            pi = poly_pow(field, [field.neg(bb), 1], m - k)
+            pi = field.pow_array(field.sub_array(xs, choose_b(field, points, b)), m - k)
         except ConstructionError:
             if b is not None:
                 raise
             # points exhaust the field: no (x-b) twist available
             if m - k >= 2:
-                pi = _rootless_monic(field, points.a, m - k)
+                pi = _rootless_twist(field, xs, m - k)
             elif l < k:
                 # pi-free route: the infinity coordinate absorbs one
                 # hull dimension, so retarget s accordingly
@@ -193,11 +177,11 @@ def reduce_hull(
                     "hull dimension l = k is unreachable for k = m - 1 when "
                     "the evaluation points exhaust the field (n = q)"
                 )
-    a = choose_alpha(field, alpha)
-    v = [field.mul(a, vi) if i < s else vi for i, vi in enumerate(spec.v)]
+    v = field.asarray(spec.v)
+    v[:s] = field.mul_array(choose_alpha(field, alpha), v[:s])
     if pi is not None:
-        v = [field.mul(w, poly_eval(field, pi, ai)) for w, ai in zip(v, points.a)]
-    return grs(points, v, k, extended=spec.extended or extend)
+        v = field.mul_array(v, pi)
+    return grs(points, v.tolist(), k, extended=spec.extended or extend)
 
 
 def reduce_hull_grs(seed: SeedCode, k: int, l: int, alpha: int | None = None) -> GrsSpec:

@@ -322,7 +322,7 @@ def family_twisted_pair(params: FamilyParams) -> FamilySeed:
         _sqrt_or_fail(field, field.mul(field.mul(base, ai), ui), f"lambda(a_{i+1})u_{i+1}")
         for i, (ai, ui) in enumerate(zip(points.a, points.u))
     )
-    seed = make_seed(grs(points, v, t - 1, extended=False), m=t - 1)
+    seed = make_seed(grs(points, v, t - 1, extended=False))
     return FamilySeed(params, seed, t - 1)
 
 

@@ -187,10 +187,6 @@ class Field:
             enc = enc * self.p + c % self.p
         return enc
 
-    def elements(self) -> list[int]:
-        """All q elements in increasing encoding order."""
-        return list(range(self.q))
-
     def scalar(self, n: int) -> int:
         """Embed an integer via the prime subfield."""
         return n % self.p

@@ -137,57 +137,50 @@ class Certificate:
     kind: str  # "grs" or "egrs"
     m: int
 
-    def to_dict(self) -> dict:
-        return {"lambda": list(self.lam), "kind": self.kind, "m": self.m}
+
+def _degree_rule(field: Field, kind: str, lam, n: int, m: int) -> bool:
+    """Whether lam meets the degree criterion above as a certificate of
+    kind "grs" or "egrs" (else False) for a length-n seed of dimension m."""
+    if kind == "grs":
+        return poly_deg(lam) <= n - 2 * m
+    top = n - 2 * m + 1
+    return kind == "egrs" and poly_deg(lam) == top and poly_coeff(lam, top) == field.neg(1)
+
+
+def _certify(spec: GrsSpec, m: int, kind: str, m_max: int) -> Certificate | None:
+    if not 1 <= m <= m_max:
+        raise HullError(f"seed dimension {m} out of range 1..{m_max}")
+    lam = poly_trim(spec.dual_interpolants(1)[0].tolist())
+    if _degree_rule(spec.field, kind, lam, spec.n, m):
+        return Certificate(tuple(lam), kind, m)
+    return None
 
 
 def certify_grs_self_orthogonal(spec: GrsSpec, m: int) -> Certificate | None:
-    """Certificate that GRS_m(a, v) is self-orthogonal, or None.
-
-    The certificate polynomial lam satisfies lam(a_i) u_i = v_i^2 for
-    every i and deg(lam) <= n - 2m.
-    """
-    n = spec.n
-    if not 1 <= m <= n // 2:
-        raise HullError(f"seed dimension {m} out of range 1..{n // 2}")
-    lam = poly_trim(spec.dual_interpolants(1)[0].tolist())
-    if poly_deg(lam) <= n - 2 * m:
-        return Certificate(tuple(lam), "grs", m)
-    return None
+    """Certificate that GRS_m(a, v) is self-orthogonal, or None."""
+    return _certify(spec, m, "grs", spec.n // 2)
 
 
 def certify_egrs_self_orthogonal(spec: GrsSpec, m: int) -> Certificate | None:
-    """Certificate that GRS_m(a, v, oo) is self-orthogonal, or None.
+    """Certificate that GRS_m(a, v, oo) is self-orthogonal, or None."""
+    return _certify(spec, m, "egrs", (spec.n + 1) // 2)
 
-    Requires deg(lam) = n - 2m + 1 with leading coefficient -1; at the
-    boundary 2m = n + 1 this means lam is the constant -1.
-    """
-    n = spec.n
-    if not 1 <= m <= (n + 1) // 2:
-        raise HullError(f"seed dimension {m} out of range 1..{(n + 1) // 2}")
-    lam = poly_trim(spec.dual_interpolants(1)[0].tolist())
-    top = n - 2 * m + 1
-    if poly_deg(lam) == top and lam[top] == spec.field.neg(1):
-        return Certificate(tuple(lam), "egrs", m)
-    return None
+
+def certify(spec: GrsSpec) -> Certificate | None:
+    """Certificate that spec's code (dimension spec.k, extended or not)
+    is self-orthogonal, or None."""
+    if spec.extended:
+        return certify_egrs_self_orthogonal(spec, spec.k)
+    return certify_grs_self_orthogonal(spec, spec.k)
 
 
 def check_certificate(cert: Certificate, points: EvaluationSet, v) -> bool:
     """Re-validate a certificate against an evaluation set and multipliers."""
     f = points.field
-    lam = list(cert.lam)
-    n = points.n
-    if cert.kind == "grs":
-        if poly_deg(lam) > n - 2 * cert.m:
-            return False
-    elif cert.kind == "egrs":
-        top = n - 2 * cert.m + 1
-        if poly_deg(lam) != top or poly_coeff(lam, top) != f.neg(1):
-            return False
-    else:
+    if not _degree_rule(f, cert.kind, cert.lam, points.n, cert.m):
         return False
     v = f.asarray(v)
-    lam_u = f.mul_array(poly_eval_array(f, lam, f.asarray(points.a)), f.asarray(points.u))
+    lam_u = f.mul_array(poly_eval_array(f, cert.lam, f.asarray(points.a)), f.asarray(points.u))
     return bool(np.array_equal(lam_u, f.mul_array(v, v)))
 
 

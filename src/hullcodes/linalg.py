@@ -44,10 +44,6 @@ class Matrix:
         self.ncols = ncols
         self.rows = rows
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def array(self) -> np.ndarray:
         """The entries as an nrows x ncols int64 array, checked to be elements."""
         return self.field.asarray(self.rows).reshape(self.nrows, self.ncols)
@@ -179,26 +175,6 @@ def poly_deg(fx) -> int:
 
 def poly_coeff(fx, i: int) -> int:
     return fx[i] if 0 <= i < len(fx) else 0
-
-
-def poly_mul(f: Field, a, b) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = f.add(out[i + j], f.mul(ai, bj))
-    return poly_trim(out)
-
-
-def poly_pow(f: Field, a, e: int) -> list[int]:
-    if e < 0:
-        raise LinalgError("negative polynomial power")
-    out = [1]
-    for _ in range(e):
-        out = poly_mul(f, out, a)
-    return out
 
 
 def poly_eval(f: Field, fx, x: int) -> int:

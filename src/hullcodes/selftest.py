@@ -16,8 +16,7 @@ from .gf import Field, factor_prime_power
 from .grs import eval_set, generator_matrix, grs
 from .hull import (
     HullError,
-    certify_egrs_self_orthogonal,
-    certify_grs_self_orthogonal,
+    certify,
     code_from_grs,
     hull_report,
     linear_code,
@@ -102,8 +101,7 @@ def certificates(specs, expect=None):
     spec exactly when G G^T = 0; given expect, both sides equal it."""
 
     def fault(spec):
-        certify = certify_egrs_self_orthogonal if spec.extended else certify_grs_self_orthogonal
-        cert = certify(spec, spec.k) is not None
+        cert = certify(spec) is not None
         gram = gram_is_zero(code_from_grs(spec))
         if cert != gram or (expect is not None and cert != expect):
             kind = "extended GRS" if spec.extended else "GRS"

@@ -208,6 +208,17 @@ def test_budget_zero_minor_k_is_honoured(capsys):
     assert _json_out(capsys)["mds_verified"] is None
 
 
+def test_enumerate_raises_minor_budget_to_k_max(capsys):
+    # both budgets 0: only the cap raised to the grid's largest k verifies a row
+    rc = main(
+        "enumerate --family twisted_pair --q 7 --t 3 --format csv "
+        "--max-codewords 0 --max-minor-k 0".split()
+    )
+    assert rc == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows and all(row.split(",")[7] == "True" for row in rows)
+
+
 @pytest.mark.parametrize("flag", ["--max-codewords", "--max-minor-k"])
 def test_budget_rejects_negative_flag(flag, capsys):
     rc = main(["construct", "--ternary", "n3k1", flag, "-1"])
@@ -285,6 +296,12 @@ def _seed_file(tmp_path, extended):
         ("--seed-json {seed} --k 3 --l 1 --b 5", True),
         ("--family twisted_pair --q 7 --t 3 --k 2 --l 1 --extend", None),
         ("--ternary n4k2 --extend", None),
+        *((f"--ternary n4k2 {flag}", None) for flag in (
+            "--k 2", "--l 1", "--alpha 5", "--b 0", "--family additive")),
+        ("--ternary n4k2 --seed-json {seed}", False),
+        ("--family twisted_pair --q 7 --t 3 --k 2 --l 1 --v 1,1,1", None),
+        ("--seed-json {seed} --k 4 --l 2 --v 1,1,1", False),
+        ("--seed-json {seed} --k 4 --l 2 --family additive", False),
     ],
 )
 def test_construct_rejects_inputs_that_do_nothing(args, extended, tmp_path, capsys):

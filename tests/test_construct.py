@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from hullcodes.construct import (
@@ -55,6 +57,16 @@ def test_make_seed_refuses_uncertified():
     pts = eval_set(F13, [1, 2, 3, 4])
     with pytest.raises(ConstructionError):
         make_seed(grs(pts, [1, 1, 1, 1], 2))
+
+
+def test_reduce_hull_revalidates_the_seed_certificate():
+    seed = _full_field_seed(13, 6)
+    # v = 2 has lambda = 4 / u = -4 instead of -1: certified, but not for seed
+    other = make_seed(grs(seed.spec.points, [2] * 13, 6))
+    swapped = dataclasses.replace(seed, certificate=other.certificate)
+    with pytest.raises(ConstructionError, match="seed certificate fails re-validation"):
+        reduce_hull(swapped, 3, 1)
+    assert reduce_hull(seed, 3, 1).k == 3
 
 
 def test_reduce_grs_identity_at_l_equals_k():

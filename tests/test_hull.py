@@ -5,6 +5,7 @@ import pytest
 from hullcodes.gf import Field
 from hullcodes.grs import encode, eval_set, grs
 from hullcodes.hull import (
+    Certificate,
     HullError,
     certify_egrs_self_orthogonal,
     certify_grs_self_orthogonal,
@@ -107,6 +108,20 @@ def test_egrs_certificate_leading_coefficient_check():
     cert = certify_egrs_self_orthogonal(spec, 6)
     # lambda = -1 has degree 0 != n - 2m + 1 = 2
     assert cert is None
+
+
+def test_check_certificate_rejects_bad_certificates():
+    pts = eval_set(F13, range(13))
+    ones, twos = [1] * 13, [2] * 13
+    # the extended self-dual seed: lambda = -1, of degree n - 2m + 1 = 0
+    cert = certify_egrs_self_orthogonal(grs(pts, ones, 7, extended=True), 7)
+    assert check_certificate(cert, pts, ones)
+    # the same lambda as a GRS_7 certificate needs degree <= n - 2m = -1
+    assert not check_certificate(Certificate(cert.lam, "grs", 7), pts, ones)
+    # v = 2: lambda = 4 / u = -4 meets every value but leads with -4, not -1
+    assert not check_certificate(Certificate((F13.neg(4),), "egrs", 7), pts, twos)
+    assert not check_certificate(Certificate(cert.lam, "EGRS", 7), pts, ones)
+    assert not check_certificate(cert, pts, [2] + ones[1:])
 
 
 def test_certificate_m_range_checks():

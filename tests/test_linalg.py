@@ -13,8 +13,6 @@ from hullcodes.linalg import (
     nullspace,
     poly_deg,
     poly_eval,
-    poly_mul,
-    poly_pow,
     rank,
     row_space_equal,
     rref,
@@ -31,7 +29,7 @@ def test_rref_and_rank():
     assert pivots == (0, 2)
     assert R.rows[0] == (1, 2, 0)
     assert R.rows[1] == (0, 0, 1)
-    assert rank(Matrix.identity(F5, 4)) == 4
+    assert rank(Matrix(F5, [[int(i == j) for j in range(4)] for i in range(4)])) == 4
 
 
 def test_nullspace_annihilates():
@@ -78,10 +76,8 @@ def test_poly_basics():
     a = [1, 2, 3]  # 3x^2 + 2x + 1
     b = [12, 1]  # x - 1
     assert poly_deg([]) == -1
-    prod = poly_mul(f, a, b)
-    for x in range(13):
-        assert poly_eval(f, prod, x) == f.mul(poly_eval(f, a, x), poly_eval(f, b, x))
-    assert poly_pow(f, b, 3) == poly_mul(f, b, poly_mul(f, b, b))
+    assert poly_deg(a) == 2 and poly_eval(f, a, 2) == 17 % 13
+    assert poly_eval(f, b, 1) == 0
 
 
 def test_interpolation():
