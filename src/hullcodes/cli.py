@@ -91,7 +91,7 @@ def _int_list(text: str) -> tuple:
 def _family_params(args) -> FamilyParams:
     return FamilyParams(
         family=args.family,
-        variant=args.variant,
+        variant="i" if args.variant is None else args.variant,
         r=args.r,
         m=args.m,
         t=args.t,
@@ -133,12 +133,16 @@ def _verified_payload(spec, budget: OracleBudget) -> tuple[dict, bool]:
     return payload, report.oracle_agrees and mds is not False
 
 
+# the flags that only family mode reads
+_FAMILY_FLAGS = ("family", "variant", "r", "m", "t", "mu", "p", "s", "e", "q", "omega")
+
+
 def _reject_unread_flags(args) -> None:
     """Refuse a flag that construct's chosen mode never reads."""
     if args.ternary:
-        unread, mode = ("k", "l", "alpha", "b", "family", "seed_json"), "with --ternary"
+        unread, mode = ("k", "l", "alpha", "b", "seed_json") + _FAMILY_FLAGS, "with --ternary"
     elif args.seed_json:
-        unread, mode = ("v", "family"), "with --seed-json"
+        unread, mode = ("v",) + _FAMILY_FLAGS, "with --seed-json"
     else:
         unread, mode = ("v",), "without --ternary"
     for name in unread:
@@ -297,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_family(p):
         p.add_argument("--family", choices=FAMILIES, default=None)
-        p.add_argument("--variant", default="i")
+        p.add_argument("--variant", default=None)
         p.add_argument("--r", type=int, default=None)
         p.add_argument("--m", type=int, default=None)
         p.add_argument("--t", type=int, default=None)

@@ -223,6 +223,18 @@ class Field:
                 return x
         raise FieldError("no primitive element found")  # pragma: no cover
 
+    def _times_matrix(self, c) -> np.ndarray:
+        """The m x m matrix of multiplication by c, whose digits are
+        given: row j holds the digits of c * x^j, so the digits of a * c
+        are digits(a) @ it % p."""
+        p, low = self.p, np.array(self.modulus[:-1], dtype=np.int64)
+        rows = [np.array(c, dtype=np.int64)]
+        for _ in range(1, self.m):
+            # times x: shift up one digit and reduce x^m by the modulus
+            prev = rows[-1]
+            rows.append((np.concatenate([[0], prev[:-1]]) - prev[-1] * low) % p)
+        return np.stack(rows)
+
     def _build_tables(self):
         """exp, log and (m > 1) zech, as lists and as int64 arrays.
 
@@ -236,18 +248,15 @@ class Field:
         """
         p, n = self.p, self.q - 1
         Z = 2 * n
-        if self.m == 1:
-            # g^(k..2k-1) = g^(0..k-1) * g^k: log2(n) array steps
-            period = np.ones(n, dtype=np.int64)
-            k, gk = 1, self.generator
-            while k < n:
-                period[k : 2 * k] = period[: min(k, n - k)] * gk % p
-                k, gk = 2 * k, gk * gk % p
-        else:
-            powers = [1] * n
-            for i in range(1, n):
-                powers[i] = self._raw_mul(powers[i - 1], self.generator)
-            period = np.array(powers, dtype=np.int64)
+        # digits of g^(k..2k-1) = digits of g^(0..k-1) times the matrix
+        # of g^k: log2(n) array steps
+        digits = np.zeros((n, self.m), dtype=np.int64)
+        digits[0, 0] = 1
+        k, gk = 1, self._times_matrix(self.coeffs(self.generator))
+        while k < n:
+            digits[k : 2 * k] = digits[: min(k, n - k)] @ gk % p
+            k, gk = 2 * k, gk @ gk % p
+        period = digits @ p ** np.arange(self.m)
         exp = np.concatenate([period, period, np.zeros(Z + 1, dtype=np.int64)])
         log = np.empty(self.q, dtype=np.int64)
         log[0] = Z

@@ -7,12 +7,17 @@ the stacked generator/dual-generator rank.  These are the referees for
 everything the constructive modules claim.
 
 Both brute-force checks run on the field's array ops (gf.py), with one
-route for every field up to MAX_Q.  The minor check eliminates batches
-of column subsets at once, stopping at the first batch that holds a
-singular minor.  Enumeration covers one projective representative per
-1-dimensional message subspace (first nonzero message digit normalized
-to 1), which reaches all nonzero weights with (q^k - 1)/(q - 1)
-codewords, _CHUNK at a time.
+route for every field up to MAX_Q.  The minor check reduces G once to
+the systematic form [I | A]; the code is MDS iff every square
+submatrix of A is nonsingular (MacWilliams and Sloane, Ch. 11 Sec. 4;
+Roth and Seroussi, IEEE Trans. Inf. Theory 31(6), 1985).  It builds
+the i x i minors of A level by level, each from the level below by a
+Laplace expansion, and stops at the first level that holds a zero, so a
+zero entry of A ends it at level 1.  Beside the two levels it holds, a
+step works on blocks of at most _BLOCK minors.  Enumeration covers one
+projective representative per 1-dimensional message subspace (first
+nonzero message digit normalized to 1), which reaches all nonzero
+weights with (q^k - 1)/(q - 1) codewords, _CHUNK at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from .gf import Field
 from .hull import LinearCode, hull_report
-from .linalg import Matrix, determinant, dual_generator, rank
+from .linalg import Matrix, _rref_array, determinant, dual_generator, rank
 
 
 class BudgetError(RuntimeError):
@@ -42,8 +47,9 @@ DEFAULT_BUDGET = OracleBudget()
 # codewords per enumeration step; bounds the (chunk, n) int64 arrays
 _CHUNK = 1 << 12
 
-# column subsets per batched elimination; bounds the (batch, k, k) arrays
-_MINOR_BATCH = 1024
+# minors per block of a level; bounds the arrays a level step holds
+# beside the two levels
+_BLOCK = 1 << 15
 
 
 def min_distance(code: LinearCode, budget: OracleBudget = DEFAULT_BUDGET) -> int:
@@ -95,53 +101,106 @@ def is_mds(code: LinearCode, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
 def _all_minors_nonzero(code: LinearCode) -> bool:
     """Whether every k x k minor of G is nonzero.
 
-    Column subsets are taken in chunks of _MINOR_BATCH and eliminated
-    together on the field's array ops."""
-    k = code.k
-    subsets = itertools.combinations(range(code.n), k)
-    G = code.generator.array()
-    while True:
-        chunk = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(subsets, _MINOR_BATCH)),
+    G is reduced once to [I | A].  If the pivots are not the first k
+    columns, the minor on those columns is zero.  Otherwise the k x k
+    minor of [I | A] on the columns S of I and T of A is, up to sign,
+    the minor of A on the rows outside S and the columns T, and every
+    square minor of A arises so: the check is that every square
+    submatrix of A is nonsingular."""
+    f, k = code.field, code.k
+    R, _, pivots = _rref_array(f, code.generator.array())
+    if pivots != tuple(range(k)):
+        return False
+    A = R[:, k:]
+    # transposing keeps every square minor; rows are the shorter side
+    levels = _minor_levels(f, A.T if len(A) > A.shape[1] else A)
+    return all(level is not None for level in levels)
+
+
+def _minor_levels(f: Field, A: np.ndarray):
+    """The levels of square minors of A (rows <= columns), up to the
+    first that holds a zero, which is given as None.
+
+    Level 1 is A, and level i holds every i x i minor at [rank of its
+    row subset, rank of its column subset], built from level i - 1 by
+    _minors_level, so a consumer that stops at None computes no level
+    above the first failing one."""
+    if not A.all():
+        yield None
+        return
+    yield A
+    nrows, ncols = A.shape
+    binom = _binomials(ncols)
+    # signed[j % 2] is (-1)^j A, the signs of the Laplace expansion
+    signed = np.stack([A, f.sub_array(0, A)])
+    below = A
+    for i in range(2, nrows + 1):
+        below = _minors_level(f, signed, below, i, binom)
+        yield below
+        if below is None:
+            return
+
+
+def _minors_level(f: Field, signed: np.ndarray, below: np.ndarray, i: int, binom):
+    """Every i x i minor of A = signed[0] from the (i - 1) x (i - 1)
+    minors below, or None at the first block that holds a zero.
+
+    Laplace expansion along the first row r of the row subset R:
+    det[R, C] = sum_j (-1)^j A[r, c_j] det[R - r, C - c_j].  Column
+    subsets are taken _BLOCK // (C(nrows, i) + i) at a time, so every
+    array the step holds beside the two levels has at most _BLOCK
+    entries."""
+    _, nrows, ncols = signed.shape
+    rows = np.array(list(itertools.combinations(range(nrows), i)), dtype=np.intp)
+    first = signed[:, rows[:, 0]]
+    rest = _subset_rank(rows[:, 1:], nrows, binom)[:, None]
+    # the smallest dtype that holds every element
+    out = np.empty((len(rows), binom[ncols, i]), dtype=np.min_scalar_type(f.q - 1))
+    subsets = itertools.combinations(range(ncols), i)
+    block = max(1, _BLOCK // (len(rows) + i))
+    for start in range(0, out.shape[1], block):
+        cols = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(subsets, block)),
             dtype=np.intp,
-        ).reshape(-1, k)
-        if not len(chunk):
-            return True
-        # M[b] is the transpose of the k x k submatrix of G on the
-        # columns chunk[b]; the two are singular together
-        M = G.T[chunk]
-        if not _all_nonsingular(M, code.field):
-            return False
-
-
-def _all_nonsingular(M, f) -> bool:
-    """Whether every matrix in the (batch, k, k) stack M is nonsingular
-    over the field f.
-
-    Division-free elimination: row_i <- -M[c,c] * row_i + M[i,c] * row_c
-    scales each determinant by a nonzero factor, so it keeps the
-    verdict without an inverse.  M is overwritten."""
-    batch, k, _ = M.shape
-    every = np.arange(batch)
-    for c in range(k):
-        nonzero = M[:, c:, c] != 0
-        if not nonzero.any(axis=1).all():
-            return False
-        pivot = c + nonzero.argmax(axis=1)
-        pivot_row = M[every, pivot].copy()
-        M[every, pivot] = M[:, c]
-        # negating the pivot, not the product, keeps the large op an add
-        minus_lead = f.sub_array(0, pivot_row[:, c, None, None])
-        M[:, c + 1 :, c + 1 :] = f.add_array(
-            f.mul_array(minus_lead, M[:, c + 1 :, c + 1 :]),
-            f.mul_array(M[:, c + 1 :, c, None], pivot_row[:, None, c + 1 :]),
+        ).reshape(-1, i)
+        # rank of C - c_j: c_t sits at position t before j and t - 1 after
+        tail = ncols - 1 - cols
+        before = binom[tail, i - 1 - np.arange(i)]
+        after = binom[tail, i - np.arange(i)]
+        drop = (
+            binom[ncols, i - 1] - 1
+            - (np.cumsum(before, axis=1) - before)
+            - (np.cumsum(after[:, ::-1], axis=1)[:, ::-1] - after)
         )
-    return True
+        det = f.mul_array(first[0][:, cols[:, 0]], below[rest, drop[:, 0]])
+        for j in range(1, i):
+            term = f.mul_array(first[j % 2][:, cols[:, j]], below[rest, drop[:, j]])
+            det = f.add_array(det, term)
+        if not det.all():
+            return None
+        out[:, start : start + len(cols)] = det
+    return out
+
+
+def _binomials(n: int) -> np.ndarray:
+    """C(a, b) at [a, b] for 0 <= a, b <= n (0 when b > a)."""
+    table = np.zeros((n + 1, n + 1), dtype=np.int64)
+    table[:, 0] = 1
+    for a in range(1, n + 1):
+        table[a, 1:] = table[a - 1, 1:] + table[a - 1, :-1]
+    return table
+
+
+def _subset_rank(S: np.ndarray, n: int, binom) -> np.ndarray:
+    """Lexicographic rank of each sorted row of S among the
+    S.shape[1]-subsets of range(n): C(n, t) - 1 - sum_j C(n-1-s_j, t-j)."""
+    t = S.shape[1]
+    return binom[n, t] - 1 - binom[n - 1 - S, t - np.arange(t)].sum(axis=1)
 
 
 def _all_minors_nonzero_by_determinant(code: LinearCode) -> bool:
     """One determinant per k-subset of columns: the reference the
-    batched route is tested against."""
+    level route is tested against."""
     f = code.field
     cols = list(zip(*code.generator.rows))
     for subset in itertools.combinations(range(code.n), code.k):

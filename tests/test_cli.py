@@ -302,6 +302,13 @@ def _seed_file(tmp_path, extended):
         ("--family twisted_pair --q 7 --t 3 --k 2 --l 1 --v 1,1,1", None),
         ("--seed-json {seed} --k 4 --l 2 --v 1,1,1", False),
         ("--seed-json {seed} --k 4 --l 2 --family additive", False),
+        # family parameters outside family mode
+        ("--seed-json {seed} --k 4 --l 2 --q 7 --t 3 --variant iv", False),
+        ("--ternary n4k2 --r 5 --mu 1,2", None),
+        *((f"--seed-json {{seed}} --k 4 --l 2 {flag}", False) for flag in (
+            "--variant i", "--r 5", "--m 3", "--t 3", "--mu 1", "--p 3", "--s 1",
+            "--e 1", "--q 7", "--omega 3")),
+        *((f"--ternary n4k2 {flag}", None) for flag in ("--variant i", "--omega 3")),
     ],
 )
 def test_construct_rejects_inputs_that_do_nothing(args, extended, tmp_path, capsys):

@@ -152,3 +152,43 @@ def test_scalar_ops_accept_numpy_integers_and_bools():
     assert f.mul(x, y) == f.mul(10, 33) and f.neg(x) == f.neg(10)
     assert f.inv(x) == f.inv(10) and f.pow(x, 3) == f.pow(10, 3)
     assert f.add(True, 0) == 1 and f.mul(True, 5) == 5
+
+
+def _scalar_powers(p, modulus, g):
+    """g^0, ..., g^(q-2) by the scalar recurrence g^i = g^(i-1) * g, each
+    product a digit-list product reduced by the modulus."""
+    m = len(modulus) - 1
+    g = [g // p**j % p for j in range(m)]
+    top = max(j for j, c in enumerate(g) if c)
+    cur, out = [1] + [0] * (m - 1), []
+    for _ in range(p**m - 1):
+        out.append(sum(c * p**j for j, c in enumerate(cur)))
+        prod, shifted = [0] * m, cur
+        for j in range(top + 1):
+            if g[j]:
+                prod = [(a + g[j] * b) % p for a, b in zip(prod, shifted)]
+            # times x: shift up one digit and reduce x^m by the modulus
+            lead = shifted[-1]
+            shifted = [(a - lead * c) % p for a, c in zip([0] + shifted[:-1], modulus)]
+        cur = prod
+    return out
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (3, 2), (7, 2), (3, 7), (2, 11), (2, 16)])
+def test_tables_match_scalar_recurrence(p, m):
+    f = Field(p, m)
+    n = f.q - 1
+    Z = 2 * n
+    period = _scalar_powers(p, f.modulus, f.generator)
+    exp = period + period + [0] * (Z + 1)
+    log = [Z] * f.q
+    for i, a in enumerate(period):
+        log[a] = i
+    # zech[log b - log a + Z]: log b - Z when a = 0 (index < n), 0 when
+    # b = 0 (index > 3n), else log(1 + g^d) with d the index - Z
+    one_plus = [log[a - a % p + (a + 1) % p] for a in period]
+    zech = [i - Z if i < n else 0 if i > 3 * n else one_plus[(i - Z) % n]
+            for i in range(2 * Z + 1)]
+    assert f._exp == exp and f._exp_array.tolist() == exp
+    assert f._log == log and f._log_array.tolist() == log
+    assert f._zech == zech and f._zech_array.tolist() == zech

@@ -3,13 +3,14 @@ import random
 import tracemalloc
 
 import pytest
+from sympy import Matrix as SympyMatrix
 
 from hullcodes import oracle
 from hullcodes.construct import make_seed, reduce_hull_grs, ternary_codes
 from hullcodes.gf import Field, factor_prime_power
 from hullcodes.grs import eval_set, grs
 from hullcodes.hull import code_from_grs, linear_code
-from hullcodes.linalg import Matrix, rank
+from hullcodes.linalg import Matrix, determinant, rank
 from hullcodes.oracle import (
     BudgetError,
     OracleBudget,
@@ -138,23 +139,138 @@ def _random_code(f, rng, n, k, grs_like, twin=False):
             return linear_code(f, rows)
 
 
+def _levels_computed(monkeypatch):
+    """The list of levels i >= 2 that _minors_level is asked for, filled
+    as the check runs."""
+    seen = []
+    real = oracle._minors_level
+
+    def counting(f, signed, below, i, binom):
+        seen.append(i)
+        return real(f, signed, below, i, binom)
+
+    monkeypatch.setattr(oracle, "_minors_level", counting)
+    return seen
+
+
+def _cauchy(f, rng, k, r):
+    """A k x r Cauchy matrix 1 / (x_i - y_j) on k + r distinct points,
+    which has no singular square submatrix."""
+    pts = rng.sample(range(f.q), k + r)
+    return [[f.inv(f.sub(x, y)) for y in pts[k:]] for x in pts[:k]]
+
+
+def _minor(f, A, R, C):
+    return determinant(Matrix(f, [[A[a][b] for b in C] for a in R]))
+
+
+def _first_singular_size(f, A):
+    """The size of the smallest singular square submatrix of A, or None,
+    by one determinant per submatrix."""
+    k, r = len(A), len(A[0])
+    for i in range(1, min(k, r) + 1):
+        for R in itertools.combinations(range(k), i):
+            if any(_minor(f, A, R, C) == 0 for C in itertools.combinations(range(r), i)):
+                return i
+    return None
+
+
+def _planted(f, rng, k, r, level):
+    """A k x r matrix whose smallest singular square submatrix is
+    level x level: a Cauchy matrix with one entry moved so that one such
+    minor is zero (needs k + r <= q)."""
+    while True:
+        A = _cauchy(f, rng, k, r)
+        R, C = sorted(rng.sample(range(k), level)), sorted(rng.sample(range(r), level))
+        a, b = R[0], C[0]
+        # the minor is affine in A[a][b]: rest + A[a][b] * cofactor
+        A[a][b] = 0
+        rest = _minor(f, A, R, C)
+        A[a][b] = 1
+        cofactor = f.sub(_minor(f, A, R, C), rest)
+        A[a][b] = f.neg(f.mul(rest, f.inv(cofactor)))
+        if _first_singular_size(f, A) == level:
+            return A
+
+
+def _systematic_code(f, rng, A):
+    """The code with generator T [I | A] for a random invertible T, so
+    that rref(G) gives back [I | A]."""
+    k = len(A)
+    rows = [[int(i == j) for j in range(k)] + list(a) for i, a in enumerate(A)]
+    while True:
+        T = Matrix(f, [[rng.randrange(f.q) for _ in range(k)] for _ in range(k)])
+        if rank(T) == k:
+            return linear_code(f, T.matmul(Matrix(f, rows)).rows)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 7, 9, 49, 1031, 2187])
-def test_batched_minors_match_determinant_loop(q):
+def test_batched_minors_match_determinant_loop(q, monkeypatch):
     p, m = factor_prime_power(q)
     f = Field(p, m)
     rng = random.Random(q)
     verdicts = []
-    for trial in range(40):
-        n = rng.randint(1, min(8, q + 1))
-        # the first trials pin the edge cases k = 1 and k = n
-        k = (1, n)[trial % 2] if trial < 8 else rng.randint(1, n)
-        # in large fields random codes are almost always MDS
-        twin = q > 49 and trial % 3 == 1 and k < n
-        code = _random_code(f, rng, n, k, grs_like=n <= q and trial % 3 == 0, twin=twin)
+
+    def check(code):
         fast = oracle._all_minors_nonzero(code)
         assert fast == oracle._all_minors_nonzero_by_determinant(code)
         verdicts.append(fast)
+
+    for trial in range(40):
+        n = rng.randint(2, min(8, q + 1))
+        # the first trials pin the edge cases k = 1, k = n - 1 and k = n
+        k = (1, n - 1, n)[trial % 3] if trial < 9 else rng.randint(1, n)
+        # in large fields random codes are almost always MDS
+        twin = q > 49 and trial % 3 == 1 and k < n
+        check(_random_code(f, rng, n, k, grs_like=n <= q and trial % 3 == 0, twin=twin))
+    # the first k columns are dependent: a zero first column at k = 1,
+    # twin columns 0 and 1 at k = 2
+    n = min(q + 1, 6)
+    for k in (1, 2):
+        code = _random_code(f, rng, n, k, grs_like=n <= q)
+        rows = [list(row) for row in code.generator.rows]
+        rows[0][1] = 1  # keeps rank k once column 0 is cleared or twinned
+        for row in rows:
+            row[0] = 0 if k == 1 else f.mul(f.generator, row[1])
+        check(linear_code(f, rows))
+        assert verdicts[-1] is False
+    # non-MDS codes whose smallest singular minor of A is 1, 2 or 3 wide
+    seen = _levels_computed(monkeypatch)
+    size = min(q // 2, 4)  # k + r <= q points for the Cauchy matrix
+    for level in range(1, min(size, 3) + 1):
+        for k, r in ((size, min(q - size, 5)), (size, size)):
+            seen.clear()
+            check(_systematic_code(f, rng, _planted(f, rng, k, r, level)))
+            assert verdicts[-1] is False
+            assert seen == list(range(2, level + 1))
     assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("p, k, r", [(5, 2, 3), (7, 3, 4), (13, 4, 5), (13, 3, 3)])
+def test_minor_levels_match_sympy(p, k, r):
+    """Every level against sympy's determinant of every square
+    submatrix, on Cauchy matrices (no zero minor) and random ones."""
+    f = Field(p)
+    rng = random.Random(p * k * r)
+    for trial in range(6):
+        if trial % 2:
+            A = [[rng.randrange(1, p) for _ in range(r)] for _ in range(k)]
+        else:
+            A = _cauchy(f, rng, k, r)
+        levels = list(oracle._minor_levels(f, f.asarray(A)))
+        for i, level in enumerate(levels, 1):
+            expected = [
+                [int(SympyMatrix([[A[a][b] for b in C] for a in R]).det()) % p
+                 for C in itertools.combinations(range(r), i)]
+                for R in itertools.combinations(range(k), i)
+            ]
+            if level is None:
+                assert any(0 in row for row in expected)
+            else:
+                assert level.tolist() == expected
+        # the levels end at the first zero or at i = k
+        assert levels[-1] is None or len(levels) == k
+        assert all(level is not None for level in levels[:-1])
 
 
 def _projective_line_code(f, n, twin=None):
@@ -167,20 +283,12 @@ def _projective_line_code(f, n, twin=None):
     return linear_code(f, [list(r) for r in zip(*cols)])
 
 
-def test_batched_minors_exit_in_later_chunk(monkeypatch):
-    # GF(64), n = 65: C(65, 2) = 2080 subsets, three chunks of 1024
+def test_minors_exit_at_first_failing_level(monkeypatch):
     f = Field(2, 6)
     n = 65
-    assert oracle._MINOR_BATCH == 1024
-    chunks = []
-    batched = oracle._all_nonsingular
-
-    def counting(M, *tables):
-        chunks.append(len(M))
-        return batched(M, *tables)
-
-    monkeypatch.setattr(oracle, "_all_nonsingular", counting)
-    # subset (20, 21) is number 1090 in lexicographic order: chunk two
+    seen = _levels_computed(monkeypatch)
+    # subset (20, 21) is number 1090 of C(65, 2) = 2080 in lexicographic
+    # order, and the only singular minor
     code = _projective_line_code(f, n, (20, 21))
     subsets = list(itertools.combinations(range(n), 2))
     cols = list(zip(*code.generator.rows))
@@ -191,28 +299,58 @@ def test_batched_minors_exit_in_later_chunk(monkeypatch):
     assert singular == [1090]
     assert not oracle._all_minors_nonzero_by_determinant(code)
     assert not oracle._all_minors_nonzero(code)
-    assert chunks == [1024, 1024]
-    chunks.clear()
-    mds = _projective_line_code(f, n)
-    assert oracle._all_minors_nonzero(mds)
-    assert chunks == [1024, 1024, 32]
+    # both columns lie in A and no entry of A is zero: level 2 fails
+    assert seen == [2]
+    seen.clear()
+    assert oracle._all_minors_nonzero(_projective_line_code(f, n))
+    assert seen == [2]
+    # at k = 6 twin columns of A end the check at level 2 of 6
+    spec = grs(eval_set(f, range(1, 30)), [1] * 29, 6)
+    rows = [list(row) for row in code_from_grs(spec).generator.rows]
+    for row in rows:
+        row[21] = f.mul(f.generator, row[20])
+    seen.clear()
+    assert not oracle._all_minors_nonzero(linear_code(f, rows))
+    assert seen == [2]
 
 
-def test_minors_batched_in_large_prime_field(monkeypatch):
+def test_minors_in_large_prime_field():
     f = Field(1031)
-    batches = []
-    batched = oracle._all_nonsingular
-
-    def counting(M, *args):
-        batches.append(len(M))
-        return batched(M, *args)
-
-    monkeypatch.setattr(oracle, "_all_nonsingular", counting)
     minors_only = OracleBudget(max_codewords=1, max_minor_k=2)
     # column 3 is twice column 2
-    assert not is_mds(linear_code(f, [[1, 1, 1, 2], [0, 1, 2, 4]]), minors_only)
-    assert is_mds(linear_code(f, [[1, 1, 1, 0], [0, 1, 2, 1]]), minors_only)
-    assert batches == [6, 6]
+    twin = linear_code(f, [[1, 1, 1, 2], [0, 1, 2, 4]])
+    assert not is_mds(twin, minors_only)
+    assert not oracle._all_minors_nonzero_by_determinant(twin)
+    mds = linear_code(f, [[1, 1, 1, 0], [0, 1, 2, 1]])
+    assert is_mds(mds, minors_only)
+    assert oracle._all_minors_nonzero_by_determinant(mds)
+
+
+def test_minors_decide_gf529_24_12():
+    # 2.7 million 12 x 12 minors of G, all nonzero
+    f = Field(23, 2)
+    spec = grs(eval_set(f, range(1, 25)), [1] * 24, 12)
+    code = code_from_grs(spec)
+    budget = OracleBudget(max_minor_k=12)
+    assert is_mds(code, budget)
+    # a scaled twin of column 22 in place of column 23
+    rows = [list(row) for row in code.generator.rows]
+    for row in rows:
+        row[23] = f.mul(f.generator, row[22])
+    assert not is_mds(linear_code(f, rows), budget)
+
+
+def test_minors_memory_is_bounded():
+    # GF(49) [30, 6]: C(30, 6) = 593,775 minors
+    f = Field(7, 2)
+    code = code_from_grs(grs(eval_set(f, range(1, 31)), [1] * 30, 6))
+    tracemalloc.start()
+    try:
+        assert oracle._all_minors_nonzero(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_hull_dim_oracle_self_dual_and_lcd():
