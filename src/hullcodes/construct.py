@@ -80,9 +80,12 @@ def choose_alpha(field: Field, override: int | None = None) -> int:
 
 
 def choose_b(field: Field, points: EvaluationSet, override: int | None = None) -> int:
-    """Smallest-encoding field element not among the evaluation points."""
+    """Smallest-encoding field element not among the evaluation points,
+    or the override: FieldError unless it is an element,
+    ConstructionError if it is a point."""
     used = set(points.a)
     if override is not None:
+        field.asarray(override)
         if override in used:
             raise ConstructionError(f"b={override} is an evaluation point")
         return override

@@ -55,14 +55,17 @@ def eval_set(field: Field, a) -> EvaluationSet:
     u_i is the inverse of prod_{j != i} (a_i - a_j); for a single point
     the empty product gives u_1 = 1.
     """
-    a = tuple(int(x) for x in a)
+    a = tuple(a)
     if not a:
         raise GrsError("empty evaluation set")
     if len(a) > field.q:
         raise GrsError(f"{len(a)} points cannot be distinct in GF({field.q})")
+    # FieldError for any point that is not an element, a float included
+    xs = field.asarray(a)
+    a = tuple(xs.tolist())
     if len(set(a)) != len(a):
         raise GrsError("evaluation points must be pairwise distinct")
-    P, u = node_weights(field, field.asarray(a))
+    P, u = node_weights(field, xs)
     return EvaluationSet(field, a, tuple(u.tolist()), tuple(P.tolist()))
 
 
@@ -111,9 +114,10 @@ class GrsSpec:
 
 
 def grs(points: EvaluationSet, v, k: int, extended: bool = False) -> GrsSpec:
-    v = tuple(int(x) for x in v)
+    v = tuple(v)
     if len(v) != points.n:
         raise GrsError("multiplier count does not match evaluation set")
+    v = tuple(points.field.asarray(v).tolist())
     if any(x == 0 for x in v):
         raise GrsError("multipliers must be nonzero")
     kmax = points.n + 1 if extended else points.n

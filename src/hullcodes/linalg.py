@@ -7,9 +7,11 @@ zeros (the zero polynomial is the empty list, of degree -1).
 
 rref, nullspace, products (lincomb, which Matrix.matmul calls),
 interpolation (interpolate_batch) and evaluation at many points
-(poly_eval_array) run on whole int64 arrays through the field's array
-ops (see gf.py): Gauss-Jordan makes one broadcast update of the matrix
-per pivot, a prime-field product is A @ B % p, and a batch of
+(poly_eval_array) run on whole int64 arrays.  Over GF(p), Gauss-Jordan
+makes one fused integer multiply-subtract per pivot and reduces the
+matrix mod p once, at the end (delayed reduction), and a product is
+A @ B % p.  Over GF(p^m), m > 1, each pivot scales and updates the
+matrix through the field's exp/log/Zech tables (see gf.py).  A batch of
 interpolations takes O(n) array steps.  Each input is checked once, as
 it is converted (Field.asarray), and results go back as Python ints.
 determinant and the other polynomial helpers stay scalar.
@@ -84,25 +86,47 @@ def rref(M: Matrix):
 
 
 def _rref_array(f: Field, A: np.ndarray):
-    """rref of an int64 array of elements, which it overwrites."""
+    """rref of an int64 array of elements, which it overwrites; the
+    result's entries are elements.
+
+    Over GF(p) each pivot takes one fused multiply-subtract on plain
+    integers, and the matrix is reduced mod p once, at the end (delayed
+    reduction; Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  Over
+    GF(p^m), m > 1, each pivot scales and updates the matrix through the
+    field's exp/log/Zech tables."""
+    prime = f.m == 1
     pivots = []
     r = 0
     for c in range(A.shape[1]):
         if r == A.shape[0]:
             break
-        nonzero = np.flatnonzero(A[r:, c])
+        # over GF(p) entries drift from their residues between pivots;
+        # only the pivot column and the pivot row are reduced, so both
+        # factors of every product below lie in 0..p-1
+        coef = A[:, c] % f.p if prime else A[:, c].copy()
+        nonzero = np.flatnonzero(coef[r:])
         if nonzero.size == 0:
             continue
         i = r + nonzero[0]
         if i != r:
             A[[r, i]] = A[[i, r]]
-        # row r is zero left of c, so only columns c.. change
-        A[r, c:] = f.mul_array(f.inv(int(A[r, c])), A[r, c:])
-        coef = A[:, c].copy()
+            coef[[r, i]] = coef[[i, r]]
+        inv = f.inv(int(coef[r]))
         coef[r] = 0
-        A[:, c:] = f.sub_array(A[:, c:], f.mul_array(coef[:, None], A[r, c:]))
+        # row r is zero left of c, so only columns c.. change
+        if prime:
+            A[r, c:] = row = A[r, c:] % f.p * inv % f.p
+            # |entry| < p + t (p-1)^2 after t pivots: below 2^49 for
+            # p < 2^16 and t < 2^17 (no matrix with 2^34 entries fits in
+            # memory), far inside int64
+            A[:, c:] -= coef[:, None] * row
+        else:
+            A[r, c:] = row = f.mul_array(inv, A[r, c:])
+            A[:, c:] = f.sub_array(A[:, c:], f.mul_array(coef[:, None], row))
         pivots.append(c)
         r += 1
+    if prime:
+        A %= f.p
     return A, r, tuple(pivots)
 
 

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -317,6 +318,26 @@ def test_construct_rejects_inputs_that_do_nothing(args, extended, tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "has no effect" in captured.err or "--extend" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # GF(49): above the field, and a negative value that a log index
+        # lookup would wrap
+        "--family even_cosets --r 7 --m 3 --t 4 --variant iv --k 3 --l 1 --b 1000",
+        "--family even_cosets --r 7 --m 3 --t 4 --variant iv --k 3 --l 1 --b -3",
+        # GF(13): 100 = 9 mod 13, but it is no element
+        "--seed-json {golden}/eseed13_small.json --k 2 --l 1 --b 100",
+    ],
+)
+def test_construct_rejects_b_outside_the_field(args, capsys):
+    golden = pathlib.Path(__file__).parent / "golden"
+    assert main(["construct"] + args.format(golden=golden).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not an element of GF(" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

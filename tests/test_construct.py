@@ -13,7 +13,7 @@ from hullcodes.construct import (
     reduce_hull_grs,
     ternary_codes,
 )
-from hullcodes.gf import Field
+from hullcodes.gf import Field, FieldError
 from hullcodes.grs import eval_set, grs
 from hullcodes.hull import code_from_grs, hull_report
 from hullcodes.oracle import OracleBudget, is_mds, min_distance
@@ -51,6 +51,9 @@ def test_choose_b():
         choose_b(f, eval_set(f, range(5)))
     with pytest.raises(ConstructionError):
         choose_b(f, eval_set(f, [1, 2]), override=2)
+    for b in (5, -1, 1000):
+        with pytest.raises(FieldError):
+            choose_b(f, eval_set(f, [1, 2]), override=b)
 
 
 def test_make_seed_refuses_uncertified():
@@ -165,6 +168,8 @@ def test_reduce_hull_rejects_b_without_twist():
     with pytest.raises(ConstructionError, match="no effect"):
         reduce_hull(ext, 3, 1, b=5)  # k = m: no twist
     assert hull_report(code_from_grs(reduce_hull(ext, 2, 1, b=5))).hull_dim == 1
+    with pytest.raises(FieldError):
+        reduce_hull(ext, 2, 1, b=18)  # 18 = 5 mod 13, but not an element
     with pytest.raises(ConstructionError):
         reduce_hull(ext, 2, 1, extend=True)  # already extended
 

@@ -25,7 +25,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from hullcodes import cli
 from hullcodes.construct import make_seed, reduce_hull
-from hullcodes.gf import Field
+from hullcodes.gf import MAX_Q, Field, is_prime
 from hullcodes.grs import GrsError, GrsSpec, encode, eval_set, generator_matrix, grs
 from hullcodes.hull import HullError, hull_membership
 from hullcodes.linalg import (
@@ -97,6 +97,54 @@ def test_rref_rank_nullspace_matmul_match_sympy(p):
         got = M.matmul(Matrix(f, B, ncols=inner))
         want = D.matmul(_dm(B, (ncols, inner), p))
         assert [list(r) for r in got.rows] == _ints(want, p)
+
+
+def _heavy_rows(rng, p, nrows, ncols):
+    """Entries p - 1 with probability 0.6, the worst case for a product
+    of two residues, and uniform otherwise."""
+    return [[p - 1 if rng.random() < 0.6 else rng.randrange(p) for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+def _large_prime_matrices(rng, p):
+    """(rows, ncols, rank the construction forces) at p = 65521."""
+    for nrows, ncols in ((64, 64), (64, 96), (96, 64)):
+        yield _heavy_rows(rng, p, nrows, ncols), ncols, min(nrows, ncols)
+    yield [[p - 1] * 64 for _ in range(64)], 64, 1
+    # rank 40 through repeated columns: every entry keeps its weight
+    base = _heavy_rows(rng, p, 80, 40)
+    cols = list(range(40)) + [rng.randrange(40) for _ in range(40)]
+    rng.shuffle(cols)
+    yield [[row[j] for j in cols] for row in base], 80, 40
+    # rank 48 through repeated rows
+    base = _heavy_rows(rng, p, 48, 72)
+    rows = base + [rng.choice(base) for _ in range(24)]
+    rng.shuffle(rows)
+    yield rows, 72, 48
+
+
+def test_delayed_reduction_at_the_largest_prime():
+    """Over GF(p), rref defers the reduction mod p to the end of the
+    elimination; at the largest prime <= MAX_Q, on matrices of at least
+    64 x 64 full of p - 1, an overflow or an unreduced entry shows."""
+    p = 65521
+    assert is_prime(p) and not any(is_prime(x) for x in range(p + 1, MAX_Q + 1))
+    rng = random.Random(p)
+    f = Field(p)
+    for rows, ncols, want_rank in _large_prime_matrices(rng, p):
+        M, D = Matrix(f, rows, ncols=ncols), _dm(rows, (len(rows), ncols), p)
+        R, rk, pivots = rref(M)
+        DR, dpivots = D.rref()
+        assert rk == want_rank == rank(M)
+        assert pivots == tuple(dpivots)
+        assert [list(r) for r in R.rows] == _ints(DR, p)
+        N = nullspace(M)
+        assert N.nrows == ncols - rk
+        if N.nrows:
+            assert not any(M.matmul(N.transpose()).array().ravel())
+            ours = _dm(N.rows, (N.nrows, ncols), p).rref()[0]
+            # sympy's null space of its own rref: the same space, less work
+            assert _ints(ours, p) == _ints(DR.nullspace().rref()[0], p)
 
 
 def _vandermonde_solve(p, xs, ys):

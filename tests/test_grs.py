@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from hullcodes.gf import Field
+from hullcodes.gf import Field, FieldError
 from hullcodes.grs import (
     GrsError,
     encode,
@@ -50,6 +51,20 @@ def test_grs_validation():
     with pytest.raises(GrsError):
         grs(pts, [1, 1, 1, 1], 5)  # k > n
     assert grs(pts, [1, 1, 1, 1], 5, extended=True).length == 5
+
+
+def test_points_and_multipliers_must_be_integers():
+    # int() would truncate 0.9 to 0 and parse "1": neither is an element
+    with pytest.raises(FieldError):
+        eval_set(F13, [0.9, 1.5, 2])
+    pts = eval_set(F13, range(13))
+    with pytest.raises(FieldError):
+        grs(pts, [1.9] * 13, 6)
+    with pytest.raises(FieldError):
+        grs(pts, ["1"] * 13, 6)
+    assert eval_set(F13, np.arange(3)).a == eval_set(F13, [0, np.int64(1), 2]).a == (0, 1, 2)
+    spec = grs(pts, np.ones(13, dtype=np.int64), 6)
+    assert spec.v == (1,) * 13 and all(type(x) is int for x in spec.v + spec.points.a)
 
 
 def test_generator_matrix_and_encode():
