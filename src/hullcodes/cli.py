@@ -12,11 +12,15 @@ Subcommands:
 * selftest  -- run the built-in invariant suites.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input.
+
+The argument parser is built once per process and reused by every main
+call; parsing leaves it unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -288,6 +292,7 @@ def cmd_selftest(args) -> int:
     return selftest.run(args.selftest_seed, _budget(args))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hullcodes",
@@ -354,8 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetError as exc:

@@ -6,8 +6,8 @@ constant term first, is encoded as sum(c_i * p**i).  Thus enc(0) = 0,
 enc(1) = 1, and for prime fields the encoding is just the residue.
 
 All arithmetic lives on the Field object and runs on one set of O(q)
-tables against a fixed primitive element g, built with the field: exp,
-log and, for m > 1, Zech logarithms.  exp holds two periods of the
+tables against a fixed primitive element g, the smallest one: exp, log
+and, for m > 1, Zech logarithms.  exp holds two periods of the
 antilog table followed by a zero tail, and log[0] points at the start
 of that tail, so exp[log a + log b] is a * b with no branch for zero.
 The Zech table makes an extension-field sum one more lookup:
@@ -16,11 +16,15 @@ Trans. Inf. Theory 36(3), 1990; the layouts follow GF-Complete, Plank,
 Greenan and Miller, FAST 2013).  Prime fields add with % p.  Fields
 above MAX_Q elements are refused before any table is built.
 
-The tables are kept as Python lists for the scalar ops (add, mul, inv,
-...) and as int64 numpy arrays for the same ops on whole arrays of
-encodings (mul_array, add_array, sub_array, inv_array, pow_array and
-sum_array, which also sums along one axis), which the linear algebra,
-the GRS evaluation maps and the oracle are built on.  The array ops
+The tables depend only on (p, m, modulus).  They are built once per
+process for each such key, kept in a small bounded cache, and shared
+read-only by every Field with that key; each Field still checks its
+parameters before it takes them from the cache.  They are kept as
+tuples for the scalar ops (add, mul, inv, ...) and as int64 numpy
+arrays for the same ops on whole arrays of encodings (mul_array,
+add_array, sub_array, inv_array, pow_array and sum_array, which also
+sums along one axis), which the linear algebra, the GRS evaluation maps
+and the oracle are built on.  The array ops
 trust their inputs; asarray is the one check, made once per input array
 where it enters, and it raises FieldError for any entry that is not an
 element, as the scalar ops do per element.
@@ -28,12 +32,15 @@ element, as the scalar ops do per element.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 
 
 MAX_Q = 2**16
+# Fields whose tables the cache keeps; a GF(2^16) entry holds about 20 MB.
+TABLE_CACHE_SIZE = 16
 
 
 class FieldError(ValueError):
@@ -97,17 +104,6 @@ def _gfp_trim(c):
     return tuple(c[:i])
 
 
-def _gfp_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _gfp_trim(out)
-
-
 def _gfp_mod(a, mod, p):
     """Remainder of a modulo the monic polynomial mod."""
     a = list(a)
@@ -135,6 +131,7 @@ def _gfp_is_irreducible(poly, p):
     return True
 
 
+@functools.cache
 def default_modulus(p: int, m: int) -> tuple[int, ...]:
     """Smallest monic irreducible of degree m, coefficients compared
     lexicographically as (c_{m-1}, ..., c_0)."""
@@ -143,6 +140,116 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
         if _gfp_is_irreducible(poly, p):
             return poly
     raise FieldError(f"no irreducible polynomial of degree {m} over GF({p})")
+
+
+def _times_matrix(c, p: int, modulus) -> np.ndarray:
+    """The m x m matrix of multiplication by c, whose digits are given:
+    row j holds the digits of c * x^j, so the digits of a * c are
+    digits(a) @ it % p."""
+    low = np.array(modulus[:-1], dtype=np.int64)
+    rows = [np.array(c, dtype=np.int64)]
+    for _ in range(1, len(low)):
+        # times x: shift up one digit and reduce x^m by the modulus
+        prev = rows[-1]
+        rows.append((np.concatenate([[0], prev[:-1]]) - prev[-1] * low) % p)
+    return np.stack(rows)
+
+
+def _find_generator(p: int, m: int, modulus) -> int:
+    """The smallest primitive element: the first x with x^(n/f) != 1 for
+    every prime f dividing n = q - 1.
+
+    Candidates are tested a block at a time, all exponents at once, by
+    square-and-multiply on arrays of digits (for m = 1, modular powers).
+    """
+    q = p**m
+    n = q - 1
+    if n == 1:
+        return 1
+    exps = [n // f for f in prime_factors(n)]
+    # x^0 .. x^(2m-2) from _times_matrix, and mul[i*m + j] = x^(i+j), so
+    # the digits of a * b are the flattened outer(a, b) @ mul % p (its
+    # sums stay below m^2 p^3 < 2^49)
+    unit = np.eye(m, dtype=np.int64)
+    x_pows = np.concatenate([unit, _times_matrix(unit[-1], p, modulus)[1:]])
+    mul = x_pows[np.arange(m)[:, None] + np.arange(m)].reshape(m * m, m)
+
+    def times(a, b):
+        return (a[..., :, None] * b[..., None, :]).reshape(*a.shape[:-1], m * m) @ mul % p
+
+    place = p ** np.arange(m)
+    # a prime-subfield element has order dividing p - 1 < n, so an
+    # extension field's search starts at x = p
+    start, size = (2 if m == 1 else p), 8
+    while start < q:
+        xs = range(start, min(start + size, q))
+        base = np.array([[x // p**i % p for i in range(m)] for x in xs])
+        # power[e, i]: the digits of xs[i] ** (the low j bits of exps[e])
+        power = np.zeros((len(exps), len(xs), m), dtype=np.int64)
+        power[..., 0] = 1
+        for j in range(max(exps).bit_length()):
+            odd = np.array([e >> j & 1 for e in exps], dtype=bool)
+            power[odd] = times(power[odd], base)
+            base = times(base, base)
+        for x, encs in zip(xs, (power @ place).T.tolist()):
+            if 1 not in encs:
+                return x
+        start, size = start + size, 2 * size
+    raise FieldError("no primitive element found")  # pragma: no cover
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _field_tables(p: int, m: int, modulus: tuple) -> tuple:
+    """(generator, exp, log, zech, exp_array, log_array, zech_array,
+    log(-1)) of GF(p^m) mod modulus: the tables as tuples and as
+    read-only int64 arrays, with zech, zech_array and log(-1) None when
+    m = 1.  The caller has checked the key.
+
+    With n = q - 1 and Z = log[0] = 2n, exp is two periods of g^i and
+    then a zero tail up to index 2Z, so exp[Z + s] = 0 for every s in
+    0..Z.  zech[log b - log a + Z] is the s with a + b = exp[log a + s]:
+    log(1 + g^d), d = log b - log a, when a and b are nonzero (Z if
+    1 + g^d = 0); log b - Z when a = 0; and 0 when b = 0.  When both
+    are 0 the index is Z and any entry gives exp[Z + s] = 0.
+    """
+    g = _find_generator(p, m, modulus)
+    q = p**m
+    n = q - 1
+    Z = 2 * n
+    # digits of g^(k..2k-1) = digits of g^(0..k-1) times the matrix of
+    # g^k: log2(n) array steps
+    digits = np.zeros((n, m), dtype=np.int64)
+    digits[0, 0] = 1
+    k, gk = 1, _times_matrix([g // p**j % p for j in range(m)], p, modulus)
+    while k < n:
+        digits[k : 2 * k] = digits[: min(k, n - k)] @ gk % p
+        k, gk = 2 * k, gk @ gk % p
+    period = digits @ p ** np.arange(m)
+    exp = np.concatenate([period, period, np.zeros(Z + 1, dtype=np.int64)])
+    log = np.empty(q, dtype=np.int64)
+    log[0] = Z
+    log[period] = np.arange(n)
+    cycle = tuple(period.tolist())
+    zech = log_minus_one = None
+    if m > 1:
+        # 1 + g^d differs from g^d only in the constant digit
+        one_plus = log[period - period % p + (period + 1) % p]
+        zech = one_plus[(np.arange(2 * Z + 1) - Z) % n]
+        zech[:n] = np.arange(n) - Z
+        zech[-n:] = 0
+        zech.flags.writeable = False
+        log_minus_one = int(log[p - 1])
+    exp.flags.writeable = log.flags.writeable = False
+    return (
+        g,
+        cycle + cycle + (0,) * (Z + 1),
+        tuple(log.tolist()),
+        None if zech is None else tuple(zech.tolist()),
+        exp,
+        log,
+        zech,
+        log_minus_one,
+    )
 
 
 class Field:
@@ -166,8 +273,17 @@ class Field:
             if not _gfp_is_irreducible(modulus, p):
                 raise FieldError(f"modulus {list(modulus)} is reducible over GF({p})")
             self.modulus = modulus
-        self.generator = self._find_generator()
-        self._build_tables()
+        (
+            self.generator,
+            self._exp,
+            self._log,
+            self._zech,
+            self._exp_array,
+            self._log_array,
+            self._zech_array,
+            self._log_minus_one,
+        ) = _field_tables(p, m, self.modulus)
+        self._zero_log = 2 * (self.q - 1)
 
     # -- element encoding --
 
@@ -195,85 +311,6 @@ class Field:
         for x in xs:
             if not _is_element(x, self.q):
                 raise FieldError(f"{x!r} is not an element of GF({self.q})")
-
-    # -- construction helpers --
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return a * b % self.p
-        prod = _gfp_mul(tuple(self.coeffs(a)), tuple(self.coeffs(b)), self.p)
-        return self.from_coeffs(_gfp_mod(prod, self.modulus, self.p))
-
-    def _raw_pow(self, x: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._raw_mul(r, x)
-            x = self._raw_mul(x, x)
-            e >>= 1
-        return r
-
-    def _find_generator(self) -> int:
-        if self.q == 2:
-            return 1
-        order = self.q - 1
-        checks = [order // f for f in prime_factors(order)]
-        for x in range(2, self.q):
-            if all(self._raw_pow(x, e) != 1 for e in checks):
-                return x
-        raise FieldError("no primitive element found")  # pragma: no cover
-
-    def _times_matrix(self, c) -> np.ndarray:
-        """The m x m matrix of multiplication by c, whose digits are
-        given: row j holds the digits of c * x^j, so the digits of a * c
-        are digits(a) @ it % p."""
-        p, low = self.p, np.array(self.modulus[:-1], dtype=np.int64)
-        rows = [np.array(c, dtype=np.int64)]
-        for _ in range(1, self.m):
-            # times x: shift up one digit and reduce x^m by the modulus
-            prev = rows[-1]
-            rows.append((np.concatenate([[0], prev[:-1]]) - prev[-1] * low) % p)
-        return np.stack(rows)
-
-    def _build_tables(self):
-        """exp, log and (m > 1) zech, as lists and as int64 arrays.
-
-        With n = q - 1 and Z = log[0] = 2n, exp is two periods of g^i
-        and then a zero tail up to index 2Z, so exp[Z + s] = 0 for every
-        s in 0..Z.  zech[log b - log a + Z] is the s with
-        a + b = exp[log a + s]: log(1 + g^d), d = log b - log a, when a
-        and b are nonzero (Z if 1 + g^d = 0); log b - Z when a = 0; and
-        0 when b = 0.  When both are 0 the index is Z and any entry gives
-        exp[Z + s] = 0.
-        """
-        p, n = self.p, self.q - 1
-        Z = 2 * n
-        # digits of g^(k..2k-1) = digits of g^(0..k-1) times the matrix
-        # of g^k: log2(n) array steps
-        digits = np.zeros((n, self.m), dtype=np.int64)
-        digits[0, 0] = 1
-        k, gk = 1, self._times_matrix(self.coeffs(self.generator))
-        while k < n:
-            digits[k : 2 * k] = digits[: min(k, n - k)] @ gk % p
-            k, gk = 2 * k, gk @ gk % p
-        period = digits @ p ** np.arange(self.m)
-        exp = np.concatenate([period, period, np.zeros(Z + 1, dtype=np.int64)])
-        log = np.empty(self.q, dtype=np.int64)
-        log[0] = Z
-        log[period] = np.arange(n)
-        cycle = period.tolist()
-        self._exp = cycle + cycle + [0] * (Z + 1)
-        self._log = log.tolist()
-        self._exp_array, self._log_array = exp, log
-        self._zero_log = Z
-        if self.m > 1:
-            # 1 + g^d differs from g^d only in the constant digit
-            one_plus = log[period - period % p + (period + 1) % p]
-            zech = one_plus[(np.arange(2 * Z + 1) - Z) % n]
-            zech[:n] = np.arange(n) - Z
-            zech[-n:] = 0
-            self._zech, self._zech_array = zech.tolist(), zech
-            self._log_minus_one = self._log[p - 1]
 
     # -- arithmetic --
 
@@ -434,7 +471,8 @@ class Field:
 
 
 def _is_element(x, q: int) -> bool:
-    return isinstance(x, (int, np.integer)) and 0 <= x < q
+    # bool is an int subclass; numpy.bool_ is not a numpy.integer
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and 0 <= x < q
 
 
 def is_int_list(x) -> bool:

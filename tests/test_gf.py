@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from hullcodes.gf import MAX_Q, Field, FieldError, default_modulus, factor_prime_power, is_prime
+from hullcodes import gf
+from hullcodes.gf import (
+    MAX_Q,
+    TABLE_CACHE_SIZE,
+    Field,
+    FieldError,
+    default_modulus,
+    factor_prime_power,
+    is_prime,
+)
 
 
 def test_prime_helpers():
@@ -144,14 +153,32 @@ def test_every_scalar_op_rejects_non_elements():
                     op(bad)
 
 
-def test_scalar_ops_accept_numpy_integers_and_bools():
+def test_scalar_ops_accept_numpy_integers_and_refuse_bools():
     # the fast check is only a shortcut: the accepted values are unchanged
     f = Field(7, 2)
     x, y = np.int64(10), np.uint16(33)
     assert f.add(x, y) == f.add(10, 33) and f.sub(x, y) == f.sub(10, 33)
     assert f.mul(x, y) == f.mul(10, 33) and f.neg(x) == f.neg(10)
     assert f.inv(x) == f.inv(10) and f.pow(x, 3) == f.pow(10, 3)
-    assert f.add(True, 0) == 1 and f.mul(True, 5) == 5
+    # a bool is not an element, as asarray already held for bool arrays
+    for field in (Field(5), Field(7, 2)):
+        for bad in (True, False, np.True_):
+            for op in (field.add, field.sub, field.mul):
+                with pytest.raises(FieldError):
+                    op(bad, 1)
+                with pytest.raises(FieldError):
+                    op(1, bad)
+            for op in (field.neg, field.inv, lambda x: field.pow(x, 2)):
+                with pytest.raises(FieldError):
+                    op(bad)
+
+
+def test_asarray_names_the_first_bad_entry():
+    f = Field(5)
+    with pytest.raises(FieldError, match=r"^True is not an element of GF\(5\)$"):
+        f.asarray([True])
+    with pytest.raises(FieldError, match=r"^7 is not an element"):
+        f.asarray([[1, 2], [7, 9]])
 
 
 def _scalar_powers(p, modulus, g):
@@ -189,6 +216,115 @@ def test_tables_match_scalar_recurrence(p, m):
     one_plus = [log[a - a % p + (a + 1) % p] for a in period]
     zech = [i - Z if i < n else 0 if i > 3 * n else one_plus[(i - Z) % n]
             for i in range(2 * Z + 1)]
-    assert f._exp == exp and f._exp_array.tolist() == exp
-    assert f._log == log and f._log_array.tolist() == log
-    assert f._zech == zech and f._zech_array.tolist() == zech
+    assert f._exp == tuple(exp) and f._exp_array.tolist() == exp
+    assert f._log == tuple(log) and f._log_array.tolist() == log
+    assert f._zech == tuple(zech) and f._zech_array.tolist() == zech
+
+
+# --- the generator search against a scalar reference ---
+
+
+def _prime_powers(limit):
+    return [(q, *factor_prime_power(q)) for q in range(2, limit + 1)
+            if len(gf.prime_factors(q)) == 1]
+
+
+def _raw_mul(p, modulus, a, b):
+    """a * b by a digit-list polynomial product reduced by the modulus."""
+    m = len(modulus) - 1
+    da = [a // p**j % p for j in range(m)]
+    db = [b // p**j % p for j in range(m)]
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for top in range(2 * m - 2, m - 1, -1):
+        lead, prod[top] = prod[top], 0
+        for j in range(m):
+            prod[top - m + j] = (prod[top - m + j] - lead * modulus[j]) % p
+    return sum(c * p**j for j, c in enumerate(prod[:m]))
+
+
+def _raw_pow(p, modulus, x, e):
+    r = 1
+    while e:
+        if e & 1:
+            r = _raw_mul(p, modulus, r, x)
+        x = _raw_mul(p, modulus, x, x)
+        e >>= 1
+    return r
+
+
+def _scalar_generator(p, m, modulus):
+    """The smallest x whose (q - 1)/f-th power is not 1 for any prime f
+    dividing q - 1, one scalar power at a time."""
+    q = p**m
+    if q == 2:
+        return 1
+    checks = [(q - 1) // f for f in gf.prime_factors(q - 1)]
+    return next(x for x in range(2, q)
+                if all(_raw_pow(p, modulus, x, e) != 1 for e in checks))
+
+
+def test_generator_search_matches_scalar_reference():
+    for q, p, m in _prime_powers(1024):
+        modulus = default_modulus(p, m)
+        assert gf._find_generator(p, m, modulus) == _scalar_generator(p, m, modulus), q
+    # a second modulus of each of a few extension fields
+    for p, m, modulus in ((7, 2, (3, 1, 1)), (2, 4, (1, 0, 0, 1, 1)), (3, 3, (1, 2, 0, 1))):
+        assert gf._find_generator(p, m, modulus) == _scalar_generator(p, m, modulus)
+
+
+# --- the tables shared between fields with one key ---
+
+
+def test_fields_with_one_key_share_read_only_tables():
+    f, g = Field(7, 2), Field(7, 2, modulus=[1, 0, 1])
+    assert f == g and f is not g
+    assert f._exp_array is g._exp_array and f._exp is g._exp
+    for table in (f._exp_array, f._log_array, f._zech_array):
+        with pytest.raises(ValueError):
+            table[1] = 0
+    assert f.mul(7, 7) == 6 and g.add(7, 1) == 8
+
+
+def test_another_modulus_gives_other_tables():
+    f, h = Field(7, 2), Field(7, 2, modulus=[3, 1, 1])  # x^2 + x + 3
+    assert f != h
+    assert f._exp != h._exp and not np.array_equal(f._log_array, h._log_array)
+    # x is a root of x^2 + x + 3, so x * x = -x - 3
+    assert h.mul(7, 7) == h.from_coeffs([-3, -1])
+
+
+def test_checks_still_run_once_fields_are_cached():
+    Field(7, 2), Field(2, 4), Field(3)
+    with pytest.raises(FieldError, match="reducible"):
+        Field(7, 2, modulus=[6, 0, 1])  # x^2 - 1
+    with pytest.raises(FieldError, match="monic"):
+        Field(7, 2, modulus=[1, 0, 2])
+    with pytest.raises(FieldError, match="not prime"):
+        Field(6)
+    with pytest.raises(FieldError, match="MAX_Q"):
+        Field(2, 17)
+    with pytest.raises(FieldError, match="degree"):
+        Field(7, 0)
+
+
+def test_table_cache_is_bounded():
+    assert gf._field_tables.cache_info().maxsize == TABLE_CACHE_SIZE
+    primes = [p for p in range(2, 1000) if is_prime(p)][: TABLE_CACHE_SIZE + 4]
+    for p in primes:
+        assert Field(p).q == p
+    assert gf._field_tables.cache_info().currsize <= TABLE_CACHE_SIZE
+
+
+def test_cached_tables_equal_fresh_ones():
+    for q, p, m in _prime_powers(256):
+        f = Field(p, m)
+        g, exp, log, zech, exp_array, log_array, zech_array, log_minus_one = (
+            gf._field_tables.__wrapped__(p, m, f.modulus))
+        assert (f.generator, f._log_minus_one) == (g, log_minus_one), q
+        assert (f._exp, f._log, f._zech) == (exp, log, zech), q
+        for mine, fresh in ((f._exp_array, exp_array), (f._log_array, log_array),
+                            (f._zech_array, zech_array)):
+            assert (mine is None and fresh is None) or np.array_equal(mine, fresh), q
