@@ -88,22 +88,31 @@ class FamilySeed:
         return frozenset()
 
 
-def _sqrt_or_fail(field: Field, x: int, what: str) -> int:
-    if x == 0 or not field.is_square(x):
-        raise FamilyError(
-            f"{what} = {x} is not a nonzero square in GF({field.q}); "
-            "the quadratic-residue condition fails for these parameters"
-        )
-    return field.sqrt(x)
+def _multipliers(field: Field, c, u, label: str) -> tuple:
+    """Multipliers v_i = sqrt(c_i u_i) for the factors c and the u_i of
+    the points.  label names c_i u_i in the error, with {i} for the
+    1-based index."""
+    v = []
+    for i, (ci, ui) in enumerate(zip(c, u), 1):
+        x = field.mul(ci, ui)
+        if x == 0 or not field.is_square(x):
+            raise FamilyError(
+                f"{label.format(i=i)} = {x} is not a nonzero square in GF({field.q}); "
+                "the quadratic-residue condition fails for these parameters"
+            )
+        v.append(field.sqrt(x))
+    return tuple(v)
 
 
-def _sqrt_multipliers(field: Field, u, negate: bool) -> tuple:
+def _sign_multipliers(field: Field, u, negate: bool) -> tuple:
     """Multipliers v_i with v_i^2 = -u_i (negate) or u_i."""
-    sign = "-" if negate else ""
-    return tuple(
-        _sqrt_or_fail(field, field.neg(ui) if negate else ui, f"{sign}u_{i + 1}")
-        for i, ui in enumerate(u)
-    )
+    sign = field.neg(1) if negate else 1
+    return _multipliers(field, [sign] * len(u), u, "-u_{i}" if negate else "u_{i}")
+
+
+def _same_coset(field: Field, beta: int, m: int, a: int, b: int) -> bool:
+    """Whether beta^a and beta^b lie in one coset of the m-th roots of unity."""
+    return field.pow(field.pow(beta, a - b), m) == 1
 
 
 def _default_mu(field: Field, beta: int, r: int, m: int, t: int, even_only: bool) -> tuple:
@@ -113,7 +122,7 @@ def _default_mu(field: Field, beta: int, r: int, m: int, t: int, even_only: bool
     step = 2 if even_only else 1
     # beta has order r + 1; exponents live mod that order
     for cand in range(0, r + 1, step):
-        if all(field.pow(field.pow(beta, cand - prev), m) != 1 for prev in chosen):
+        if not any(_same_coset(field, beta, m, cand, prev) for prev in chosen):
             chosen.append(cand)
             if len(chosen) == t:
                 return tuple(chosen)
@@ -131,7 +140,7 @@ def _validate_mu(field: Field, beta: int, m: int, mu, even_only: bool) -> tuple:
         raise FamilyError("coset exponents mu must all be even")
     for i, a in enumerate(mu):
         for b in mu[:i]:
-            if field.pow(field.pow(beta, a - b), m) == 1:
+            if _same_coset(field, beta, m, a, b):
                 raise FamilyError(
                     f"exponents {b} and {a} give the same coset of the "
                     "m-th roots of unity"
@@ -198,10 +207,7 @@ def family_even_cosets(params: FamilyParams) -> FamilySeed:
         g = field.generator
         exponent = ((r + 1) // 2 * (t - 1) - m * sum(mu)) % (q - 1)
         lam_inv = field.inv(field.pow(g, exponent))
-        v = tuple(
-            _sqrt_or_fail(field, field.mul(lam_inv, ui), f"lambda^-1 * u_{i + 1}")
-            for i, ui in enumerate(points.u)
-        )
+        v = _multipliers(field, [lam_inv] * n, points.u, "lambda^-1 * u_{i}")
         seed = make_seed(grs(points, v, n // 2, extended=False))
         if variant == "i":
             return FamilySeed(params, seed, n // 2)
@@ -209,7 +215,7 @@ def family_even_cosets(params: FamilyParams) -> FamilySeed:
 
     # variants iii/iv: append the point 0 and use the (n+1)-point u_i
     points = eval_set(field, a + [0])
-    v = _sqrt_multipliers(field, points.u, negate=variant == "iv")
+    v = _sign_multipliers(field, points.u, negate=variant == "iv")
     if variant == "iii":
         return FamilySeed(params, make_seed(grs(points, v, n // 2)), n // 2)
     seed = make_seed(grs(points, v, (n + 2) // 2, extended=True))
@@ -225,7 +231,7 @@ def family_odd_cosets(params: FamilyParams) -> FamilySeed:
         raise FamilyError(f"odd_cosets variant i needs n = t*m >= 3, got n = {n}")
     # variant iii appends 0: a self-dual non-extended seed on n+1 points
     points = eval_set(field, a + [0] if variant == "iii" else a)
-    v = _sqrt_multipliers(field, points.u, negate=variant != "i")
+    v = _sign_multipliers(field, points.u, negate=variant != "i")
     if variant == "i":
         return FamilySeed(params, make_seed(grs(points, v, (n - 1) // 2)), (n - 1) // 2)
     seed = make_seed(grs(points, v, (n + 1) // 2, extended=variant == "ii"))
@@ -269,7 +275,7 @@ def family_additive(params: FamilyParams) -> FamilySeed:
 
     a = [field.add(field.mul(ak, beta), aj) for aj in S for ak in S]
     points = eval_set(field, a)
-    v = _sqrt_multipliers(field, points.u, negate=variant == "ii")
+    v = _sign_multipliers(field, points.u, negate=variant == "ii")
     if variant == "i":
         return FamilySeed(params, make_seed(grs(points, v, (n - 1) // 2)), (n - 1) // 2)
     seed = make_seed(grs(points, v, (n + 1) // 2, extended=True))
@@ -318,10 +324,8 @@ def family_twisted_pair(params: FamilyParams) -> FamilySeed:
             )
 
     # lambda(x) = t(1 - omega^t) x; v_i^2 = lambda(a_i) u_i
-    v = tuple(
-        _sqrt_or_fail(field, field.mul(field.mul(base, ai), ui), f"lambda(a_{i+1})u_{i+1}")
-        for i, (ai, ui) in enumerate(zip(points.a, points.u))
-    )
+    lam = [field.mul(base, ai) for ai in points.a]
+    v = _multipliers(field, lam, points.u, "lambda(a_{i})u_{i}")
     seed = make_seed(grs(points, v, t - 1, extended=False))
     return FamilySeed(params, seed, t - 1)
 

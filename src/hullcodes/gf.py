@@ -19,7 +19,8 @@ above MAX_Q elements are refused before any table is built.
 The tables depend only on (p, m, modulus).  They are built once per
 process for each such key, kept in a small bounded cache, and shared
 read-only by every Field with that key; each Field still checks its
-parameters before it takes them from the cache.  They are kept as
+parameters before it takes them from the cache (the verdict on an
+explicit modulus is kept in a cache of the same size).  They are kept as
 tuples for the scalar ops (add, mul, inv, ...) and as int64 numpy
 arrays for the same ops on whole arrays of encodings (mul_array,
 add_array, sub_array, inv_array, pow_array and sum_array, which also
@@ -54,14 +55,7 @@ def _check_size(p: int, m: int) -> None:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
+    return n >= 2 and prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> list[int]:
@@ -129,6 +123,10 @@ def _gfp_is_irreducible(poly, p):
             if not _gfp_mod(poly, divisor, p):
                 return False
     return True
+
+
+# the verdict on each explicit modulus Field is given, kept per (modulus, p)
+_irreducible_modulus = functools.lru_cache(maxsize=TABLE_CACHE_SIZE)(_gfp_is_irreducible)
 
 
 @functools.cache
@@ -270,7 +268,7 @@ class Field:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise FieldError("modulus must be monic of degree m")
-            if not _gfp_is_irreducible(modulus, p):
+            if not _irreducible_modulus(modulus, p):
                 raise FieldError(f"modulus {list(modulus)} is reducible over GF({p})")
             self.modulus = modulus
         (

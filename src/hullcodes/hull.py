@@ -2,9 +2,10 @@
 
 The hull of a code C with generator G is C intersect C-dual.  Since G
 has full row rank, a codeword x*G lies in the hull iff x*(G*G^T) = 0,
-so dim Hull = k - rank(Gram).  An independent formula,
-n - rank([G; H]) with H a dual generator, is recomputed on every report
-as a cross-check.
+so dim Hull = k - rank(Gram).  Every report is cross-checked against
+the referee oracle.hull_dim_oracle, which computes n - rank([G; H]) with
+H a dual generator.  LinearCode is the referees' plain code type,
+re-exported here.
 
 Self-orthogonality of (extended) GRS codes is decided by a certificate
 polynomial: the unique interpolant of the values v_i^2 / u_i.  The code
@@ -31,7 +32,6 @@ import numpy as np
 from .gf import Field
 from .linalg import (
     Matrix,
-    dual_generator,
     lincomb,
     nullspace,
     poly_coeff,
@@ -41,6 +41,7 @@ from .linalg import (
     rank,
 )
 from .grs import EvaluationSet, GrsSpec, generator_matrix
+from .oracle import LinearCode, hull_dim_oracle
 
 LCD = "LCD"
 SELF_ORTHOGONAL = "self-orthogonal"
@@ -52,20 +53,6 @@ GENERIC = "generic"
 
 class HullError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class LinearCode:
-    field: Field
-    generator: Matrix
-
-    @property
-    def n(self) -> int:
-        return self.generator.ncols
-
-    @property
-    def k(self) -> int:
-        return self.generator.nrows
 
 
 def linear_code(field: Field, rows) -> LinearCode:
@@ -115,16 +102,12 @@ def hull_report(code: LinearCode) -> HullReport:
     gram = G.matmul(G.transpose())
     coeff = nullspace(gram)
     hull_dim = coeff.nrows
-    gram_rank = code.k - hull_dim
-    basis = coeff.matmul(G)
-    stacked = G.vstack(dual_generator(G))
-    oracle_dim = code.n - rank(stacked)
     return HullReport(
         hull_dim=hull_dim,
-        hull_basis=basis,
-        gram_rank=gram_rank,
+        hull_basis=coeff.matmul(G),
+        gram_rank=code.k - hull_dim,
         classification=classify(code.n, code.k, hull_dim),
-        oracle_agrees=oracle_dim == hull_dim,
+        oracle_agrees=hull_dim_oracle(code) == hull_dim,
     )
 
 

@@ -14,7 +14,7 @@ A @ B % p.  Over GF(p^m), m > 1, each pivot scales and updates the
 matrix through the field's exp/log/Zech tables (see gf.py).  A batch of
 interpolations takes O(n) array steps.  Each input is checked once, as
 it is converted (Field.asarray), and results go back as Python ints.
-determinant and the other polynomial helpers stay scalar.
+determinant and the polynomial helpers stay scalar.
 """
 
 from __future__ import annotations
@@ -161,6 +161,9 @@ def row_space_equal(A: Matrix, B: Matrix) -> bool:
 
 
 def determinant(M: Matrix) -> int:
+    """Scalar Gaussian elimination.  No route of the package calls it:
+    it is the tests' reference, and it stays here because
+    perfbench/tracing.py patches linalg.determinant by name."""
     if M.nrows != M.ncols:
         raise LinalgError("determinant of a non-square matrix")
     f = M.field
@@ -199,13 +202,6 @@ def poly_deg(fx) -> int:
 
 def poly_coeff(fx, i: int) -> int:
     return fx[i] if 0 <= i < len(fx) else 0
-
-
-def poly_eval(f: Field, fx, x: int) -> int:
-    acc = 0
-    for c in reversed(fx):
-        acc = f.add(f.mul(acc, x), c)
-    return acc
 
 
 def poly_eval_array(f: Field, fx, xs) -> np.ndarray:

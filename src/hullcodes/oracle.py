@@ -1,10 +1,13 @@
 """Brute-force verification oracles, independent of the constructions.
 
-Nothing here knows about GRS structure or certificates: minimum
+Nothing here knows about GRS structure or certificates, and the module
+imports only gf and linalg, never the modules it referees: minimum
 distance comes from enumerating codewords, MDS checks fall back to
-checking every k x k minor, and the hull dimension is recomputed from
-the stacked generator/dual-generator rank.  These are the referees for
-everything the constructive modules claim.
+checking every k x k minor, and the hull dimension is n - rank([G; H])
+with H a dual generator, the one copy of that formula (hull_report
+takes its cross-check from hull_dim_oracle).  These are the referees
+for everything the constructive modules claim.  LinearCode, the plain
+code they take, lives here for that reason.
 
 Both brute-force checks run on the field's array ops (gf.py), with one
 route for every field up to MAX_Q.  The minor check reduces G once to
@@ -28,8 +31,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import Field
-from .hull import LinearCode, hull_report
-from .linalg import Matrix, _rref_array, determinant, dual_generator, rank
+from .linalg import Matrix, _rref_array, dual_generator, rank
+
+
+@dataclass(frozen=True)
+class LinearCode:
+    """The row space of a full-row-rank generator over a field."""
+
+    field: Field
+    generator: Matrix
+
+    @property
+    def n(self) -> int:
+        return self.generator.ncols
+
+    @property
+    def k(self) -> int:
+        return self.generator.nrows
 
 
 class BudgetError(RuntimeError):
@@ -198,18 +216,6 @@ def _subset_rank(S: np.ndarray, n: int, binom) -> np.ndarray:
     return binom[n, t] - 1 - binom[n - 1 - S, t - np.arange(t)].sum(axis=1)
 
 
-def _all_minors_nonzero_by_determinant(code: LinearCode) -> bool:
-    """One determinant per k-subset of columns: the reference the
-    level route is tested against."""
-    f = code.field
-    cols = list(zip(*code.generator.rows))
-    for subset in itertools.combinations(range(code.n), code.k):
-        sub = Matrix(f, zip(*(cols[c] for c in subset)), ncols=code.k)
-        if determinant(sub) == 0:
-            return False
-    return True
-
-
 def hull_dim_oracle(code: LinearCode) -> int:
     """dim(C intersect C-dual) as n - rank([G; H]), bypassing the Gram
     matrix route used by hull_report."""
@@ -222,8 +228,8 @@ def ternary_4_2_census(budget: OracleBudget = DEFAULT_BUDGET):
 
     Enumerates every 2-dimensional subspace of GF(3)^4 via canonical
     RREF matrices (there are 130), keeps those with minimum distance 3,
-    and tallies hull dimensions.  The histogram has no codes with hull
-    dimension 1.
+    and tallies their hull dimensions by hull_dim_oracle.  The histogram
+    has no codes with hull dimension 1.
     """
     f = Field(3)
     histogram = {0: 0, 1: 0, 2: 0}
@@ -243,7 +249,7 @@ def ternary_4_2_census(budget: OracleBudget = DEFAULT_BUDGET):
             if min_distance(code, budget) != 3:
                 continue
             mds_total += 1
-            histogram[hull_report(code).hull_dim] += 1
+            histogram[hull_dim_oracle(code)] += 1
     if total != 130:  # the Gaussian binomial [4 choose 2]_3
         raise RuntimeError(f"census enumerated {total} subspaces, expected 130")
     return {"subspaces": total, "mds": mds_total, "hull_histogram": histogram}

@@ -247,6 +247,25 @@ def test_construct_ternary_fails_when_not_mds(monkeypatch, capsys):
     assert rc == 1
 
 
+def test_enumerate_ternary_fails_when_a_row_is_not_mds(monkeypatch, capsys):
+    from hullcodes.gf import Field
+    from hullcodes.hull import linear_code
+
+    real = cli.ternary_codes
+    # a [4, 2, 2] stand-in for n4k2: not MDS, though its hull formulas agree
+    monkeypatch.setattr(
+        cli,
+        "ternary_codes",
+        lambda kind, v=None: linear_code(Field(3), [[1, 0, 1, 0], [0, 1, 0, 1]])
+        if kind == "n4k2" else real(kind, v),
+    )
+    rc = main(["enumerate", "--q", "3"])
+    rows = {r["variant"]: r for r in _json_out(capsys)["rows"]}
+    assert rows["n4k2"]["mds_verified"] is False and rows["n4k2"]["hull_verified"]
+    assert all(r["mds_verified"] for kind, r in rows.items() if kind != "n4k2")
+    assert rc == 1
+
+
 @pytest.mark.parametrize("schema", [99, 0, None])
 def test_rejects_unknown_schema(schema, tmp_path, capsys):
     from hullcodes.gf import Field

@@ -34,13 +34,20 @@ from hullcodes.linalg import (
     interpolate_batch,
     node_weights,
     nullspace,
-    poly_eval,
     poly_trim,
     rank,
     rref,
 )
 
 PRIMES = (2, 3, 13, 73, 1031)
+
+
+def poly_eval(f, fx, x):
+    """fx at x by scalar Horner steps: the reference for the array routes."""
+    acc = 0
+    for c in reversed(fx):
+        acc = f.add(f.mul(acc, x), c)
+    return acc
 
 
 def _dm(rows, shape, p):

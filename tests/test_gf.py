@@ -318,6 +318,18 @@ def test_table_cache_is_bounded():
     assert gf._field_tables.cache_info().currsize <= TABLE_CACHE_SIZE
 
 
+def test_modulus_verdicts_are_cached_and_bounded():
+    assert gf._irreducible_modulus.cache_info().maxsize == TABLE_CACHE_SIZE
+    # a reducible modulus raises on every call, its verdict cached or not
+    for _ in range(3):
+        with pytest.raises(FieldError, match="reducible"):
+            Field(5, 2, modulus=[4, 0, 1])  # x^2 - 1
+    primes = [p for p in range(3, 1000) if is_prime(p)][: TABLE_CACHE_SIZE + 4]
+    for p in primes:
+        assert Field(p, 1, modulus=[1, 1]).modulus == (1, 1)
+    assert gf._irreducible_modulus.cache_info().currsize <= TABLE_CACHE_SIZE
+
+
 def test_cached_tables_equal_fresh_ones():
     for q, p, m in _prime_powers(256):
         f = Field(p, m)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hullcodes import hull, oracle
 from hullcodes.gf import Field
 from hullcodes.grs import encode, eval_set, grs
 from hullcodes.hull import (
@@ -16,11 +17,19 @@ from hullcodes.hull import (
     hull_report,
     linear_code,
 )
-from hullcodes.linalg import Matrix, poly_deg, poly_eval
+from hullcodes.linalg import Matrix, poly_deg
 from hullcodes.oracle import hull_dim_oracle
 from hullcodes.selftest import gram_is_zero, random_code
 
 F13 = Field(13)
+
+
+def poly_eval(f, fx, x):
+    """fx at x by scalar Horner steps: the reference for the array routes."""
+    acc = 0
+    for c in reversed(fx):
+        acc = f.add(f.mul(acc, x), c)
+    return acc
 
 
 def test_classify_precedence():
@@ -48,6 +57,17 @@ def test_hull_report_self_dual():
         "classification": "self-dual",
         "oracle_agrees": True,
     }
+
+
+def test_oracle_agrees_is_the_referee(monkeypatch):
+    # hull_report's cross-check is oracle.hull_dim_oracle itself, not a
+    # copy of its formula: a broken referee makes every report disagree
+    assert hull.hull_dim_oracle is oracle.hull_dim_oracle
+    code = code_from_grs(grs(eval_set(F13, range(13)), [1] * 13, 7, extended=True))
+    assert hull_report(code).oracle_agrees
+    monkeypatch.setattr(hull, "hull_dim_oracle", lambda c: oracle.hull_dim_oracle(c) + 1)
+    report = hull_report(code)
+    assert report.hull_dim == 7 and not report.oracle_agrees
 
 
 def test_hull_basis_lies_in_both_code_and_dual():

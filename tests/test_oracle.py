@@ -1,4 +1,6 @@
+import ast
 import itertools
+import pathlib
 import random
 import tracemalloc
 
@@ -164,6 +166,18 @@ def _minor(f, A, R, C):
     return determinant(Matrix(f, [[A[a][b] for b in C] for a in R]))
 
 
+def _all_minors_nonzero_by_determinant(code):
+    """One determinant per k-subset of columns: the reference the
+    level route is tested against."""
+    f = code.field
+    cols = list(zip(*code.generator.rows))
+    for subset in itertools.combinations(range(code.n), code.k):
+        sub = Matrix(f, zip(*(cols[c] for c in subset)), ncols=code.k)
+        if determinant(sub) == 0:
+            return False
+    return True
+
+
 def _first_singular_size(f, A):
     """The size of the smallest singular square submatrix of A, or None,
     by one determinant per submatrix."""
@@ -213,7 +227,7 @@ def test_batched_minors_match_determinant_loop(q, monkeypatch):
 
     def check(code):
         fast = oracle._all_minors_nonzero(code)
-        assert fast == oracle._all_minors_nonzero_by_determinant(code)
+        assert fast == _all_minors_nonzero_by_determinant(code)
         verdicts.append(fast)
 
     for trial in range(40):
@@ -297,7 +311,7 @@ def test_minors_exit_at_first_failing_level(monkeypatch):
         if f.sub(f.mul(cols[a][0], cols[b][1]), f.mul(cols[a][1], cols[b][0])) == 0
     ]
     assert singular == [1090]
-    assert not oracle._all_minors_nonzero_by_determinant(code)
+    assert not _all_minors_nonzero_by_determinant(code)
     assert not oracle._all_minors_nonzero(code)
     # both columns lie in A and no entry of A is zero: level 2 fails
     assert seen == [2]
@@ -320,10 +334,10 @@ def test_minors_in_large_prime_field():
     # column 3 is twice column 2
     twin = linear_code(f, [[1, 1, 1, 2], [0, 1, 2, 4]])
     assert not is_mds(twin, minors_only)
-    assert not oracle._all_minors_nonzero_by_determinant(twin)
+    assert not _all_minors_nonzero_by_determinant(twin)
     mds = linear_code(f, [[1, 1, 1, 0], [0, 1, 2, 1]])
     assert is_mds(mds, minors_only)
-    assert oracle._all_minors_nonzero_by_determinant(mds)
+    assert _all_minors_nonzero_by_determinant(mds)
 
 
 def test_minors_decide_gf529_24_12():
@@ -361,6 +375,31 @@ def test_hull_dim_oracle_self_dual_and_lcd():
     seed = make_seed(grs(pts, [1] * 13, 6))
     lcd = code_from_grs(reduce_hull_grs(seed, 4, 0))
     assert hull_dim_oracle(lcd) == 0
+
+
+def test_oracle_imports_only_gf_and_linalg():
+    # the referees import nothing they referee
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text())
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("hullcodes")):
+            package.add(node.module)
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("hullcodes") for a in node.names)
+    assert package == {"gf", "linalg"}
+
+
+def test_census_counts_with_the_referee(monkeypatch):
+    calls = []
+    real = oracle.hull_dim_oracle
+
+    def counting(code):
+        calls.append(code)
+        return real(code)
+
+    monkeypatch.setattr(oracle, "hull_dim_oracle", counting)
+    assert ternary_4_2_census()["hull_histogram"] == {0: 0, 1: 0, 2: 8}
+    assert len(calls) == 8
 
 
 def test_ternary_census():
