@@ -220,6 +220,9 @@ def cmd_enumerate(args) -> int:
     rows: list[dict] = []
     if args.family is None and args.q == 3:
         # the only q = 3 MDS codes with known hulls: the explicit table
+        for name in _FAMILY_FLAGS:
+            if name != "q" and getattr(args, name) is not None:
+                raise FamilyError(f"--{name} has no effect with enumerate --q 3")
         for kind in TERNARY_KINDS:
             code = ternary_codes(kind)
             report = hull_report(code)

@@ -33,7 +33,14 @@ from .construct import SeedCode, make_seed, reduce_hull
 from .gf import Field, factor_prime_power
 from .grs import GrsSpec, eval_set, grs
 
-FAMILIES = ("even_cosets", "odd_cosets", "additive", "twisted_pair")
+# the parameters each family reads besides variant: (required, optional)
+PARAMETERS = {
+    "even_cosets": (("r", "m", "t"), ("mu",)),
+    "odd_cosets": (("r", "m", "t"), ("mu",)),
+    "additive": (("p", "s", "e"), ()),
+    "twisted_pair": (("q", "t"), ("omega",)),
+}
+FAMILIES = tuple(PARAMETERS)
 
 
 class FamilyError(ValueError):
@@ -153,8 +160,6 @@ def _coset_set(params: FamilyParams, variants: tuple, odd: bool):
     alpha^c * beta^(mu_j) over t cosets of the m-th roots of unity, with
     n = t*m odd and every mu_j even when odd is set, else n even."""
     name = params.family
-    if params.r is None or params.m is None or params.t is None:
-        raise FamilyError(f"{name} needs r, m and t")
     r, m, t = params.r, params.m, params.t
     p, mr = factor_prime_power(r)
     if p == 2:
@@ -241,8 +246,6 @@ def family_odd_cosets(params: FamilyParams) -> FamilySeed:
 def family_additive(params: FamilyParams) -> FamilySeed:
     """Additive family over GF(p^2s): points alpha_k*beta + alpha_j for
     alpha_k, alpha_j in an e-dimensional GF(p)-subspace of GF(p^s)."""
-    if params.p is None or params.s is None or params.e is None:
-        raise FamilyError("additive needs p, s and e")
     p, s, e = params.p, params.s, params.e
     if p == 2 or s < 1:
         raise FamilyError("additive family needs an odd prime p and s >= 1")
@@ -284,8 +287,6 @@ def family_additive(params: FamilyParams) -> FamilySeed:
 
 def family_twisted_pair(params: FamilyParams) -> FamilySeed:
     """Points (alpha^i, omega*alpha^i) for q = 3 mod 4 and odd t | q-1."""
-    if params.q is None or params.t is None:
-        raise FamilyError("twisted_pair needs q and t")
     pq, mq = factor_prime_power(params.q)
     field = Field(pq, mq)
     q, t = field.q, params.t
@@ -339,11 +340,17 @@ _DISPATCH = {
 
 
 def build_family(params: FamilyParams) -> FamilySeed:
-    if params.family not in _DISPATCH:
-        raise FamilyError(
-            f"unknown family {params.family!r}; expected one of {FAMILIES}"
-        )
-    return _DISPATCH[params.family](params)
+    name = params.family
+    if name not in _DISPATCH:
+        raise FamilyError(f"unknown family {name!r}; expected one of {FAMILIES}")
+    required, optional = PARAMETERS[name]
+    if any(getattr(params, x) is None for x in required):
+        raise FamilyError(f"{name} needs {', '.join(required[:-1])} and {required[-1]}")
+    read = {"family", "variant", *required, *optional}
+    unread = [x for x, value in vars(params).items() if x not in read and value is not None]
+    if unread:
+        raise FamilyError(f"{name} does not read {', '.join(unread)}")
+    return _DISPATCH[name](params)
 
 
 def family_grid(fs: FamilySeed):

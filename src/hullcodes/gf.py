@@ -384,7 +384,7 @@ class Field:
     # -- arithmetic on int64 arrays of encodings --
 
     def asarray(self, x) -> np.ndarray:
-        """x as an int64 array; FieldError unless every entry is an element."""
+        """x as a new int64 array; FieldError unless every entry is an element."""
         a = np.asarray(x)
         if a.size == 0:
             return a.astype(np.int64)

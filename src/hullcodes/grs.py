@@ -128,7 +128,7 @@ def grs(points: EvaluationSet, v, k: int, extended: bool = False) -> GrsSpec:
 
 def generator_matrix(spec: GrsSpec) -> Matrix:
     """The k x n (or k x (n+1)) Vandermonde-with-multipliers generator."""
-    return Matrix(spec.field, spec.generator_array.tolist(), ncols=spec.length)
+    return Matrix(spec.field, spec.generator_array)
 
 
 def encode(spec: GrsSpec, fx) -> list[int]:

@@ -13,7 +13,8 @@ matrix mod p once, at the end (delayed reduction), and a product is
 A @ B % p.  Over GF(p^m), m > 1, each pivot scales and updates the
 matrix through the field's exp/log/Zech tables (see gf.py).  A batch of
 interpolations takes O(n) array steps.  Each input is checked once, as
-it is converted (Field.asarray), and results go back as Python ints.
+it is converted (Field.asarray): a Matrix is one read-only int64 array,
+and Matrix.rows (Python ints) is built only when read, for output.
 determinant and the polynomial helpers stay scalar.
 """
 
@@ -29,51 +30,50 @@ class LinalgError(ValueError):
 
 
 class Matrix:
-    """Immutable row-major matrix over a Field."""
+    """Immutable matrix over a Field: entries, one read-only int64 array."""
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    __slots__ = ("field", "entries", "nrows", "ncols")
 
     def __init__(self, field: Field, rows, ncols: int | None = None):
-        rows = tuple(tuple(r) for r in rows)
-        if rows:
-            ncols = len(rows[0])
-            if any(len(r) != ncols for r in rows):
+        if not isinstance(rows, np.ndarray):
+            rows = [tuple(r) for r in rows]
+            if any(len(r) != len(rows[0]) for r in rows):
                 raise LinalgError("ragged rows")
-        elif ncols is None:
-            raise LinalgError("empty matrix needs an explicit column count")
-        self.field = field
-        self.nrows = len(rows)
-        self.ncols = ncols
-        self.rows = rows
+            if not rows and ncols is None:
+                raise LinalgError("empty matrix needs an explicit column count")
+            rows = rows or np.zeros((0, ncols), dtype=np.int64)
+        self.field, self.entries = field, field.asarray(rows)  # checked, and a copy
+        self.entries.flags.writeable = False
+        self.nrows, self.ncols = self.entries.shape
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as a tuple of rows of Python ints, for output."""
+        return tuple(map(tuple, self.entries.tolist()))
 
     def array(self) -> np.ndarray:
-        """The entries as an nrows x ncols int64 array, checked to be elements."""
-        return self.field.asarray(self.rows).reshape(self.nrows, self.ncols)
+        """A writable copy of the entries."""
+        return self.entries.copy()
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, zip(*self.rows), ncols=self.nrows)
+        return Matrix(self.field, self.entries.T)
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise LinalgError("dimension mismatch")
-        out = lincomb(self.field, self.array(), other.array())
-        return Matrix(self.field, out.tolist(), ncols=other.ncols)
+        return Matrix(self.field, lincomb(self.field, self.entries, other.entries))
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.ncols:
             raise LinalgError("dimension mismatch")
-        return Matrix(self.field, self.rows + other.rows, ncols=self.ncols)
+        return Matrix(self.field, np.vstack([self.entries, other.entries]))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
+        return (isinstance(other, Matrix) and self.field == other.field
+                and np.array_equal(self.entries, other.entries))
 
     def __hash__(self):
-        return hash((self.field, self.ncols, self.rows))
+        return hash((self.field, self.entries.shape, self.entries.tobytes()))
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over GF({self.field.q}))"
@@ -82,7 +82,7 @@ class Matrix:
 def rref(M: Matrix):
     """Reduced row echelon form: (R, rank, pivot_columns)."""
     A, r, pivots = _rref_array(M.field, M.array())
-    return Matrix(M.field, A.tolist(), ncols=M.ncols), r, pivots
+    return Matrix(M.field, A), r, pivots
 
 
 def _rref_array(f: Field, A: np.ndarray):
@@ -143,7 +143,7 @@ def nullspace(M: Matrix) -> Matrix:
     basis = np.zeros((len(free), M.ncols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, list(pivots)] = f.sub_array(0, R[:rk, free]).T
-    return Matrix(f, basis.tolist(), ncols=M.ncols)
+    return Matrix(f, basis)
 
 
 def dual_generator(G: Matrix) -> Matrix:
@@ -157,7 +157,7 @@ def dual_generator(G: Matrix) -> Matrix:
 def row_space_equal(A: Matrix, B: Matrix) -> bool:
     """Row spaces compared via their canonical RREFs."""
     (RA, ra, _), (RB, rb, _) = rref(A), rref(B)
-    return RA.rows[:ra] == RB.rows[:rb]
+    return np.array_equal(RA.entries[:ra], RB.entries[:rb])
 
 
 def determinant(M: Matrix) -> int:
@@ -167,7 +167,7 @@ def determinant(M: Matrix) -> int:
     if M.nrows != M.ncols:
         raise LinalgError("determinant of a non-square matrix")
     f = M.field
-    rows = [list(r) for r in M.rows]
+    rows = M.entries.tolist()
     det = 1
     for c in range(M.ncols):
         pivot = next((i for i in range(c, len(rows)) if rows[i][c] != 0), None)

@@ -80,7 +80,7 @@ def min_distance(code: LinearCode, budget: OracleBudget = DEFAULT_BUDGET) -> int
             f"enumerating q^k = {q}^{k} codewords exceeds the budget of "
             f"{budget.max_codewords}"
         )
-    G = code.generator.array()
+    G = code.generator.entries
     best = n
     for j in range(k):
         # messages with digits 0..j-1 zero and digit j equal to 1

@@ -40,7 +40,7 @@ def _first_fault(instances, fault):
 def gram_is_zero(code) -> bool:
     """Whether G G^T = 0, i.e. the code is self-orthogonal."""
     G = code.generator
-    return not any(map(any, G.matmul(G.transpose()).rows))
+    return not G.matmul(G.transpose()).entries.any()
 
 
 # --- the checks ---

@@ -158,6 +158,27 @@ def test_enumerate_needs_family(capsys):
     assert main(["enumerate", "--q", "5"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # one flag per family that the family never reads
+        "construct --family additive --p 3 --s 1 --e 1 --variant ii --r 7 --omega 5 --k 2 --l 1",
+        "construct --family twisted_pair --q 7 --t 3 --mu 1,2 --k 2 --l 1",
+        "construct --family even_cosets --r 7 --m 3 --t 4 --q 11 --k 2 --l 1",
+        "construct --family odd_cosets --r 5 --m 3 --t 1 --variant ii --omega 3 --k 2 --l 1",
+        "enumerate --family odd_cosets --r 5 --m 3 --t 1 --p 5",
+        # the ternary table reads no family flag but --q
+        "enumerate --q 3 --r 5",
+        "enumerate --q 3 --variant i",
+    ],
+)
+def test_family_flags_the_family_never_reads_are_refused(argv, capsys):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "does not read" in captured.err or "has no effect" in captured.err
+
+
 def test_census(capsys):
     rc = main(["census"])
     assert rc == 0

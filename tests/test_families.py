@@ -167,6 +167,25 @@ def test_unknown_family_and_variant():
         build_family(FamilyParams("even_cosets", "v", r=7, m=3, t=4))
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (FamilyParams("additive", p=3, s=1, e=1, r=7), "additive does not read r"),
+        (FamilyParams("twisted_pair", q=7, t=3, mu=(1, 2), p=7), "twisted_pair does not read mu, p"),
+        (FamilyParams("even_cosets", r=7, m=3, t=4, omega=3), "even_cosets does not read omega"),
+        (FamilyParams("odd_cosets", r=5, m=3, t=1, p=5, s=1, e=1), "odd_cosets does not read p, s, e"),
+        # a missing parameter keeps its message, and wins over a foreign one
+        (FamilyParams("additive", p=3, s=1, q=9), "additive needs p, s and e"),
+        (FamilyParams("even_cosets", r=7, m=3), "even_cosets needs r, m and t"),
+        (FamilyParams("odd_cosets", m=3, t=1), "odd_cosets needs r, m and t"),
+        (FamilyParams("twisted_pair", t=3), "twisted_pair needs q and t"),
+    ],
+)
+def test_family_parameters_are_required_and_read(params, message):
+    with pytest.raises(FamilyError, match=f"^{message}$"):
+        build_family(params)
+
+
 def test_out_of_range_targets():
     fs = build_family(FamilyParams("twisted_pair", "i", q=7, t=3))
     with pytest.raises(FamilyError):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -107,9 +108,19 @@ def test_interpolation():
 def test_empty_matrix_needs_ncols():
     with pytest.raises(LinalgError):
         Matrix(F5, [])
+    with pytest.raises(LinalgError):
+        Matrix(F5, [[1, 2], [3]])  # ragged
     M = Matrix(F5, [], ncols=3)
     assert M.nrows == 0 and M.ncols == 3
     assert rank(M) == 0
+    # the nullspace of a full-rank square matrix is 0 x n, its transpose n x 0
+    N = nullspace(Matrix(F5, [[1, 2, 3], [0, 1, 4], [0, 0, 2]]))
+    assert N == M and N.rows == () and N.entries.shape == (0, 3)
+    T = N.transpose()
+    assert (T.nrows, T.ncols) == (3, 0) and T.rows == ((), (), ())
+    assert T == Matrix(F5, [[], [], []]) != M
+    assert rank(T) == 0 and nullspace(T).ncols == 0
+    assert T.matmul(N) == Matrix(F5, np.zeros((3, 3), dtype=np.int64))
 
 
 def test_entries_outside_the_field_are_rejected():
@@ -129,6 +140,31 @@ def test_numpy_integer_entries_work():
     N = Matrix(F13, [[np.int64(x) for x in r] for r in rows])
     assert rref(N) == rref(M)
     assert N.matmul(N.transpose()) == M.matmul(M.transpose())
+    same = [
+        N,
+        Matrix(F13, tuple(map(tuple, rows))),
+        Matrix(F13, np.array(rows, dtype=np.int64)),
+        Matrix(F13, np.array(rows, dtype=np.uint8)),
+        Matrix(F13, (iter(r) for r in rows)),
+    ]
+    for X in same:
+        assert X == M and hash(X) == hash(M)
+    assert Matrix(F13, rows[:1]) != M != Matrix(Field(17), rows)
+    # rows holds Python ints, ready for JSON
+    assert M.rows == ((1, 5, 7), (2, 10, 3))
+    assert all(type(x) is int for r in M.rows for x in r)
+    assert json.loads(json.dumps(M.rows)) == rows
+    # the matrix keeps its own read-only copy of the entries
+    source = np.array(rows, dtype=np.int64)
+    A = Matrix(F13, source)
+    source[0, 0] = 9
+    rows[0][0] = 9
+    scratch = A.array()
+    scratch[:] = 0
+    assert A == M == Matrix(F13, [[1, 5, 7], [2, 10, 3]])
+    assert not A.entries.flags.writeable
+    with pytest.raises(ValueError):
+        A.entries[0, 0] = 2
     points = [(1, 4), (3, 0), (8, 12)]
     as_numpy = [(np.int64(x), np.int32(y)) for x, y in points]
     assert interpolate(F13, as_numpy) == interpolate(F13, points)
