@@ -38,7 +38,6 @@ from .linalg import (
     poly_deg,
     poly_eval_array,
     poly_trim,
-    rank,
 )
 from .grs import EvaluationSet, GrsSpec, generator_matrix
 from .oracle import LinearCode, hull_dim_oracle
@@ -56,10 +55,10 @@ class HullError(ValueError):
 
 
 def linear_code(field: Field, rows) -> LinearCode:
-    G = Matrix(field, rows)
-    if rank(G) != G.nrows or G.nrows < 1:
+    code = LinearCode(field, Matrix(field, rows))
+    if code.echelon[1] != code.k or code.k < 1:
         raise HullError("generator matrix must be full row rank, k >= 1")
-    return LinearCode(field, G)
+    return code
 
 
 def code_from_grs(spec: GrsSpec) -> LinearCode:

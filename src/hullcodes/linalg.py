@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import Field
+from .gf import Field, FieldError
 
 
 class LinalgError(ValueError):
@@ -42,7 +42,15 @@ class Matrix:
             if not rows and ncols is None:
                 raise LinalgError("empty matrix needs an explicit column count")
             rows = rows or np.zeros((0, ncols), dtype=np.int64)
-        self.field, self.entries = field, field.asarray(rows)  # checked, and a copy
+        try:
+            self.entries = field.asarray(rows)  # checked, and a copy
+        except FieldError:
+            raise
+        except ValueError as exc:  # numpy's inhomogeneous shape error
+            raise LinalgError(f"matrix entries are not a 2-D array: {exc}") from None
+        if self.entries.ndim != 2:
+            raise LinalgError(f"matrix entries are not a 2-D array: shape {self.entries.shape}")
+        self.field = field
         self.entries.flags.writeable = False
         self.nrows, self.ncols = self.entries.shape
 
@@ -104,13 +112,13 @@ def _rref_array(f: Field, A: np.ndarray):
         # only the pivot column and the pivot row are reduced, so both
         # factors of every product below lie in 0..p-1
         coef = A[:, c] % f.p if prime else A[:, c].copy()
-        nonzero = np.flatnonzero(coef[r:])
+        nonzero = coef[r:].nonzero()[0]
         if nonzero.size == 0:
             continue
         i = r + nonzero[0]
         if i != r:
-            A[[r, i]] = A[[i, r]]
-            coef[[r, i]] = coef[[i, r]]
+            A[r], A[i] = A[i], A[r].copy()
+            coef[r], coef[i] = coef[i], coef[r]
         inv = f.inv(int(coef[r]))
         coef[r] = 0
         # row r is zero left of c, so only columns c.. change
@@ -136,14 +144,19 @@ def rank(M: Matrix) -> int:
 
 def nullspace(M: Matrix) -> Matrix:
     """Basis rows of {x : M x^T = 0}; row count = ncols - rank."""
-    f = M.field
-    R, rk, pivots = _rref_array(f, M.array())
-    free = [c for c in range(M.ncols) if c not in pivots]
+    return Matrix(M.field, _null_basis(M.field, *_rref_array(M.field, M.array())))
+
+
+def _null_basis(f: Field, R: np.ndarray, rk: int, pivots) -> np.ndarray:
+    """Basis rows of {x : M x^T = 0} from the rref (R, rk, pivots) of M,
+    an int64 array of ncols - rk rows; R is only read."""
+    ncols = R.shape[1]
+    free = [c for c in range(ncols) if c not in pivots]
     # row t: 1 at free column free[t], -R[i, free[t]] at pivot column i
-    basis = np.zeros((len(free), M.ncols), dtype=np.int64)
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, list(pivots)] = f.sub_array(0, R[:rk, free]).T
-    return Matrix(f, basis)
+    return basis
 
 
 def dual_generator(G: Matrix) -> Matrix:

@@ -9,6 +9,17 @@ takes its cross-check from hull_dim_oracle).  These are the referees
 for everything the constructive modules claim.  LinearCode, the plain
 code they take, lives here for that reason.
 
+A LinearCode is immutable, so it keeps what the referees derive from
+it alone, each computed on first use: the rref of G (read-only), which
+hull.linear_code's full-rank check, the dual basis and the minor check
+share; the stacked hull dimension; and the minimum distance, whose
+budget min_distance checks on every call.  So a code's referee work
+runs once.  The referees stay independent: a result belongs to one
+code object (there is no process-wide or value-keyed cache, so two
+equal codes each do their own work), an exception is never kept (a
+failing check fails on every call), and hull_report's Gram route reads
+none of these results, so its hull dimension comes from G G^T alone.
+
 Both brute-force checks run on the field's array ops (gf.py), with one
 route for every field up to MAX_Q.  The minor check reduces G once to
 the systematic form [I | A]; the code is MDS iff every square
@@ -27,16 +38,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .gf import Field
-from .linalg import Matrix, _rref_array, dual_generator, rank
+from .linalg import LinalgError, Matrix, _null_basis, _rref_array
 
 
 @dataclass(frozen=True)
 class LinearCode:
-    """The row space of a full-row-rank generator over a field."""
+    """The row space of a full-row-rank generator over a field; it keeps
+    its echelon form, stacked hull dimension and minimum distance once
+    computed (see the module docstring)."""
 
     field: Field
     generator: Matrix
@@ -48,6 +62,26 @@ class LinearCode:
     @property
     def k(self) -> int:
         return self.generator.nrows
+
+    @cached_property
+    def echelon(self) -> tuple[np.ndarray, int, tuple]:
+        """(R, rank, pivots), the rref of the generator, R read-only."""
+        R, rk, pivots = _rref_array(self.field, self.generator.array())
+        R.flags.writeable = False
+        return R, rk, pivots
+
+    @cached_property
+    def _stacked_hull_dim(self) -> int:
+        """n - rank([G; H]), H the null basis of G (a dual generator)."""
+        f, (R, rk, pivots) = self.field, self.echelon
+        if rk != self.k:
+            raise LinalgError("generator matrix is not full row rank")
+        stacked = np.vstack([self.generator.entries, _null_basis(f, R, rk, pivots)])
+        return self.n - _rref_array(f, stacked)[1]
+
+    @cached_property
+    def _min_distance(self) -> int:
+        return _enumerated_min_distance(self)
 
 
 class BudgetError(RuntimeError):
@@ -71,15 +105,21 @@ _BLOCK = 1 << 15
 
 
 def min_distance(code: LinearCode, budget: OracleBudget = DEFAULT_BUDGET) -> int:
-    """Exact minimum distance by exhaustive enumeration."""
-    f = code.field
-    q = f.q
-    k, n = code.k, code.n
+    """Exact minimum distance by exhaustive enumeration.  Every call
+    checks the budget; the enumeration runs once per code."""
+    q, k = code.field.q, code.k
     if q**k > budget.max_codewords:
         raise BudgetError(
             f"enumerating q^k = {q}^{k} codewords exceeds the budget of "
             f"{budget.max_codewords}"
         )
+    return code._min_distance
+
+
+def _enumerated_min_distance(code: LinearCode) -> int:
+    f = code.field
+    q = f.q
+    k, n = code.k, code.n
     G = code.generator.entries
     best = n
     for j in range(k):
@@ -126,7 +166,7 @@ def _all_minors_nonzero(code: LinearCode) -> bool:
     square minor of A arises so: the check is that every square
     submatrix of A is nonsingular."""
     f, k = code.field, code.k
-    R, _, pivots = _rref_array(f, code.generator.array())
+    R, _, pivots = code.echelon
     if pivots != tuple(range(k)):
         return False
     A = R[:, k:]
@@ -218,9 +258,8 @@ def _subset_rank(S: np.ndarray, n: int, binom) -> np.ndarray:
 
 def hull_dim_oracle(code: LinearCode) -> int:
     """dim(C intersect C-dual) as n - rank([G; H]), bypassing the Gram
-    matrix route used by hull_report."""
-    G = code.generator
-    return code.n - rank(G.vstack(dual_generator(G)))
+    matrix route used by hull_report; computed once per code."""
+    return code._stacked_hull_dim
 
 
 def ternary_4_2_census(budget: OracleBudget = DEFAULT_BUDGET):

@@ -123,6 +123,13 @@ def test_empty_matrix_needs_ncols():
     assert T.matmul(N) == Matrix(F5, np.zeros((3, 3), dtype=np.int64))
 
 
+def test_malformed_entries_are_rejected():
+    # entries that are sequences, or an array that is not 2-D
+    for entries in ([[[1]]], [[1, 2], [3, [4]]], np.array([1, 2])):
+        with pytest.raises(LinalgError):
+            Matrix(F5, entries)
+
+
 def test_entries_outside_the_field_are_rejected():
     with pytest.raises(FieldError):
         rref(Matrix(F13, [[1, 13], [2, 3]]))

@@ -7,14 +7,15 @@ import tracemalloc
 import pytest
 from sympy import Matrix as SympyMatrix
 
-from hullcodes import oracle
+from hullcodes import linalg, oracle
 from hullcodes.construct import make_seed, reduce_hull_grs, ternary_codes
 from hullcodes.gf import Field, factor_prime_power
 from hullcodes.grs import eval_set, grs
-from hullcodes.hull import code_from_grs, linear_code
-from hullcodes.linalg import Matrix, determinant, rank
+from hullcodes.hull import code_from_grs, hull_report, linear_code
+from hullcodes.linalg import LinalgError, Matrix, determinant, rank
 from hullcodes.oracle import (
     BudgetError,
+    LinearCode,
     OracleBudget,
     hull_dim_oracle,
     is_mds,
@@ -95,11 +96,15 @@ def test_min_distance_memory_is_bounded():
 def test_min_distance_budget():
     f = Field(13)
     spec = grs(eval_set(f, range(13)), [1] * 13, 6)
+    code = code_from_grs(spec)
     with pytest.raises(BudgetError):
-        min_distance(code_from_grs(spec), OracleBudget(max_codewords=10**5))
+        min_distance(code, OracleBudget(max_codewords=10**5))
     # raising the cap makes it affordable
-    d = min_distance(code_from_grs(spec), OracleBudget(max_codewords=13**6))
+    d = min_distance(code, OracleBudget(max_codewords=13**6))
     assert d == 13 - 6 + 1
+    # the code keeps its distance, but every call checks its own budget
+    with pytest.raises(BudgetError):
+        min_distance(code, OracleBudget(max_codewords=10**5))
 
 
 def test_is_mds_enumeration_and_minors():
@@ -375,6 +380,58 @@ def test_hull_dim_oracle_self_dual_and_lcd():
     seed = make_seed(grs(pts, [1] * 13, 6))
     lcd = code_from_grs(reduce_hull_grs(seed, 4, 0))
     assert hull_dim_oracle(lcd) == 0
+
+
+def test_a_code_runs_each_referee_once(monkeypatch):
+    # one code op of the small_codes benchmark workload: G, G G^T and
+    # [G; H] are eliminated once each, the codewords enumerated once
+    calls = {"rref": 0, "enumerate": 0}
+    real_rref, real_enumerate = linalg._rref_array, oracle._enumerated_min_distance
+
+    def counting_rref(f, A):
+        calls["rref"] += 1
+        return real_rref(f, A)
+
+    def counting_enumerate(code):
+        calls["enumerate"] += 1
+        return real_enumerate(code)
+
+    monkeypatch.setattr(linalg, "_rref_array", counting_rref)
+    monkeypatch.setattr(oracle, "_rref_array", counting_rref)
+    monkeypatch.setattr(oracle, "_enumerated_min_distance", counting_enumerate)
+    f = Field(3, 2)
+    rows = [[1, 0, 0, 1, 2, 3], [0, 1, 0, 4, 5, 6], [0, 0, 1, 7, 8, 2]]
+    codes = []
+    # an equal code keeps nothing of the first: it does all the work again
+    for _ in range(2):
+        calls.update(rref=0, enumerate=0)
+        code = linear_code(f, rows)
+        report = hull_report(code)
+        assert hull_dim_oracle(code) == hull_dim_oracle(code) == report.hull_dim
+        d = min_distance(code)
+        assert is_mds(code) == (d == code.n - code.k + 1)
+        assert calls == {"rref": 3, "enumerate": 1}
+        codes.append(code)
+    assert codes[0] == codes[1] and codes[0] is not codes[1]
+    # the minor route reads the kept echelon form
+    oracle._all_minors_nonzero(code)
+    assert calls == {"rref": 3, "enumerate": 1}
+
+
+def test_kept_echelon_is_read_only_and_errors_are_not_kept():
+    f = Field(13)
+    code = linear_code(f, [[1, 2, 3], [2, 1, 4]])
+    R, rk, pivots = code.echelon
+    assert (rk, pivots) == (2, (0, 1)) and code.echelon[0] is R
+    assert not R.flags.writeable
+    with pytest.raises(ValueError):
+        R[0, 0] = 2
+    # linear_code refuses this generator; built directly, the referee
+    # raises on every call
+    deficient = LinearCode(f, Matrix(f, [[1, 2, 3], [2, 4, 6]]))
+    for _ in range(2):
+        with pytest.raises(LinalgError):
+            hull_dim_oracle(deficient)
 
 
 def test_oracle_imports_only_gf_and_linalg():
