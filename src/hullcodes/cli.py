@@ -20,6 +20,7 @@ call; parsing leaves it unchanged.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -80,20 +81,22 @@ def _int_list(text: str) -> tuple:
     return tuple(int(x) for x in text.split(",") if x != "")
 
 
+# the flags that only family mode reads: one per FamilyParams field
+_FAMILY_FLAGS = tuple(field.name for field in dataclasses.fields(FamilyParams))
+
+
 def _family_params(args) -> FamilyParams:
-    return FamilyParams(
-        family=args.family,
-        variant="i" if args.variant is None else args.variant,
-        r=args.r,
-        m=args.m,
-        t=args.t,
-        mu=_int_list(args.mu) if args.mu else None,
-        p=args.p,
-        s=args.s,
-        e=args.e,
-        q=args.q,
-        omega=args.omega,
-    )
+    values = {name: getattr(args, name) for name in _FAMILY_FLAGS}
+    if values["variant"] is None:
+        values["variant"] = "i"
+    return FamilyParams(**values)
+
+
+def _refuse_flags(args, names, mode: str) -> None:
+    """Refuse a flag that the chosen mode never reads."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise ConstructionError(f"--{name.replace('_', '-')} has no effect {mode}")
 
 
 def _load_spec(path):
@@ -125,30 +128,13 @@ def _verified_payload(spec, budget: OracleBudget) -> tuple[dict, bool]:
     return payload, report.oracle_agrees and mds is not False
 
 
-# the flags that only family mode reads
-_FAMILY_FLAGS = ("family", "variant", "r", "m", "t", "mu", "p", "s", "e", "q", "omega")
-
-
-def _reject_unread_flags(args) -> None:
-    """Refuse a flag that construct's chosen mode never reads."""
-    if args.ternary:
-        unread, mode = ("k", "l", "alpha", "b", "seed_json") + _FAMILY_FLAGS, "with --ternary"
-    elif args.seed_json:
-        unread, mode = ("v",) + _FAMILY_FLAGS, "with --seed-json"
-    else:
-        unread, mode = ("v",), "without --ternary"
-    for name in unread:
-        if getattr(args, name) is not None:
-            raise ConstructionError(f"--{name.replace('_', '-')} has no effect {mode}")
-
-
 def cmd_construct(args) -> int:
     budget = _budget(args)
     if args.extend and not args.seed_json:
         raise ConstructionError("--extend applies only to --seed-json")
-    _reject_unread_flags(args)
     if args.ternary:
-        code = ternary_codes(args.ternary, _int_list(args.v) if args.v else None)
+        _refuse_flags(args, ("k", "l", "alpha", "b", "seed_json", *_FAMILY_FLAGS), "with --ternary")
+        code = ternary_codes(args.ternary, args.v)
         report = hull_report(code)
         d = min_distance(code, budget)
         payload = {
@@ -162,12 +148,12 @@ def cmd_construct(args) -> int:
         # all four ternary codes are MDS
         return 0 if report.oracle_agrees and d == code.n - code.k + 1 else 1
 
+    _refuse_flags(args, ("v",), "without --ternary")
     if args.k is None or args.l is None:
         raise FamilyError("construct needs --k and --l")
-    if args.l > args.k:
-        raise FamilyError(f"l = {args.l} exceeds k = {args.k}")
 
     if args.seed_json:
+        _refuse_flags(args, _FAMILY_FLAGS, "with --seed-json")
         seed = make_seed(_load_spec(args.seed_json))
         out = reduce_hull(
             seed, args.k, args.l, extend=args.extend, alpha=args.alpha, b=args.b
@@ -220,9 +206,7 @@ def cmd_enumerate(args) -> int:
     rows: list[dict] = []
     if args.family is None and args.q == 3:
         # the only q = 3 MDS codes with known hulls: the explicit table
-        for name in _FAMILY_FLAGS:
-            if name != "q" and getattr(args, name) is not None:
-                raise FamilyError(f"--{name} has no effect with enumerate --q 3")
+        _refuse_flags(args, [x for x in _FAMILY_FLAGS if x != "q"], "with enumerate --q 3")
         for kind in TERNARY_KINDS:
             code = ternary_codes(kind)
             report = hull_report(code)
@@ -295,24 +279,22 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-codewords", type=int, default=None)
         p.add_argument("--max-minor-k", type=int, default=None)
 
+    # a family flag is an int unless listed here
+    family_options = {
+        "family": {"choices": FAMILIES},
+        "variant": {},
+        "mu": {"type": _int_list, "help": "comma-separated coset exponents"},
+    }
+
     def add_family(p):
-        p.add_argument("--family", choices=FAMILIES, default=None)
-        p.add_argument("--variant", default=None)
-        p.add_argument("--r", type=int, default=None)
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--t", type=int, default=None)
-        p.add_argument("--mu", default=None, help="comma-separated coset exponents")
-        p.add_argument("--p", type=int, default=None)
-        p.add_argument("--s", type=int, default=None)
-        p.add_argument("--e", type=int, default=None)
-        p.add_argument("--q", type=int, default=None)
-        p.add_argument("--omega", type=int, default=None)
+        for name in _FAMILY_FLAGS:
+            p.add_argument(f"--{name}", **family_options.get(name, {"type": int}))
 
     pc = sub.add_parser("construct", help="build a single code")
     add_family(pc)
     add_budget(pc)
     pc.add_argument("--ternary", choices=TERNARY_KINDS, default=None)
-    pc.add_argument("--v", default=None, help="comma-separated ternary multipliers")
+    pc.add_argument("--v", type=_int_list, help="comma-separated ternary multipliers")
     pc.add_argument("--seed-json", default=None)
     pc.add_argument("--extend", action="store_true",
                     help="extend a non-extended seed by one coordinate")

@@ -156,7 +156,14 @@ def reduce_hull(
             f"b = {b} has no effect: the (x - b)^(m-k) twist applies only to "
             "an extended seed with k < m"
         )
-    if not check_certificate(seed.certificate, points, spec.v):
+    # a certificate of another kind or dimension vouches for another code
+    cert, kind = seed.certificate, "egrs" if spec.extended else "grs"
+    if (cert.kind, cert.m) != (kind, m):
+        raise ConstructionError(
+            f"seed certificate is for a {cert.kind} seed of dimension {cert.m}, "
+            f"not this {kind} seed of dimension {m}"
+        )
+    if not check_certificate(cert, points, spec.v):
         raise ConstructionError("seed certificate fails re-validation")
 
     s = k - 1 - l if extend else k - l

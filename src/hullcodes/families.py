@@ -18,6 +18,10 @@ the required v_i^2 exist:
   primitive t-th root alpha and a non-square omega, q = 3 mod 4, t odd;
   self-orthogonal up to dimension t - 1.
 
+FAMILY_TABLE states each family once: its builder, its variants and the
+FamilyParams fields it requires and may read.  build_family checks a
+FamilyParams against that row before the builder runs.
+
 Quadratic-residue facts are never assumed: every family recomputes the
 relevant products and checks squareness at runtime, so an invalid
 parameter choice (or the documented exception case of even_cosets
@@ -32,15 +36,6 @@ from dataclasses import dataclass
 from .construct import SeedCode, make_seed, reduce_hull
 from .gf import Field, factor_prime_power
 from .grs import GrsSpec, eval_set, grs
-
-# the parameters each family reads besides variant: (required, optional)
-PARAMETERS = {
-    "even_cosets": (("r", "m", "t"), ("mu",)),
-    "odd_cosets": (("r", "m", "t"), ("mu",)),
-    "additive": (("p", "s", "e"), ()),
-    "twisted_pair": (("q", "t"), ("omega",)),
-}
-FAMILIES = tuple(PARAMETERS)
 
 
 class FamilyError(ValueError):
@@ -155,21 +150,16 @@ def _validate_mu(field: Field, beta: int, m: int, mu, even_only: bool) -> tuple:
     return mu
 
 
-def _coset_set(params: FamilyParams, variants: tuple, odd: bool):
+def _coset_set(params: FamilyParams, odd: bool):
     """(GF(r^2), r, mu, points) of the coset families: the points
     alpha^c * beta^(mu_j) over t cosets of the m-th roots of unity, with
     n = t*m odd and every mu_j even when odd is set, else n even."""
-    name = params.family
     r, m, t = params.r, params.m, params.t
     p, mr = factor_prime_power(r)
     if p == 2:
         raise FamilyError("base field size r must be odd")
     field = Field(p, 2 * mr)
     q = field.q
-    if params.variant not in variants:
-        raise FamilyError(
-            f"{name} has variants {variants[0]}-{variants[-1]}, not {params.variant!r}"
-        )
     if m < 1 or (q - 1) % m != 0:
         raise FamilyError(f"m = {m} must divide q - 1 = {q - 1}")
     tmax = (r + 1) // ((1 + odd) * math.gcd(r + 1, m))
@@ -197,7 +187,7 @@ def _coset_set(params: FamilyParams, variants: tuple, odd: bool):
 
 def family_even_cosets(params: FamilyParams) -> FamilySeed:
     """Coset family with n = t*m even (four variants)."""
-    field, r, mu, a = _coset_set(params, ("i", "ii", "iii", "iv"), odd=False)
+    field, r, mu, a = _coset_set(params, odd=False)
     q, m, t, n = field.q, params.m, params.t, len(a)
     variant = params.variant
     if variant in ("i", "ii") and ((q - 1) // m) % 2:
@@ -229,7 +219,7 @@ def family_even_cosets(params: FamilyParams) -> FamilySeed:
 
 def family_odd_cosets(params: FamilyParams) -> FamilySeed:
     """Coset family with n = t*m odd and even exponents (three variants)."""
-    field, _, _, a = _coset_set(params, ("i", "ii", "iii"), odd=True)
+    field, _, _, a = _coset_set(params, odd=True)
     n = len(a)
     variant = params.variant
     if variant == "i" and n < 3:
@@ -251,9 +241,6 @@ def family_additive(params: FamilyParams) -> FamilySeed:
         raise FamilyError("additive family needs an odd prime p and s >= 1")
     if not 1 <= e <= s:
         raise FamilyError(f"subspace dimension e = {e} out of range 1..{s}")
-    variant = params.variant
-    if variant not in ("i", "ii"):
-        raise FamilyError(f"additive has variants i-ii, not {variant!r}")
     field = Field(p, 2 * s)
     r = p**s
     n = p ** (2 * e)
@@ -278,8 +265,8 @@ def family_additive(params: FamilyParams) -> FamilySeed:
 
     a = [field.add(field.mul(ak, beta), aj) for aj in S for ak in S]
     points = eval_set(field, a)
-    v = _sign_multipliers(field, points.u, negate=variant == "ii")
-    if variant == "i":
+    v = _sign_multipliers(field, points.u, negate=params.variant == "ii")
+    if params.variant == "i":
         return FamilySeed(params, make_seed(grs(points, v, (n - 1) // 2)), (n - 1) // 2)
     seed = make_seed(grs(points, v, (n + 1) // 2, extended=True))
     return FamilySeed(params, seed, (n + 1) // 2)
@@ -294,8 +281,6 @@ def family_twisted_pair(params: FamilyParams) -> FamilySeed:
         raise FamilyError(f"twisted_pair needs q = 3 mod 4, got q = {q}")
     if t % 2 == 0 or t < 1 or (q - 1) % t != 0:
         raise FamilyError(f"t = {t} must be odd and divide q - 1 = {q - 1}")
-    if params.variant != "i":
-        raise FamilyError("twisted_pair has a single variant i")
 
     omega = params.omega
     if omega is None:
@@ -331,47 +316,49 @@ def family_twisted_pair(params: FamilyParams) -> FamilySeed:
     return FamilySeed(params, seed, t - 1)
 
 
-_DISPATCH = {
-    "even_cosets": family_even_cosets,
-    "odd_cosets": family_odd_cosets,
-    "additive": family_additive,
-    "twisted_pair": family_twisted_pair,
+# family -> (builder, variants, required parameters, optional parameters)
+FAMILY_TABLE = {
+    "even_cosets": (family_even_cosets, ("i", "ii", "iii", "iv"), ("r", "m", "t"), ("mu",)),
+    "odd_cosets": (family_odd_cosets, ("i", "ii", "iii"), ("r", "m", "t"), ("mu",)),
+    "additive": (family_additive, ("i", "ii"), ("p", "s", "e"), ()),
+    "twisted_pair": (family_twisted_pair, ("i",), ("q", "t"), ("omega",)),
 }
+FAMILIES = tuple(FAMILY_TABLE)
 
 
 def build_family(params: FamilyParams) -> FamilySeed:
     name = params.family
-    if name not in _DISPATCH:
+    if name not in FAMILY_TABLE:
         raise FamilyError(f"unknown family {name!r}; expected one of {FAMILIES}")
-    required, optional = PARAMETERS[name]
+    builder, variants, required, optional = FAMILY_TABLE[name]
     if any(getattr(params, x) is None for x in required):
         raise FamilyError(f"{name} needs {', '.join(required[:-1])} and {required[-1]}")
     read = {"family", "variant", *required, *optional}
     unread = [x for x, value in vars(params).items() if x not in read and value is not None]
     if unread:
         raise FamilyError(f"{name} does not read {', '.join(unread)}")
-    return _DISPATCH[name](params)
+    if params.variant not in variants:
+        raise FamilyError(f"{name} has variants {', '.join(variants)}, not {params.variant!r}")
+    return builder(params)
+
+
+def _on_grid(fs: FamilySeed, k: int, l: int) -> bool:
+    return 1 <= k <= fs.k_max and 0 <= l <= k - fs.l_offset and (k, l) not in fs.excluded
 
 
 def family_grid(fs: FamilySeed):
     """All advertised (n, k, l) triples reachable from this seed."""
     for k in range(1, fs.k_max + 1):
-        for l in range(0, k - fs.l_offset + 1):
-            if (k, l) in fs.excluded:
-                continue
-            yield fs.code_length, k, l
+        for l in range(k + 1):
+            if _on_grid(fs, k, l):
+                yield fs.code_length, k, l
 
 
 def construct_from_family(fs: FamilySeed, k: int, l: int, alpha: int | None = None, b: int | None = None) -> GrsSpec:
-    if not 1 <= k <= fs.k_max:
-        raise FamilyError(f"k = {k} out of the advertised range 1..{fs.k_max}")
-    if not 0 <= l <= k - fs.l_offset:
+    if not _on_grid(fs, k, l):
+        excluded = (k, l) in fs.excluded
         raise FamilyError(
-            f"l = {l} out of the advertised range 0..{k - fs.l_offset}"
-        )
-    if (k, l) in fs.excluded:
-        raise FamilyError(
-            f"(k, l) = ({k}, {l}) is excluded for this seed (no root-free "
-            "linear twist exists when the points exhaust the field)"
+            f"(k, l) = ({k}, {l}) is off this seed's grid 1 <= k <= {fs.k_max}, 0 <= l <= k - {fs.l_offset}"
+            + (", which excludes it: the points exhaust the field, so no root-free linear twist exists" if excluded else "")
         )
     return reduce_hull(fs.seed, k, l, extend=fs.extend, alpha=alpha, b=b)

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import pathlib
 
@@ -177,6 +179,33 @@ def test_family_flags_the_family_never_reads_are_refused(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "does not read" in captured.err or "has no effect" in captured.err
+
+
+def test_family_flags_are_the_family_params_fields():
+    from hullcodes.families import FamilyParams
+
+    assert cli._FAMILY_FLAGS == tuple(f.name for f in dataclasses.fields(FamilyParams))
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("construct", "enumerate"):
+        options = sub.choices[command]._option_string_actions
+        assert all(f"--{name}" in options for name in cli._FAMILY_FLAGS), command
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # an empty list is refused like "," (argv lists: str.split drops "")
+        ["construct", "--family", "even_cosets", "--r", "7", "--m", "3", "--t", "4",
+         "--mu", "", "--k", "2", "--l", "1"],
+        ["construct", "--ternary", "n4k2", "--v", ""],
+        ["construct", "--family", "even_cosets", "--r", "7", "--m", "3", "--t", "4",
+         "--variant", "", "--k", "2", "--l", "1"],
+    ],
+)
+def test_empty_flag_values_are_refused(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: " in captured.err
 
 
 def test_census(capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from hullcodes.construct import (
     ConstructionError,
+    SeedCode,
     choose_alpha,
     choose_b,
     make_seed,
@@ -15,7 +16,7 @@ from hullcodes.construct import (
 )
 from hullcodes.gf import Field, FieldError
 from hullcodes.grs import eval_set, grs
-from hullcodes.hull import code_from_grs, hull_report
+from hullcodes.hull import certify, code_from_grs, hull_report
 from hullcodes.oracle import OracleBudget, is_mds, min_distance
 
 F13 = Field(13)
@@ -70,6 +71,25 @@ def test_reduce_hull_revalidates_the_seed_certificate():
     with pytest.raises(ConstructionError, match="seed certificate fails re-validation"):
         reduce_hull(swapped, 3, 1)
     assert reduce_hull(seed, 3, 1).k == 3
+
+    # kind mismatch: the certificate of an extended seed on the same
+    # points and multipliers, attached to the non-extended code
+    small = eval_set(F13, [0, 1, 2, 3, 8])
+    eseed = make_seed(grs(small, [F13.sqrt(F13.neg(u)) for u in small.u], 3, extended=True))
+    plain = SeedCode(grs(small, eseed.spec.v, 3), eseed.certificate)
+    with pytest.raises(ConstructionError, match="egrs seed of dimension 3, not this grs seed"):
+        reduce_hull(plain, 2, 1)
+
+    # dimension mismatch: v_i^2 = lambda(a_i) u_i with deg lambda = 9
+    # certifies dimension 1 on the 13 points of GF(13) but not dimension 3,
+    # and a code built from the dimension-1 certificate has hull 1, not 3
+    full = eval_set(F13, range(13))
+    v = [5, 5, 5, 5, 5, 5, 5, 6, 3, 6, 2, 2, 3]
+    assert certify(grs(full, v, 3)) is None
+    cert_m1 = certify(grs(full, v, 1))
+    assert cert_m1.m == 1 and len(cert_m1.lam) == 10
+    with pytest.raises(ConstructionError, match="grs seed of dimension 1, not this grs seed of dimension 3"):
+        reduce_hull(SeedCode(grs(full, v, 3), cert_m1), 3, 3)
 
 
 def test_reduce_grs_identity_at_l_equals_k():

@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
 from hullcodes.families import (
+    FAMILY_TABLE,
     FamilyError,
     FamilyParams,
     build_family,
@@ -186,12 +189,40 @@ def test_family_parameters_are_required_and_read(params, message):
         build_family(params)
 
 
+def test_table_parameters_are_family_params_fields():
+    fields = {field.name for field in dataclasses.fields(FamilyParams)}
+    for name, (_, variants, required, optional) in FAMILY_TABLE.items():
+        assert "i" in variants, name  # FamilyParams' default variant
+        assert set(required) | set(optional) <= fields - {"family", "variant"}, name
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_TABLE))
+def test_variant_refusal_lists_the_familys_variants(name):
+    _, variants, required, _ = FAMILY_TABLE[name]
+    # checked before the builder runs, so the parameter values do not matter
+    params = FamilyParams(name, "v", **dict.fromkeys(required, 1))
+    with pytest.raises(FamilyError, match=f"^{name} has variants {', '.join(variants)}, not 'v'$"):
+        build_family(params)
+
+
 def test_out_of_range_targets():
-    fs = build_family(FamilyParams("twisted_pair", "i", q=7, t=3))
-    with pytest.raises(FamilyError):
-        construct_from_family(fs, 3, 0)  # k > k_max
-    with pytest.raises(FamilyError):
-        construct_from_family(fs, 2, 3)  # l > k
+    seeds = [
+        FamilyParams("twisted_pair", "i", q=7, t=3),
+        FamilyParams("odd_cosets", "iii", r=5, m=3, t=1),  # l <= k - 1
+        FamilyParams("even_cosets", "ii", r=5, m=4, t=1),  # l <= k - 1
+        FamilyParams("additive", "ii", p=3, s=1, e=1),  # (4, 4) excluded
+    ]
+    for params in seeds:
+        fs = build_family(params)
+        grid = set(family_grid(fs))
+        for k in range(fs.k_max + 2):
+            for l in range(-1, k + 2):
+                if (fs.code_length, k, l) in grid:
+                    assert construct_from_family(fs, k, l).k == k
+                    continue
+                with pytest.raises(FamilyError, match=f"off this seed's grid 1 <= k <= {fs.k_max},") as exc:
+                    construct_from_family(fs, k, l)
+                assert ("excludes it" in str(exc.value)) == ((k, l) in fs.excluded)
 
 
 def test_odd_cosets_variant_i_needs_three_points():
