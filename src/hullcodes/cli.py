@@ -11,7 +11,10 @@ Subcommands:
 * census    -- hull histogram of all ternary [4,2,3] MDS codes.
 * selftest  -- run the built-in invariant suites.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input.
+Exit codes: 0 success, 1 verification failure, 2 invalid input.  A
+reader that closes stdout early ends the output, not the command: the
+exit code is still the command's verdict, or 1 if the command stopped
+before it reached one.
 
 The argument parser is built once per process and reused by every main
 call; parsing leaves it unchanged.
@@ -70,15 +73,24 @@ def _emit(args, text: str) -> None:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            pass  # the reader closed stdout: the output ends, the verdict stands
 
 
 def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _int_list(text: str) -> tuple:
-    return tuple(int(x) for x in text.split(",") if x != "")
+def _int_list(text: str | None) -> tuple | None:
+    """The integers of a comma-separated flag value, None if not given."""
+    if text is None:
+        return None
+    try:  # int("") fails too, so an empty item is refused
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"{text!r} is not a comma-separated list of integers") from None
 
 
 # the flags that only family mode reads: one per FamilyParams field
@@ -87,6 +99,7 @@ _FAMILY_FLAGS = tuple(field.name for field in dataclasses.fields(FamilyParams))
 
 def _family_params(args) -> FamilyParams:
     values = {name: getattr(args, name) for name in _FAMILY_FLAGS}
+    values["mu"] = _int_list(values["mu"])
     if values["variant"] is None:
         values["variant"] = "i"
     return FamilyParams(**values)
@@ -134,7 +147,7 @@ def cmd_construct(args) -> int:
         raise ConstructionError("--extend applies only to --seed-json")
     if args.ternary:
         _refuse_flags(args, ("k", "l", "alpha", "b", "seed_json", *_FAMILY_FLAGS), "with --ternary")
-        code = ternary_codes(args.ternary, args.v)
+        code = ternary_codes(args.ternary, _int_list(args.v))
         report = hull_report(code)
         d = min_distance(code, budget)
         payload = {
@@ -283,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     family_options = {
         "family": {"choices": FAMILIES},
         "variant": {},
-        "mu": {"type": _int_list, "help": "comma-separated coset exponents"},
+        "mu": {"help": "comma-separated coset exponents"},
     }
 
     def add_family(p):
@@ -294,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_family(pc)
     add_budget(pc)
     pc.add_argument("--ternary", choices=TERNARY_KINDS, default=None)
-    pc.add_argument("--v", type=_int_list, help="comma-separated ternary multipliers")
+    pc.add_argument("--v", help="comma-separated ternary multipliers")
     pc.add_argument("--seed-json", default=None)
     pc.add_argument("--extend", action="store_true",
                     help="extend a non-extended seed by one coordinate")
@@ -338,6 +351,8 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        return 1  # stdout closed before the command reached its verdict
     # every input error of the package (and json's) is a ValueError
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,8 @@ fall back to a product of irreducible quadratics/cubics when m-k >= 2.
 For m - k = 1 no root-free monic linear polynomial exists, and the
 target l = k is then genuinely unreachable; the
 remaining targets l <= k-1 go through the pi-free route below.
+unreachable states every (k, l) that reduce_hull refuses, this one
+included, and the family grids (families.py) are read from it.
 
 A self-orthogonal *non-extended* seed also yields extended codes of
 length n+1: with s = k - 1 - l scaled multipliers the infinity
@@ -119,6 +121,29 @@ def _smallest_root_free(field: Field, degree: int, xs: np.ndarray) -> np.ndarray
     )
 
 
+def unreachable(spec: GrsSpec, k: int, l: int, extend: bool = False) -> str | None:
+    """Why reduce_hull cannot reach dimension k and hull dimension l from
+    a certified seed on spec with the default twist, or None if it can.
+    This is every (k, l) refusal of reduce_hull."""
+    field, m = spec.field, spec.k
+    if field.q <= 3:
+        return "reduction requires q > 3"
+    if not 0 <= l <= k <= m:
+        return f"need 0 <= l <= k <= m, got l={l}, k={k}, m={m}"
+    if k < 1:
+        return "target dimension k must be >= 1"
+    if extend and spec.extended:
+        return "extend needs a non-extended seed"
+    if extend and l == k:
+        return "extending a non-extended seed reaches only 0 <= l <= k-1"
+    if spec.extended and spec.n == field.q and l == k == m - 1:
+        return (
+            "hull dimension l = k is unreachable for k = m - 1 when "
+            "the evaluation points exhaust the field (n = q)"
+        )
+    return None
+
+
 def reduce_hull(
     seed: SeedCode,
     k: int,
@@ -133,60 +158,37 @@ def reduce_hull(
 
     extend adds the infinity coordinate to a non-extended seed (then
     l <= k - 1); the output is extended when the seed is or when extend
-    is set.  b picks the (x - b)^(m-k) twist of an extended seed with
-    k < m and is rejected anywhere else.
+    is set.  unreachable states which (k, l) are refused.  b picks the
+    (x - b)^(m-k) twist of an extended seed with k < m and is rejected
+    anywhere else.
     """
     spec, m = seed.spec, seed.m
     field, points = spec.field, spec.points
-    if field.q <= 3:
-        raise ConstructionError("reduction requires q > 3")
-    if not 0 <= l <= k <= m:
-        raise ConstructionError(f"need 0 <= l <= k <= m, got l={l}, k={k}, m={m}")
-    if k < 1:
-        raise ConstructionError("target dimension k must be >= 1")
-    if extend and spec.extended:
-        raise ConstructionError("extend needs a non-extended seed")
-    if extend and l == k:
-        raise ConstructionError(
-            "extending a non-extended seed reaches only 0 <= l <= k-1"
-        )
+    reason = unreachable(spec, k, l, extend)
+    if reason is not None:
+        raise ConstructionError(reason)
     twist = spec.extended and k < m
     if b is not None and not twist:
         raise ConstructionError(
             f"b = {b} has no effect: the (x - b)^(m-k) twist applies only to "
             "an extended seed with k < m"
         )
-    # a certificate of another kind or dimension vouches for another code
-    cert, kind = seed.certificate, "egrs" if spec.extended else "grs"
-    if (cert.kind, cert.m) != (kind, m):
-        raise ConstructionError(
-            f"seed certificate is for a {cert.kind} seed of dimension {cert.m}, "
-            f"not this {kind} seed of dimension {m}"
-        )
-    if not check_certificate(cert, points, spec.v):
+    if not check_certificate(seed.certificate, spec):
         raise ConstructionError("seed certificate fails re-validation")
 
     s = k - 1 - l if extend else k - l
     pi = None  # the twist's values pi(a_i)
     if twist:
         xs = field.asarray(points.a)
-        try:
+        if b is not None or spec.n < field.q:
             pi = field.pow_array(field.sub_array(xs, choose_b(field, points, b)), m - k)
-        except ConstructionError:
-            if b is not None:
-                raise
-            # points exhaust the field: no (x-b) twist available
-            if m - k >= 2:
-                pi = _rootless_twist(field, xs, m - k)
-            elif l < k:
-                # pi-free route: the infinity coordinate absorbs one
-                # hull dimension, so retarget s accordingly
-                s = k - 1 - l
-            else:
-                raise ConstructionError(
-                    "hull dimension l = k is unreachable for k = m - 1 when "
-                    "the evaluation points exhaust the field (n = q)"
-                )
+        elif m - k >= 2:
+            # the points exhaust the field: no (x - b) twist exists
+            pi = _rootless_twist(field, xs, m - k)
+        else:
+            # pi-free route (l < k): the infinity coordinate absorbs one
+            # hull dimension, so retarget s accordingly
+            s = k - 1 - l
     v = field.asarray(spec.v)
     v[:s] = field.mul_array(choose_alpha(field, alpha), v[:s])
     if pi is not None:

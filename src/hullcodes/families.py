@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .construct import SeedCode, make_seed, reduce_hull
+from .construct import SeedCode, make_seed, reduce_hull, unreachable
 from .gf import Field, factor_prime_power
 from .grs import GrsSpec, eval_set, grs
 
@@ -59,11 +59,12 @@ class FamilyParams:
 
 @dataclass(frozen=True)
 class FamilySeed:
-    """A certified seed plus its advertised ranges.
+    """A certified seed plus its advertised range of dimensions.
 
-    The reachable codes are [code_length, k] with 1 <= k <= k_max and
-    0 <= l <= k - l_offset, minus `excluded` (k, l) pairs.  extend adds
-    the infinity coordinate to a non-extended seed (see reduce_hull).
+    The reachable codes are [code_length, k] for every (k, l) with
+    k <= k_max that reduce_hull reaches from the seed, as
+    construct.unreachable states.  extend adds the infinity coordinate
+    to a non-extended seed.
     """
 
     params: FamilyParams
@@ -74,20 +75,6 @@ class FamilySeed:
     @property
     def code_length(self) -> int:
         return self.seed.spec.length + self.extend
-
-    @property
-    def l_offset(self) -> int:
-        return int(self.extend)
-
-    @property
-    def excluded(self) -> frozenset:
-        # when the points of an extended seed exhaust the field, the
-        # (k, l) pair (m-1, m-1) needs a root-free linear twist that
-        # does not exist
-        spec, m = self.seed.spec, self.seed.m
-        if spec.extended and spec.n == spec.field.q and m >= 2:
-            return frozenset({(m - 1, m - 1)})
-        return frozenset()
 
 
 def _multipliers(field: Field, c, u, label: str) -> tuple:
@@ -342,23 +329,22 @@ def build_family(params: FamilyParams) -> FamilySeed:
     return builder(params)
 
 
-def _on_grid(fs: FamilySeed, k: int, l: int) -> bool:
-    return 1 <= k <= fs.k_max and 0 <= l <= k - fs.l_offset and (k, l) not in fs.excluded
+def _off_grid(fs: FamilySeed, k: int, l: int) -> str | None:
+    if k > fs.k_max:
+        return f"k = {k} exceeds this seed's k_max = {fs.k_max}"
+    return unreachable(fs.seed.spec, k, l, fs.extend)
 
 
 def family_grid(fs: FamilySeed):
     """All advertised (n, k, l) triples reachable from this seed."""
     for k in range(1, fs.k_max + 1):
         for l in range(k + 1):
-            if _on_grid(fs, k, l):
+            if _off_grid(fs, k, l) is None:
                 yield fs.code_length, k, l
 
 
 def construct_from_family(fs: FamilySeed, k: int, l: int, alpha: int | None = None, b: int | None = None) -> GrsSpec:
-    if not _on_grid(fs, k, l):
-        excluded = (k, l) in fs.excluded
-        raise FamilyError(
-            f"(k, l) = ({k}, {l}) is off this seed's grid 1 <= k <= {fs.k_max}, 0 <= l <= k - {fs.l_offset}"
-            + (", which excludes it: the points exhaust the field, so no root-free linear twist exists" if excluded else "")
-        )
+    reason = _off_grid(fs, k, l)
+    if reason is not None:
+        raise FamilyError(f"(k, l) = ({k}, {l}) is off this seed's grid: {reason}")
     return reduce_hull(fs.seed, k, l, extend=fs.extend, alpha=alpha, b=b)

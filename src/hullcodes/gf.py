@@ -157,42 +157,30 @@ def _find_generator(p: int, m: int, modulus) -> int:
     """The smallest primitive element: the first x with x^(n/f) != 1 for
     every prime f dividing n = q - 1.
 
-    Candidates are tested a block at a time, all exponents at once, by
-    square-and-multiply on arrays of digits (for m = 1, modular powers).
+    A prime field takes modular powers.  An extension field reads the
+    digits of x^e off row 0 of _times_matrix(x)^e, built by
+    square-and-multiply on that row for all exponents at once.
     """
     q = p**m
     n = q - 1
     if n == 1:
         return 1
     exps = [n // f for f in prime_factors(n)]
-    # x^0 .. x^(2m-2) from _times_matrix, and mul[i*m + j] = x^(i+j), so
-    # the digits of a * b are the flattened outer(a, b) @ mul % p (its
-    # sums stay below m^2 p^3 < 2^49)
-    unit = np.eye(m, dtype=np.int64)
-    x_pows = np.concatenate([unit, _times_matrix(unit[-1], p, modulus)[1:]])
-    mul = x_pows[np.arange(m)[:, None] + np.arange(m)].reshape(m * m, m)
-
-    def times(a, b):
-        return (a[..., :, None] * b[..., None, :]).reshape(*a.shape[:-1], m * m) @ mul % p
-
-    place = p ** np.arange(m)
+    if m == 1:
+        return next(x for x in range(2, q) if all(pow(x, e, p) != 1 for e in exps))
+    one = np.eye(m, dtype=np.int64)[0]
+    # odd[j]: the exponents with bit j set
+    odd = [np.array([e >> j & 1 for e in exps], dtype=bool) for j in range(max(exps).bit_length())]
     # a prime-subfield element has order dividing p - 1 < n, so an
     # extension field's search starts at x = p
-    start, size = (2 if m == 1 else p), 8
-    while start < q:
-        xs = range(start, min(start + size, q))
-        base = np.array([[x // p**i % p for i in range(m)] for x in xs])
-        # power[e, i]: the digits of xs[i] ** (the low j bits of exps[e])
-        power = np.zeros((len(exps), len(xs), m), dtype=np.int64)
-        power[..., 0] = 1
-        for j in range(max(exps).bit_length()):
-            odd = np.array([e >> j & 1 for e in exps], dtype=bool)
-            power[odd] = times(power[odd], base)
-            base = times(base, base)
-        for x, encs in zip(xs, (power @ place).T.tolist()):
-            if 1 not in encs:
-                return x
-        start, size = start + size, 2 * size
+    for x in range(p, q):
+        square = _times_matrix([x // p**i % p for i in range(m)], p, modulus)
+        rows = np.tile(one, (len(exps), 1))  # row i: the digits of x^(low bits of exps[i])
+        for bit in odd:
+            rows[bit] = rows[bit] @ square % p
+            square = square @ square % p
+        if not (rows == one).all(axis=1).any():
+            return x
     raise FieldError("no primitive element found")  # pragma: no cover
 
 

@@ -13,7 +13,11 @@ GRS_m(a, v) is self-orthogonal iff that interpolant has degree at most
 n - 2m; GRS_m(a, v, oo) iff it has degree exactly n - 2m + 1 with
 leading coefficient -1 (for 2m = n + 1 this degenerates to the constant
 -1, i.e. v_i^2 = -u_i).  Degree inspection is a complete decision
-procedure because the interpolant of degree <= n - 1 is unique.
+procedure because the interpolant of degree <= n - 1 is unique.  A
+Certificate holds lam alone: the kind and m are those of the spec it is
+checked against, so it cannot vouch for a code of another kind or
+dimension.  For m above n/2 ((n+1)/2 extended) the degree bound is
+negative, so such a spec has no certificate.
 
 encode(f) lies in the hull iff the interpolant g of v_i^2 f(a_i) / u_i
 has degree <= n - k - 1 (extended: <= n - k and f_{k-1} = -g_{n-k}).  g
@@ -115,53 +119,51 @@ def hull_report(code: LinearCode) -> HullReport:
 
 @dataclass(frozen=True)
 class Certificate:
-    lam: tuple
-    kind: str  # "grs" or "egrs"
-    m: int
+    lam: tuple  # kind and m are the certified spec's own
 
 
-def _degree_rule(field: Field, kind: str, lam, n: int, m: int) -> bool:
-    """Whether lam meets the degree criterion above as a certificate of
-    kind "grs" or "egrs" (else False) for a length-n seed of dimension m."""
-    if kind == "grs":
-        return poly_deg(lam) <= n - 2 * m
-    top = n - 2 * m + 1
-    return kind == "egrs" and poly_deg(lam) == top and poly_coeff(lam, top) == field.neg(1)
+def _degree_rule(spec: GrsSpec, lam) -> bool:
+    """Whether lam meets the degree criterion above for spec's code: of
+    dimension m = spec.k, extended or not as spec.extended says."""
+    if not spec.extended:
+        return poly_deg(lam) <= spec.n - 2 * spec.k
+    top = spec.n - 2 * spec.k + 1
+    return poly_deg(lam) == top and poly_coeff(lam, top) == spec.field.neg(1)
 
 
-def _certify(spec: GrsSpec, m: int, kind: str, m_max: int) -> Certificate | None:
-    if not 1 <= m <= m_max:
-        raise HullError(f"seed dimension {m} out of range 1..{m_max}")
+def _certify(spec: GrsSpec) -> Certificate | None:
     lam = poly_trim(spec.dual_interpolants(1)[0].tolist())
-    if _degree_rule(spec.field, kind, lam, spec.n, m):
-        return Certificate(tuple(lam), kind, m)
-    return None
+    return Certificate(tuple(lam)) if _degree_rule(spec, lam) else None
 
 
-def certify_grs_self_orthogonal(spec: GrsSpec, m: int) -> Certificate | None:
+def certify_grs_self_orthogonal(spec: GrsSpec) -> Certificate | None:
     """Certificate that GRS_m(a, v) is self-orthogonal, or None."""
-    return _certify(spec, m, "grs", spec.n // 2)
+    if spec.extended:
+        raise HullError("certify_grs_self_orthogonal needs a non-extended spec")
+    return _certify(spec)
 
 
-def certify_egrs_self_orthogonal(spec: GrsSpec, m: int) -> Certificate | None:
+def certify_egrs_self_orthogonal(spec: GrsSpec) -> Certificate | None:
     """Certificate that GRS_m(a, v, oo) is self-orthogonal, or None."""
-    return _certify(spec, m, "egrs", (spec.n + 1) // 2)
+    if not spec.extended:
+        raise HullError("certify_egrs_self_orthogonal needs an extended spec")
+    return _certify(spec)
 
 
 def certify(spec: GrsSpec) -> Certificate | None:
     """Certificate that spec's code (dimension spec.k, extended or not)
     is self-orthogonal, or None."""
     if spec.extended:
-        return certify_egrs_self_orthogonal(spec, spec.k)
-    return certify_grs_self_orthogonal(spec, spec.k)
+        return certify_egrs_self_orthogonal(spec)
+    return certify_grs_self_orthogonal(spec)
 
 
-def check_certificate(cert: Certificate, points: EvaluationSet, v) -> bool:
-    """Re-validate a certificate against an evaluation set and multipliers."""
-    f = points.field
-    if not _degree_rule(f, cert.kind, cert.lam, points.n, cert.m):
+def check_certificate(cert: Certificate, spec: GrsSpec) -> bool:
+    """Re-validate a certificate against the seed spec it vouches for."""
+    f, points = spec.field, spec.points
+    if not _degree_rule(spec, cert.lam):
         return False
-    v = f.asarray(v)
+    v = f.asarray(spec.v)
     lam_u = f.mul_array(poly_eval_array(f, cert.lam, f.asarray(points.a)), f.asarray(points.u))
     return bool(np.array_equal(lam_u, f.mul_array(v, v)))
 

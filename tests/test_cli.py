@@ -1,7 +1,9 @@
 import argparse
 import dataclasses
+import io
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -200,12 +202,38 @@ def test_family_flags_are_the_family_params_fields():
         ["construct", "--ternary", "n4k2", "--v", ""],
         ["construct", "--family", "even_cosets", "--r", "7", "--m", "3", "--t", "4",
          "--variant", "", "--k", "2", "--l", "1"],
+        # a stray comma is an empty item, not a separator to skip
+        "construct --ternary n4k2 --v 1,,1,1".split(),
+        "construct --family even_cosets --r 7 --m 3 --t 4 --mu 0,1,,2,3 --k 2 --l 1".split(),
     ],
 )
 def test_empty_flag_values_are_refused(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "error: " in captured.err
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone, like the write end of `| head -1`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv, verdict",
+    [
+        # the rows are all verified before the output is written
+        ("enumerate --family even_cosets --r 7 --m 3 --t 4 --variant iv --format csv", 0),
+        ("construct --ternary n4k2", 0),
+        # selftest prints as it goes, so it stops before its verdict
+        ("selftest", 1),
+    ],
+)
+def test_closed_stdout_is_not_invalid_input(argv, verdict, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert main(argv.split()) == verdict
+    assert capsys.readouterr().err == ""
 
 
 def test_census(capsys):

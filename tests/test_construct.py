@@ -77,7 +77,7 @@ def test_reduce_hull_revalidates_the_seed_certificate():
     small = eval_set(F13, [0, 1, 2, 3, 8])
     eseed = make_seed(grs(small, [F13.sqrt(F13.neg(u)) for u in small.u], 3, extended=True))
     plain = SeedCode(grs(small, eseed.spec.v, 3), eseed.certificate)
-    with pytest.raises(ConstructionError, match="egrs seed of dimension 3, not this grs seed"):
+    with pytest.raises(ConstructionError, match="seed certificate fails re-validation"):
         reduce_hull(plain, 2, 1)
 
     # dimension mismatch: v_i^2 = lambda(a_i) u_i with deg lambda = 9
@@ -87,8 +87,8 @@ def test_reduce_hull_revalidates_the_seed_certificate():
     v = [5, 5, 5, 5, 5, 5, 5, 6, 3, 6, 2, 2, 3]
     assert certify(grs(full, v, 3)) is None
     cert_m1 = certify(grs(full, v, 1))
-    assert cert_m1.m == 1 and len(cert_m1.lam) == 10
-    with pytest.raises(ConstructionError, match="grs seed of dimension 1, not this grs seed of dimension 3"):
+    assert len(cert_m1.lam) == 10
+    with pytest.raises(ConstructionError, match="seed certificate fails re-validation"):
         reduce_hull(SeedCode(grs(full, v, 3), cert_m1), 3, 3)
 
 

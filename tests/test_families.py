@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from hullcodes.construct import ConstructionError, reduce_hull, unreachable
 from hullcodes.families import (
     FAMILY_TABLE,
     FamilyError,
@@ -91,7 +92,8 @@ def test_odd_cosets_variants():
     _check_grid(fs2)
 
     fs3 = build_family(FamilyParams("odd_cosets", "iii", **base))
-    assert fs3.code_length == 5 and fs3.l_offset == 1
+    assert fs3.code_length == 5 and fs3.extend
+    assert all(l <= k - 1 for _, k, l in family_grid(fs3))
     assert hull_report(code_from_grs(fs3.seed.spec)).classification == "self-dual"
     _check_grid(fs3)
 
@@ -111,10 +113,11 @@ def test_additive_variants():
 
     fs2 = build_family(FamilyParams("additive", "ii", p=3, s=1, e=1))
     assert fs2.code_length == 10 and fs2.seed.m == 5
-    # n = q = 9: the (m-1, m-1) = (4, 4) pair is excluded
-    assert fs2.excluded == frozenset({(4, 4)})
-    assert (10, 4, 4) not in set(family_grid(fs2))
-    with pytest.raises(FamilyError):
+    # n = q = 9: the (m-1, m-1) = (4, 4) pair is the one pair off the grid
+    grid = {(k, l) for _, k, l in family_grid(fs2)}
+    assert {(k, l) for k in range(1, 6) for l in range(k + 1)} - grid == {(4, 4)}
+    assert "exhaust the field" in unreachable(fs2.seed.spec, 4, 4)
+    with pytest.raises(FamilyError, match="exhaust the field"):
         construct_from_family(fs2, 4, 4)
     _check_grid(fs2, sample_only=True)
 
@@ -220,9 +223,15 @@ def test_out_of_range_targets():
                 if (fs.code_length, k, l) in grid:
                     assert construct_from_family(fs, k, l).k == k
                     continue
-                with pytest.raises(FamilyError, match=f"off this seed's grid 1 <= k <= {fs.k_max},") as exc:
+                with pytest.raises(FamilyError, match=rf"^\(k, l\) = \({k}, {l}\) is off this seed's grid: ") as exc:
                     construct_from_family(fs, k, l)
-                assert ("excludes it" in str(exc.value)) == ((k, l) in fs.excluded)
+                if k > fs.k_max:
+                    assert str(exc.value).endswith(f"k = {k} exceeds this seed's k_max = {fs.k_max}")
+                    continue
+                # below k_max the grid is reduce_hull's own refusal rule
+                with pytest.raises(ConstructionError) as refusal:
+                    reduce_hull(fs.seed, k, l, extend=fs.extend)
+                assert str(exc.value).endswith(f"grid: {refusal.value}")
 
 
 def test_odd_cosets_variant_i_needs_three_points():

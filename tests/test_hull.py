@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -94,10 +95,10 @@ def test_certificate_full_field_seed():
     # v_i = 1 on all of GF(13): u_i = -1, so lambda = -1 (constant)
     pts = eval_set(F13, range(13))
     spec = grs(pts, [1] * 13, 6)
-    cert = certify_grs_self_orthogonal(spec, 6)
+    cert = certify_grs_self_orthogonal(spec)
     assert cert is not None
     assert list(cert.lam) == [12]
-    assert check_certificate(cert, pts, spec.v)
+    assert check_certificate(cert, spec)
     # and the Gram matrix really is zero
     assert gram_is_zero(code_from_grs(spec))
 
@@ -105,7 +106,7 @@ def test_certificate_full_field_seed():
 def test_certificate_rejects_non_self_orthogonal():
     pts = eval_set(F13, [1, 2, 3, 4, 5, 6])
     spec = grs(pts, [1] * 6, 3)
-    cert = certify_grs_self_orthogonal(spec, 3)
+    cert = certify_grs_self_orthogonal(spec)
     code = code_from_grs(spec)
     assert (cert is not None) == gram_is_zero(code)
 
@@ -114,18 +115,18 @@ def test_egrs_certificate_boundary():
     # extended self-dual: 2m = n + 1 forces lambda = -1 exactly
     pts = eval_set(F13, range(13))
     spec = grs(pts, [1] * 13, 7, extended=True)
-    cert = certify_egrs_self_orthogonal(spec, 7)
+    cert = certify_egrs_self_orthogonal(spec)
     assert cert is not None and list(cert.lam) == [12]
     # a multiplier with the wrong square breaks it
     bad = [2] + [1] * 12  # 4 != -u_1 = 1
-    assert certify_egrs_self_orthogonal(grs(pts, bad, 7, extended=True), 7) is None
+    assert certify_egrs_self_orthogonal(grs(pts, bad, 7, extended=True)) is None
 
 
 def test_egrs_certificate_leading_coefficient_check():
     # non-extended self-orthogonal seed does not certify as extended
     pts = eval_set(F13, range(13))
     spec = grs(pts, [1] * 13, 6, extended=True)
-    cert = certify_egrs_self_orthogonal(spec, 6)
+    cert = certify_egrs_self_orthogonal(spec)
     # lambda = -1 has degree 0 != n - 2m + 1 = 2
     assert cert is None
 
@@ -134,23 +135,31 @@ def test_check_certificate_rejects_bad_certificates():
     pts = eval_set(F13, range(13))
     ones, twos = [1] * 13, [2] * 13
     # the extended self-dual seed: lambda = -1, of degree n - 2m + 1 = 0
-    cert = certify_egrs_self_orthogonal(grs(pts, ones, 7, extended=True), 7)
-    assert check_certificate(cert, pts, ones)
+    spec = grs(pts, ones, 7, extended=True)
+    cert = certify_egrs_self_orthogonal(spec)
+    assert check_certificate(cert, spec)
     # the same lambda as a GRS_7 certificate needs degree <= n - 2m = -1
-    assert not check_certificate(Certificate(cert.lam, "grs", 7), pts, ones)
+    assert not check_certificate(cert, grs(pts, ones, 7))
     # v = 2: lambda = 4 / u = -4 meets every value but leads with -4, not -1
-    assert not check_certificate(Certificate((F13.neg(4),), "egrs", 7), pts, twos)
-    assert not check_certificate(Certificate(cert.lam, "EGRS", 7), pts, ones)
-    assert not check_certificate(cert, pts, [2] + ones[1:])
+    assert not check_certificate(Certificate((F13.neg(4),)), grs(pts, twos, 7, extended=True))
+    # a certificate names no kind or dimension: the spec it is checked against does
+    assert [f.name for f in dataclasses.fields(Certificate)] == ["lam"]
+    with pytest.raises(TypeError):
+        Certificate(cert.lam, "EGRS", 7)
+    assert not check_certificate(cert, grs(pts, [2] + ones[1:], 7, extended=True))
 
 
 def test_certificate_m_range_checks():
+    # above n/2 (extended: (n+1)/2) the degree bound is negative, so no
+    # lambda meets it, and a spec of the other kind is refused
     pts = eval_set(F13, [1, 2, 3, 4])
     spec = grs(pts, [1] * 4, 2)
-    with pytest.raises(HullError):
-        certify_grs_self_orthogonal(spec, 3)
-    with pytest.raises(HullError):
-        certify_egrs_self_orthogonal(spec, 4)
+    assert certify_grs_self_orthogonal(grs(pts, [1] * 4, 3)) is None
+    assert certify_egrs_self_orthogonal(grs(pts, [1] * 4, 4, extended=True)) is None
+    with pytest.raises(HullError, match="needs an extended spec"):
+        certify_egrs_self_orthogonal(spec)
+    with pytest.raises(HullError, match="needs a non-extended spec"):
+        certify_grs_self_orthogonal(grs(pts, [1] * 4, 2, extended=True))
 
 
 def test_hull_membership_witness():

@@ -73,10 +73,14 @@ def _cases(draw):
 def test_reduction_gives_mds_code_with_hull_dimension_l(case):
     params, k, l = case
     fs = _family(params)
-    if (k, l) in fs.excluded:
-        assert (fs.code_length, k, l) not in family_grid(fs)
-        with pytest.raises(ConstructionError):
-            reduce_hull(fs.seed, k, l, extend=fs.extend)
+    grid = set(family_grid(fs))
+    # the grid up to k_max is exactly what reduce_hull reaches
+    for k_off in range(1, fs.k_max + 1):
+        for l_off in range(k_off + 1):
+            if (fs.code_length, k_off, l_off) not in grid:
+                with pytest.raises(ConstructionError):
+                    reduce_hull(fs.seed, k_off, l_off, extend=fs.extend)
+    if (fs.code_length, k, l) not in grid:
         return
     spec = reduce_hull(fs.seed, k, l, extend=fs.extend)
     code = code_from_grs(spec)

@@ -19,8 +19,8 @@ MUTANTS = [
     ("oracle-equivalence", "selftest.hull_dim_oracle", lambda code: oracle.hull_dim_oracle(code) + 1),
     ("oracle-equivalence", "selftest.min_distance", lambda code, budget: code.n - code.k + 2),
     # selftest reaches these through hull.certify
-    ("certificates", "hull.certify_grs_self_orthogonal", lambda spec, m: None),
-    ("certificates", "hull.certify_egrs_self_orthogonal", lambda spec, m: None),
+    ("certificates", "hull.certify_grs_self_orthogonal", lambda spec: None),
+    ("certificates", "hull.certify_egrs_self_orthogonal", lambda spec: None),
     ("ternary-table", "selftest.min_distance", lambda code, budget: oracle.min_distance(code, budget) + 1),
 ]
 
