@@ -11,10 +11,10 @@ Subcommands:
 * census    -- hull histogram of all ternary [4,2,3] MDS codes.
 * selftest  -- run the built-in invariant suites.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input.  A
-reader that closes stdout early ends the output, not the command: the
-exit code is still the command's verdict, or 1 if the command stopped
-before it reached one.
+Each command returns its exit code and its whole output, and main
+writes that output once, after the verdict.  Exit codes: 0 success, 1
+verification failure, 2 invalid input; a reader that closes stdout
+early ends the output but never changes the exit code.
 
 The argument parser is built once per process and reused by every main
 call; parsing leaves it unchanged.
@@ -121,15 +121,20 @@ def _load_spec(path):
     return spec_from_dict(d)
 
 
-def _verified_payload(spec, budget: OracleBudget) -> tuple[dict, bool]:
-    """The code's report plus whether its hull formulas agree and it is
-    not refuted as MDS; callers with a target l check hull_dim too."""
-    code = code_from_grs(spec)
+def _verdict(code, budget: OracleBudget) -> tuple:
+    """The code's hull report and its MDS verdict: is_mds, or None when
+    that check exceeds both budgets."""
     report = hull_report(code)
     try:
-        mds = is_mds(code, budget)
+        return report, is_mds(code, budget)
     except BudgetError:
-        mds = None
+        return report, None
+
+
+def _payload(spec, budget: OracleBudget) -> tuple[dict, bool]:
+    """The code's report plus whether its hull formulas agree and it is
+    not refuted as MDS; callers with a target l check hull_dim too."""
+    report, mds = _verdict(code_from_grs(spec), budget)
     payload = {
         "schema": 1,
         "code": spec_to_dict(spec),
@@ -141,25 +146,22 @@ def _verified_payload(spec, budget: OracleBudget) -> tuple[dict, bool]:
     return payload, report.oracle_agrees and mds is not False
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> tuple[int, str]:
     budget = _budget(args)
     if args.extend and not args.seed_json:
         raise ConstructionError("--extend applies only to --seed-json")
     if args.ternary:
         _refuse_flags(args, ("k", "l", "alpha", "b", "seed_json", *_FAMILY_FLAGS), "with --ternary")
         code = ternary_codes(args.ternary, _int_list(args.v))
-        report = hull_report(code)
-        d = min_distance(code, budget)
+        report, mds = _verdict(code, budget)
         payload = {
             "schema": 1,
             "ternary": args.ternary,
             "generator": [list(r) for r in code.generator.rows],
             "report": report.to_dict(),
-            "min_distance": d,
+            "min_distance": min_distance(code, budget),
         }
-        _emit(args, _dump(payload))
-        # all four ternary codes are MDS
-        return 0 if report.oracle_agrees and d == code.n - code.k + 1 else 1
+        return (0 if report.oracle_agrees and mds is not False else 1), _dump(payload)
 
     _refuse_flags(args, ("v",), "without --ternary")
     if args.k is None or args.l is None:
@@ -177,17 +179,14 @@ def cmd_construct(args) -> int:
     else:
         raise FamilyError("construct needs --family, --seed-json or --ternary")
 
-    payload, ok = _verified_payload(out, budget)
+    payload, ok = _payload(out, budget)
     payload["l"] = args.l
-    _emit(args, _dump(payload))
-    return 0 if ok and payload["report"]["hull_dim"] == args.l else 1
+    return (0 if ok and payload["report"]["hull_dim"] == args.l else 1), _dump(payload)
 
 
-def cmd_verify(args) -> int:
-    spec = _load_spec(args.path)
-    payload, ok = _verified_payload(spec, _budget(args))
-    _emit(args, _dump(payload))
-    return 0 if ok else 1
+def cmd_verify(args) -> tuple[int, str]:
+    payload, ok = _payload(_load_spec(args.path), _budget(args))
+    return (0 if ok else 1), _dump(payload)
 
 
 _CSV_COLUMNS = (
@@ -203,80 +202,57 @@ _CSV_COLUMNS = (
 )
 
 
-def _rows_to_output(args, rows: list[dict]) -> None:
-    rows.sort(key=lambda r: (r["n"], r["k"], r["l"]))
-    if args.format == "csv":
-        lines = [",".join(_CSV_COLUMNS)]
-        for r in rows:
-            lines.append(",".join(str(r[c]) for c in _CSV_COLUMNS))
-        _emit(args, "\n".join(lines))
-    else:
-        _emit(args, _dump({"schema": 1, "rows": rows}))
+def _row(family: str, variant: str, code, budget: OracleBudget, l=None) -> dict:
+    """One enumerate row; its hull is verified when the formulas agree
+    and the dimension is l (the code's own hull dimension if l is None)."""
+    report, mds = _verdict(code, budget)
+    l = report.hull_dim if l is None else l
+    return {
+        "family": family,
+        "variant": variant,
+        "q": code.field.q,
+        "n": code.n,
+        "k": code.k,
+        "l": l,
+        "classification": report.classification,
+        "mds_verified": mds,
+        "hull_verified": report.hull_dim == l and report.oracle_agrees,
+    }
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> tuple[int, str]:
     budget = _budget(args)
-    rows: list[dict] = []
     if args.family is None and args.q == 3:
         # the only q = 3 MDS codes with known hulls: the explicit table
         _refuse_flags(args, [x for x in _FAMILY_FLAGS if x != "q"], "with enumerate --q 3")
-        for kind in TERNARY_KINDS:
-            code = ternary_codes(kind)
-            report = hull_report(code)
-            rows.append(
-                {
-                    "family": "ternary",
-                    "variant": kind,
-                    "q": 3,
-                    "n": code.n,
-                    "k": code.k,
-                    "l": report.hull_dim,
-                    "classification": report.classification,
-                    "mds_verified": min_distance(code, budget)
-                    == code.n - code.k + 1,
-                    "hull_verified": report.oracle_agrees,
-                }
-            )
-        _rows_to_output(args, rows)
-        return 0 if all(r["mds_verified"] and r["hull_verified"] for r in rows) else 1
-    if args.family is None:
+        rows = [_row("ternary", kind, ternary_codes(kind), budget) for kind in TERNARY_KINDS]
+    elif args.family is None:
         raise FamilyError("enumerate needs --family (or --q 3)")
-    fs = build_family(_family_params(args))
-    # raise the minor cap to the grid's largest k so every row gets a
-    # definite MDS verdict (q^k is far past enumeration at q = r^2)
-    budget = OracleBudget(budget.max_codewords, max(budget.max_minor_k, fs.k_max))
-    all_ok = True
-    for n, k, l in family_grid(fs):
-        spec = construct_from_family(fs, k, l)
-        payload, ok = _verified_payload(spec, budget)
-        hull_ok = payload["report"]["hull_dim"] == l
-        all_ok = all_ok and ok and hull_ok
-        rows.append(
-            {
-                "family": fs.params.family,
-                "variant": fs.params.variant,
-                "q": spec.field.q,
-                "n": n,
-                "k": k,
-                "l": l,
-                "classification": payload["report"]["classification"],
-                "mds_verified": payload["mds_verified"],
-                "hull_verified": hull_ok and payload["report"]["oracle_agrees"],
-            }
-        )
-    _rows_to_output(args, rows)
-    return 0 if all_ok else 1
+    else:
+        fs = build_family(_family_params(args))
+        # raise the minor cap to the grid's largest k so every row gets a
+        # definite MDS verdict (q^k is far past enumeration at q = r^2)
+        budget = OracleBudget(budget.max_codewords, max(budget.max_minor_k, fs.k_max))
+        rows = [
+            _row(fs.params.family, fs.params.variant,
+                 code_from_grs(construct_from_family(fs, k, l)), budget, l)
+            for _, k, l in family_grid(fs)
+        ]
+    rows.sort(key=lambda r: (r["n"], r["k"], r["l"]))
+    verdict = 0 if all(r["mds_verified"] is True and r["hull_verified"] for r in rows) else 1
+    if args.format == "csv":
+        lines = [",".join(str(r[c]) for c in _CSV_COLUMNS) for r in rows]
+        return verdict, "\n".join([",".join(_CSV_COLUMNS), *lines])
+    return verdict, _dump({"schema": 1, "rows": rows})
 
 
-def cmd_census(args) -> int:
-    budget = _budget(args)
-    result = ternary_4_2_census(budget)
-    _emit(args, _dump({"schema": 1, **result}))
+def cmd_census(args) -> tuple[int, str]:
+    result = ternary_4_2_census(_budget(args))
     hist = result["hull_histogram"]
-    return 0 if hist[1] == 0 and hist[2] >= 1 else 1
+    return (0 if hist[1] == 0 and hist[2] >= 1 else 1), _dump({"schema": 1, **result})
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> tuple[int, str]:
     return selftest.run(args.selftest_seed, _budget(args))
 
 
@@ -347,12 +323,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        verdict, text = args.func(args)
+        _emit(args, text)
+        return verdict
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:
-        return 1  # stdout closed before the command reached its verdict
     # every input error of the package (and json's) is a ValueError
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

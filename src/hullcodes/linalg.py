@@ -71,11 +71,6 @@ class Matrix:
             raise LinalgError("dimension mismatch")
         return Matrix(self.field, lincomb(self.field, self.entries, other.entries))
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.ncols:
-            raise LinalgError("dimension mismatch")
-        return Matrix(self.field, np.vstack([self.entries, other.entries]))
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
                 and np.array_equal(self.entries, other.entries))

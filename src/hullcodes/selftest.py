@@ -209,7 +209,7 @@ def _ternary_suite(rng, budget):
     yield ternary_table(((kind, None, *hd) for kind, hd in TERNARY_TABLE.items()), budget)
 
 
-# (name, detail printed on a pass, suite)
+# (name, detail reported on a pass, suite)
 SUITES = [
     ("power-sums", "power-sum identity holds on random evaluation sets", _power_sums_suite),
     ("duality", "GRS/extended-GRS duality matches the closed forms", _duality_suite),
@@ -219,17 +219,15 @@ SUITES = [
 ]
 
 
-def run(seed: int, budget: OracleBudget) -> int:
-    """Run every suite in order, one line each; 0 if all pass, else 1.
-    The suites share one random stream seeded with seed."""
+def run(seed: int, budget: OracleBudget) -> tuple[int, str]:
+    """Run every suite in order: (0 if all pass, else 1; one line per
+    suite and a summary line).  The suites share one random stream
+    seeded with seed."""
     rng = random.Random(seed)
-    failures = 0
+    lines, failures = [], 0
     for name, detail, suite in SUITES:
         bad = next((bad for _, bad in suite(rng, budget) if bad), None)
-        print(f"{'ok' if bad is None else 'FAIL'}  {name}: {bad or detail}")
+        lines.append(f"{'ok' if bad is None else 'FAIL'}  {name}: {bad or detail}")
         failures += bad is not None
-    if failures:
-        print(f"{failures} suite(s) failed")
-        return 1
-    print("all selftest suites passed")
-    return 0
+    lines.append(f"{failures} suite(s) failed" if failures else "all selftest suites passed")
+    return (1 if failures else 0), "\n".join(lines)

@@ -10,6 +10,8 @@ import pytest
 from hullcodes import cli, selftest
 from hullcodes.cli import main
 
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
 
 def _json_out(capsys):
     return json.loads(capsys.readouterr().out)
@@ -226,13 +228,16 @@ class _ClosedStdout(io.StringIO):
         # the rows are all verified before the output is written
         ("enumerate --family even_cosets --r 7 --m 3 --t 4 --variant iv --format csv", 0),
         ("construct --ternary n4k2", 0),
-        # selftest prints as it goes, so it stops before its verdict
-        ("selftest", 1),
+        # every command writes its output once, after its verdict
+        ("selftest", 0),
+        ("census", 0),
+        ("enumerate --q 3", 0),
+        ("verify {golden}/roundtrip_construct_file.json", 0),
     ],
 )
 def test_closed_stdout_is_not_invalid_input(argv, verdict, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdout", _ClosedStdout())
-    assert main(argv.split()) == verdict
+    assert main(argv.format(golden=GOLDEN).split()) == verdict
     assert capsys.readouterr().err == ""
 
 
@@ -258,7 +263,24 @@ def test_selftest_honours_budget(capsys):
     assert rc == 1
     captured = capsys.readouterr()
     assert "error: " in captured.err
-    assert "all selftest suites passed" not in captured.out
+    assert captured.out == ""  # no suite line is written before the error
+
+
+@pytest.mark.parametrize(
+    "budgets, verdict, mds",
+    [
+        # the q = 3 rows take the family rows' MDS check: minors when no
+        # codeword may be enumerated
+        ("--max-codewords 0", 0, True),
+        # no route is left, so no row is verified MDS
+        ("--max-codewords 0 --max-minor-k 0", 1, None),
+    ],
+)
+def test_enumerate_ternary_budgets(budgets, verdict, mds, capsys):
+    assert main(f"enumerate --q 3 {budgets}".split()) == verdict
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert all(r["mds_verified"] is mds for r in json.loads(captured.out)["rows"])
 
 
 def test_budget_env_override(monkeypatch, capsys):
@@ -429,8 +451,7 @@ def test_construct_rejects_inputs_that_do_nothing(args, extended, tmp_path, caps
     ],
 )
 def test_construct_rejects_b_outside_the_field(args, capsys):
-    golden = pathlib.Path(__file__).parent / "golden"
-    assert main(["construct"] + args.format(golden=golden).split()) == 2
+    assert main(["construct"] + args.format(golden=GOLDEN).split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "is not an element of GF(" in captured.err

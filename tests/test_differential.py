@@ -270,7 +270,7 @@ def test_extension_field_linear_algebra(p, m):
             assert [r[c] for r in R.rows] == [int(i == j) for j in range(M.nrows)]
             assert all(x == 0 for x in R.rows[i][:c])
         assert all(x == 0 for r in R.rows[rk:] for x in r)
-        assert rank(M.vstack(R)) == rk  # same row space
+        assert rank(Matrix(f, np.vstack([M.entries, R.entries]))) == rk  # same row space
         assert rref(R)[0] == R
 
 
