@@ -26,7 +26,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import os
 import sys
 
 from .construct import (
@@ -47,25 +46,26 @@ from .families import (
 from . import selftest
 from .grs import spec_from_dict, spec_to_dict
 from .hull import code_from_grs, hull_report
-from .oracle import BudgetError, OracleBudget, is_mds, min_distance, ternary_4_2_census
+from .oracle import (
+    DEFAULT_BUDGET,
+    BudgetError,
+    OracleBudget,
+    is_mds,
+    min_distance,
+    ternary_4_2_census,
+)
 
-ENV_MAX_CODEWORDS = "HULLCODES_MAX_CODEWORDS"
-ENV_MAX_MINOR_K = "HULLCODES_MAX_MINOR_K"
+# the random stream of the selftest suites
+SELFTEST_SEED = 2024
 
 
 def _budget(args) -> OracleBudget:
-    default = OracleBudget()
-    max_cw = _budget_value(args.max_codewords, ENV_MAX_CODEWORDS, default.max_codewords)
-    max_mk = _budget_value(args.max_minor_k, ENV_MAX_MINOR_K, default.max_minor_k)
-    return OracleBudget(max_codewords=max_cw, max_minor_k=max_mk)
-
-
-def _budget_value(flag, env: str, default: int) -> int:
-    """The flag if given, else the environment variable, else the default."""
-    value = flag if flag is not None else int(os.environ.get(env, default))
-    if value < 0:
-        raise ValueError(f"oracle budgets must be non-negative, got {value}")
-    return value
+    """The oracle budgets of the flags, each OracleBudget's default
+    unless given."""
+    for value in (args.max_codewords, args.max_minor_k):
+        if value < 0:
+            raise ValueError(f"oracle budgets must be non-negative, got {value}")
+    return OracleBudget(args.max_codewords, args.max_minor_k)
 
 
 def _emit(args, text: str) -> None:
@@ -253,7 +253,7 @@ def cmd_census(args) -> tuple[int, str]:
 
 
 def cmd_selftest(args) -> tuple[int, str]:
-    return selftest.run(args.selftest_seed, _budget(args))
+    return selftest.run(SELFTEST_SEED, _budget(args))
 
 
 @functools.cache
@@ -265,8 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_budget(p):
-        p.add_argument("--max-codewords", type=int, default=None)
-        p.add_argument("--max-minor-k", type=int, default=None)
+        p.add_argument("--max-codewords", type=int, default=DEFAULT_BUDGET.max_codewords)
+        p.add_argument("--max-minor-k", type=int, default=DEFAULT_BUDGET.max_minor_k)
 
     # a family flag is an int unless listed here
     family_options = {
@@ -314,7 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("selftest", help="run the invariant suites")
     add_budget(ps)
-    ps.add_argument("--selftest-seed", type=int, default=2024)
     ps.set_defaults(func=cmd_selftest)
 
     return parser

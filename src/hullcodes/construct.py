@@ -228,33 +228,30 @@ def reduce_hull_egrs_from_grs(
 
 # --- the explicit ternary codes (q = 3 is excluded by the reductions) ---
 
-TERNARY_KINDS = ("n2k1", "n3k1", "n4k1", "n4k2")
-_TERNARY_SIZES = {"n2k1": 2, "n3k1": 3, "n4k1": 3, "n4k2": 3}
+# kind -> generator rows for all-ones multipliers; multiplier j scales
+# column j of the first three (both columns of n2k1)
+_TERNARY_ROWS = {
+    "n2k1": ((1, 1),),
+    "n3k1": ((1, 1, 1),),
+    "n4k1": ((1, 1, 1, 1),),
+    "n4k2": ((1, 1, 1, 0), (0, 1, 2, 1)),
+}
+TERNARY_KINDS = tuple(_TERNARY_ROWS)
 
 
 def ternary_codes(kind: str, v=None) -> LinearCode:
     """The four explicit 3-ary MDS codes: [2,1,2], [3,1,3], [4,1,4] and
-    [4,2,3], with hull dimensions 0, 1, 0 and 2.  v defaults to all ones."""
+    [4,2,3], with hull dimensions 0, 1, 0 and 2.  v defaults to all
+    ones; FieldError unless each multiplier is an element of GF(3)."""
     field = Field(3)
-    if kind not in TERNARY_KINDS:
+    if kind not in _TERNARY_ROWS:
         raise ConstructionError(f"unknown ternary code kind {kind!r}")
-    v = (1,) * _TERNARY_SIZES[kind] if v is None else tuple(int(x) for x in v)
-    if len(v) != _TERNARY_SIZES[kind]:
-        raise ConstructionError(
-            f"{kind} takes {_TERNARY_SIZES[kind]} multipliers, got {len(v)}"
-        )
-    if any(x not in (1, 2) for x in v):
+    rows = np.array(_TERNARY_ROWS[kind])
+    size = min(rows.shape[1], 3)
+    v = np.ones(size, dtype=np.int64) if v is None else field.asarray(v)
+    if v.shape != (size,):
+        raise ConstructionError(f"{kind} takes {size} multipliers, got {v.size}")
+    if not v.all():
         raise ConstructionError("multipliers must be nonzero elements of GF(3)")
-    if kind == "n2k1":
-        rows = [[v[0], v[1]]]
-    elif kind == "n3k1":
-        rows = [[v[0], v[1], v[2]]]
-    elif kind == "n4k1":
-        rows = [[v[0], v[1], v[2], 1]]
-    else:
-        rows = [
-            [v[0], v[1], v[2], 0],
-            [0, v[1], field.neg(v[2]), 1],
-        ]
-    return linear_code(field, rows)
-
+    rows[:, :size] = field.mul_array(rows[:, :size], v)
+    return linear_code(field, rows.tolist())

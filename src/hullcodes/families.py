@@ -104,23 +104,6 @@ def _same_coset(field: Field, beta: int, m: int, a: int, b: int) -> bool:
     return field.pow(field.pow(beta, a - b), m) == 1
 
 
-def _default_mu(field: Field, beta: int, r: int, m: int, t: int, even_only: bool) -> tuple:
-    """Greedy smallest exponents 0 <= mu_1 < ... < mu_t giving distinct
-    cosets of the m-th roots of unity."""
-    chosen: list[int] = []
-    step = 2 if even_only else 1
-    # beta has order r + 1; exponents live mod that order
-    for cand in range(0, r + 1, step):
-        if not any(_same_coset(field, beta, m, cand, prev) for prev in chosen):
-            chosen.append(cand)
-            if len(chosen) == t:
-                return tuple(chosen)
-    raise FamilyError(
-        f"could not find {t} distinct cosets (got {len(chosen)}); "
-        "t exceeds the number of available coset representatives"
-    )
-
-
 def _validate_mu(field: Field, beta: int, m: int, mu, even_only: bool) -> tuple:
     mu = tuple(int(x) for x in mu)
     if list(mu) != sorted(set(mu)):
@@ -149,7 +132,8 @@ def _coset_set(params: FamilyParams, odd: bool):
     q = field.q
     if m < 1 or (q - 1) % m != 0:
         raise FamilyError(f"m = {m} must divide q - 1 = {q - 1}")
-    tmax = (r + 1) // ((1 + odd) * math.gcd(r + 1, m))
+    step = 2 if odd else 1  # of the coset exponents
+    tmax = (r + 1) // (step * math.gcd(r + 1, m))
     if not 1 <= t <= tmax:
         raise FamilyError(f"t = {t} out of range 1..{tmax} for r = {r}, m = {m}")
     n = t * m
@@ -158,10 +142,11 @@ def _coset_set(params: FamilyParams, odd: bool):
 
     alpha = field.root_of_unity(m)
     beta = field.root_of_unity(r + 1)
-    if params.mu is not None:
-        mu = _validate_mu(field, beta, m, params.mu, even_only=odd)
-    else:
-        mu = _default_mu(field, beta, r, m, t, even_only=odd)
+    # beta^a and beta^b share a coset iff (r + 1) / gcd(r + 1, m) divides
+    # a - b, so t <= tmax makes the default 0, step, ..., (t - 1)step
+    # distinct cosets: the smallest exponents there are
+    mu = range(0, step * t, step) if params.mu is None else params.mu
+    mu = _validate_mu(field, beta, m, mu, even_only=odd)
     if len(mu) != t:
         raise FamilyError(f"need exactly {t} coset exponents, got {len(mu)}")
     a = []

@@ -20,15 +20,17 @@ The tables depend only on (p, m, modulus).  They are built once per
 process for each such key, kept in a small bounded cache, and shared
 read-only by every Field with that key; each Field still checks its
 parameters before it takes them from the cache (the verdict on an
-explicit modulus is kept in a cache of the same size).  They are kept as
-tuples for the scalar ops (add, mul, inv, ...) and as int64 numpy
-arrays for the same ops on whole arrays of encodings (mul_array,
-add_array, sub_array, inv_array, pow_array and sum_array, which also
-sums along one axis), which the linear algebra, the GRS evaluation maps
-and the oracle are built on.  The array ops
-trust their inputs; asarray is the one check, made once per input array
-where it enters, and it raises FieldError for any entry that is not an
-element, as the scalar ops do per element.
+explicit modulus is kept in a cache of the same size).  Each table is
+one read-only int64 numpy array.  The ops on whole arrays of encodings
+(mul_array, add_array, sub_array, inv_array, pow_array and sum_array,
+which also sums along one axis), which the linear algebra, the GRS
+evaluation maps and the oracle are built on, index the arrays; the
+scalar ops (add, mul, inv, ...) index memoryviews of the same buffers,
+which give Python ints without a copy.  A memoryview does not pickle,
+so a Field pickles as its key and is rebuilt, checks and all.  The
+array ops trust their inputs; asarray is the one check, made once per
+input array where it enters, and it raises FieldError for any entry
+that is not an element, as the scalar ops do per element.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 
 
 MAX_Q = 2**16
-# Fields whose tables the cache keeps; a GF(2^16) entry holds about 20 MB.
+# Fields whose tables the cache keeps; a GF(2^16) entry holds about 4.7 MB.
 TABLE_CACHE_SIZE = 16
 
 
@@ -186,9 +188,8 @@ def _find_generator(p: int, m: int, modulus) -> int:
 
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _field_tables(p: int, m: int, modulus: tuple) -> tuple:
-    """(generator, exp, log, zech, exp_array, log_array, zech_array,
-    log(-1)) of GF(p^m) mod modulus: the tables as tuples and as
-    read-only int64 arrays, with zech, zech_array and log(-1) None when
+    """(generator, exp, log, zech, log(-1)) of GF(p^m) mod modulus: the
+    tables as read-only int64 arrays, with zech and log(-1) None when
     m = 1.  The caller has checked the key.
 
     With n = q - 1 and Z = log[0] = 2n, exp is two periods of g^i and
@@ -215,7 +216,6 @@ def _field_tables(p: int, m: int, modulus: tuple) -> tuple:
     log = np.empty(q, dtype=np.int64)
     log[0] = Z
     log[period] = np.arange(n)
-    cycle = tuple(period.tolist())
     zech = log_minus_one = None
     if m > 1:
         # 1 + g^d differs from g^d only in the constant digit
@@ -226,16 +226,7 @@ def _field_tables(p: int, m: int, modulus: tuple) -> tuple:
         zech.flags.writeable = False
         log_minus_one = int(log[p - 1])
     exp.flags.writeable = log.flags.writeable = False
-    return (
-        g,
-        cycle + cycle + (0,) * (Z + 1),
-        tuple(log.tolist()),
-        None if zech is None else tuple(zech.tolist()),
-        exp,
-        log,
-        zech,
-        log_minus_one,
-    )
+    return g, exp, log, zech, log_minus_one
 
 
 class Field:
@@ -259,16 +250,11 @@ class Field:
             if not _irreducible_modulus(modulus, p):
                 raise FieldError(f"modulus {list(modulus)} is reducible over GF({p})")
             self.modulus = modulus
-        (
-            self.generator,
-            self._exp,
-            self._log,
-            self._zech,
-            self._exp_array,
-            self._log_array,
-            self._zech_array,
-            self._log_minus_one,
-        ) = _field_tables(p, m, self.modulus)
+        self.generator, exp, log, zech, self._log_minus_one = _field_tables(p, m, self.modulus)
+        self._exp_array, self._log_array, self._zech_array = exp, log, zech
+        # the scalar ops index the same buffers; an item is a Python int
+        self._exp, self._log = memoryview(exp), memoryview(log)
+        self._zech = None if zech is None else memoryview(zech)
         self._zero_log = 2 * (self.q - 1)
 
     # -- element encoding --
@@ -434,6 +420,10 @@ class Field:
 
     def __hash__(self):
         return hash((self.p, self.m, self.modulus))
+
+    def __reduce__(self):
+        # the memoryviews do not pickle: rebuild from the key
+        return type(self), (self.p, self.m, self.modulus)
 
     def __repr__(self):
         return f"Field(GF({self.q}))"

@@ -283,16 +283,6 @@ def test_enumerate_ternary_budgets(budgets, verdict, mds, capsys):
     assert all(r["mds_verified"] is mds for r in json.loads(captured.out)["rows"])
 
 
-def test_budget_env_override(monkeypatch, capsys):
-    # a tiny codeword cap pushes MDS checking past both budgets
-    monkeypatch.setenv(cli.ENV_MAX_CODEWORDS, "1")
-    monkeypatch.setenv(cli.ENV_MAX_MINOR_K, "1")
-    rc = main("construct --family twisted_pair --q 7 --t 3 --k 2 --l 1".split())
-    out = _json_out(capsys)
-    assert out["mds_verified"] is None
-    assert rc == 0  # hull still verified; MDS merely unattempted
-
-
 def test_budget_zero_codewords_is_honoured(capsys):
     # no codeword may be enumerated, so the ternary distance is out of budget
     rc = main("construct --ternary n3k1 --max-codewords 0".split())
@@ -324,13 +314,6 @@ def test_enumerate_raises_minor_budget_to_k_max(capsys):
 def test_budget_rejects_negative_flag(flag, capsys):
     rc = main(["construct", "--ternary", "n3k1", flag, "-1"])
     assert rc == 2
-    assert "non-negative" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("env", [cli.ENV_MAX_CODEWORDS, cli.ENV_MAX_MINOR_K])
-def test_budget_rejects_negative_env(env, monkeypatch, capsys):
-    monkeypatch.setenv(env, "-5")
-    assert main(["construct", "--ternary", "n3k1"]) == 2
     assert "non-negative" in capsys.readouterr().err
 
 

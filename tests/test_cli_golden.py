@@ -71,9 +71,7 @@ def _run(name, tmp):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden(name, tmp_path, monkeypatch):
-    monkeypatch.delenv(cli.ENV_MAX_CODEWORDS, raising=False)
-    monkeypatch.delenv(cli.ENV_MAX_MINOR_K, raising=False)
+def test_golden(name, tmp_path):
     rc, out, written = _run(name, tmp_path)
     expected = json.loads((GOLDEN / "exit_codes.json").read_text())
     assert rc == expected[name]

@@ -18,12 +18,6 @@ SUBCOMMANDS = sorted(
 )
 
 
-@pytest.fixture(autouse=True)
-def _no_budget_env(monkeypatch):
-    monkeypatch.delenv(cli.ENV_MAX_CODEWORDS, raising=False)
-    monkeypatch.delenv(cli.ENV_MAX_MINOR_K, raising=False)
-
-
 def _assert_golden(name, tmp):
     tmp.mkdir(exist_ok=True)
     rc, out, written = _run(name, tmp)

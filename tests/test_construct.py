@@ -226,4 +226,8 @@ def test_ternary_codes_validation():
         ternary_codes("n2k1", [1, 1, 1])
     with pytest.raises(ConstructionError):
         ternary_codes("n3k1", [1, 0, 1])
+    # a multiplier is an element of GF(3), not anything int() accepts
+    for v in ([1.5, 1], [2.9, 1], ["2", 1], [3, 1], [-1, 1]):
+        with pytest.raises(FieldError):
+            ternary_codes("n2k1", v)
 

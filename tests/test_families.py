@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from hullcodes.construct import ConstructionError, reduce_hull, unreachable
+from hullcodes import families
 from hullcodes.families import (
     FAMILY_TABLE,
     FamilyError,
@@ -11,6 +12,7 @@ from hullcodes.families import (
     construct_from_family,
     family_grid,
 )
+from hullcodes.gf import Field, factor_prime_power
 from hullcodes.hull import code_from_grs, hull_report
 from hullcodes.oracle import OracleBudget, is_mds
 
@@ -96,6 +98,43 @@ def test_odd_cosets_variants():
     assert all(l <= k - 1 for _, k, l in family_grid(fs3))
     assert hull_report(code_from_grs(fs3.seed.spec)).classification == "self-dual"
     _check_grid(fs3)
+
+
+def _greedy_mu(field, beta, r, m, t, step):
+    """The smallest exponents 0 <= mu_1 < ... < mu_t, a multiple of step
+    apart, in distinct cosets of the m-th roots of unity, one greedy
+    candidate at a time (None if there are fewer than t)."""
+    chosen = []
+    for cand in range(0, r + 1, step):
+        if all(field.pow(field.pow(beta, cand - prev), m) != 1 for prev in chosen):
+            chosen.append(cand)
+            if len(chosen) == t:
+                return tuple(chosen)
+    return None
+
+
+def test_default_mu_is_the_greedy_choice():
+    checked = 0
+    for r in (3, 5, 7, 9, 11, 13, 25):
+        q = r * r
+        for m in (m for m in range(1, 25) if (q - 1) % m == 0):
+            for odd in (False, True):
+                for t in range(1, r + 2):
+                    if t * m % 2 != odd:
+                        continue
+                    params = FamilyParams("odd_cosets" if odd else "even_cosets", r=r, m=m, t=t)
+                    try:
+                        field, _, mu, _ = families._coset_set(params, odd)
+                    except FamilyError as exc:
+                        assert "out of range" in str(exc)
+                        field = Field(*factor_prime_power(r * r))
+                        beta = field.root_of_unity(r + 1)
+                        assert _greedy_mu(field, beta, r, m, t, 1 + odd) is None, params
+                        continue
+                    beta = field.root_of_unity(r + 1)
+                    assert mu == _greedy_mu(field, beta, r, m, t, 1 + odd), params
+                    checked += 1
+    assert checked > 300
 
 
 def test_odd_cosets_rejects_even_n_and_odd_mu():

@@ -1,3 +1,7 @@
+import copy
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -216,9 +220,9 @@ def test_tables_match_scalar_recurrence(p, m):
     one_plus = [log[a - a % p + (a + 1) % p] for a in period]
     zech = [i - Z if i < n else 0 if i > 3 * n else one_plus[(i - Z) % n]
             for i in range(2 * Z + 1)]
-    assert f._exp == tuple(exp) and f._exp_array.tolist() == exp
-    assert f._log == tuple(log) and f._log_array.tolist() == log
-    assert f._zech == tuple(zech) and f._zech_array.tolist() == zech
+    assert f._exp_array.tolist() == exp
+    assert f._log_array.tolist() == log
+    assert f._zech_array.tolist() == zech
 
 
 # --- the generator search against a scalar reference ---
@@ -281,11 +285,58 @@ def test_generator_search_matches_scalar_reference():
 def test_fields_with_one_key_share_read_only_tables():
     f, g = Field(7, 2), Field(7, 2, modulus=[1, 0, 1])
     assert f == g and f is not g
-    assert f._exp_array is g._exp_array and f._exp is g._exp
+    assert f._exp_array is g._exp_array and np.shares_memory(f._exp, g._exp_array)
     for table in (f._exp_array, f._log_array, f._zech_array):
         with pytest.raises(ValueError):
             table[1] = 0
+    for view in (f._exp, f._log, f._zech):
+        with pytest.raises(TypeError):
+            view[1] = 0
     assert f.mul(7, 7) == 6 and g.add(7, 1) == 8
+
+
+@pytest.mark.parametrize("p, m", [(7, 1), (7, 2), (2, 16)])
+def test_scalar_ops_read_the_arrays_themselves(p, m):
+    f = Field(p, m)
+    assert not any(isinstance(t, tuple) for t in gf._field_tables(p, m, f.modulus))
+    pairs = [(f._exp, f._exp_array), (f._log, f._log_array)]
+    if m == 1:
+        assert f._zech is None and f._zech_array is None
+    else:
+        pairs.append((f._zech, f._zech_array))
+    for view, array in pairs:
+        assert np.shares_memory(view, array) and view.readonly
+
+
+@pytest.mark.parametrize("p, m", [(7, 1), (7, 2), (2, 16)])
+def test_scalar_ops_return_ints(p, m):
+    f = Field(p, m)
+    a, b = f.q - 2, f.q // 3
+    results = [f.add(a, b), f.sub(a, b), f.neg(a), f.mul(a, b), f.inv(a), f.pow(a, 5),
+               f.pow(0, 0), f.sqrt(f.mul(a, a)), f.root_of_unity(f.q - 1), f.generator]
+    assert all(type(x) is int for x in results)
+
+
+def test_fields_pickle_and_copy_by_their_key():
+    for f in (Field(7), Field(7, 2), Field(7, 2, modulus=[3, 1, 1])):
+        for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+            assert g == f and g.modulus == f.modulus
+            assert np.shares_memory(g._exp, f._exp_array)  # rebuilt from the cache
+            assert [g.mul(x, 10 % f.q) for x in range(f.q)] == [f.mul(x, 10 % f.q) for x in range(f.q)]
+
+
+def test_a_cold_table_entry_holds_one_copy():
+    # exp and zech have 4(q - 1) + 1 entries and log q: about 4.7 MB of
+    # int64 for GF(2^16), where a second copy as tuples of ints held 20 MB
+    modulus = default_modulus(2, 16)
+    tracemalloc.start()
+    try:
+        tables = gf._field_tables.__wrapped__(2, 16, modulus)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert tables[0] == Field(2, 16).generator
+    assert held <= 6 * 2**20
 
 
 def test_another_modulus_gives_other_tables():
@@ -333,10 +384,7 @@ def test_modulus_verdicts_are_cached_and_bounded():
 def test_cached_tables_equal_fresh_ones():
     for q, p, m in _prime_powers(256):
         f = Field(p, m)
-        g, exp, log, zech, exp_array, log_array, zech_array, log_minus_one = (
-            gf._field_tables.__wrapped__(p, m, f.modulus))
+        g, exp, log, zech, log_minus_one = gf._field_tables.__wrapped__(p, m, f.modulus)
         assert (f.generator, f._log_minus_one) == (g, log_minus_one), q
-        assert (f._exp, f._log, f._zech) == (exp, log, zech), q
-        for mine, fresh in ((f._exp_array, exp_array), (f._log_array, log_array),
-                            (f._zech_array, zech_array)):
+        for mine, fresh in ((f._exp_array, exp), (f._log_array, log), (f._zech_array, zech)):
             assert (mine is None and fresh is None) or np.array_equal(mine, fresh), q

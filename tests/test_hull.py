@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -202,3 +204,15 @@ def test_hull_membership_agrees_with_hull_basis():
         word = tuple(encode(spec, fx))
         witness = hull_membership(spec, fx)
         assert (witness is not None) == (word in hull_words)
+
+
+def test_specs_and_codes_over_an_extension_field_pickle_and_copy():
+    f = Field(7, 2)
+    spec = grs(eval_set(f, range(1, 9)), [1] * 8, 3, extended=True)
+    code = code_from_grs(spec)
+    hull_report(code)  # fill the cached echelon form and hull dimension
+    for copied in (pickle.loads(pickle.dumps((spec, code))), copy.deepcopy((spec, code))):
+        spec2, code2 = copied
+        assert spec2 == spec and code2 == code
+        assert spec2.field == f and code2.field == f
+        assert hull_report(code2) == hull_report(code)
