@@ -287,10 +287,12 @@ class Field:
     # -- arithmetic --
 
     # A plain int in range(q) passes the inline test; anything else goes
-    # through _check, so every op accepts exactly the elements.
+    # through _check, so every op accepts exactly the elements; add and
+    # neg then take it as an int, so every op returns an int.
     def add(self, a: int, b: int) -> int:
         if not (type(a) is int and type(b) is int and 0 <= a < self.q and 0 <= b < self.q):
             self._check(a, b)
+            a, b = int(a), int(b)
         if self.m == 1:
             return (a + b) % self.p
         la = self._log[a]
@@ -299,6 +301,7 @@ class Field:
     def neg(self, a: int) -> int:
         if not (type(a) is int and 0 <= a < self.q):
             self._check(a)
+            a = int(a)
         if self.m == 1:
             return -a % self.p
         return self._exp[self._log[a] + self._log_minus_one]

@@ -31,7 +31,14 @@ zero entry of A ends it at level 1.  Beside the two levels it holds, a
 step works on blocks of at most _BLOCK minors.  Enumeration covers one
 projective representative per 1-dimensional message subspace (first
 nonzero message digit normalized to 1), which reaches all nonzero
-weights with (q^k - 1)/(q - 1) codewords, _CHUNK at a time.
+weights with (q^k - 1)/(q - 1) codewords.  It keeps span tables, as
+minimum-distance searches do (Grassl, 2006): the words of
+span(G[k - s:]) for each s whose q^s words fit in _CHUNK, each level
+built from the one below.  A lead row whose free rows one table covers
+gets each word with one addition; above the largest table, the high
+free rows give offsets, each added to that table.  So every word array
+has at most _CHUNK rows, and the tables together fewer than
+2 _CHUNK.
 """
 
 from __future__ import annotations
@@ -96,7 +103,8 @@ class OracleBudget:
 
 DEFAULT_BUDGET = OracleBudget()
 
-# codewords per enumeration step; bounds the (chunk, n) int64 arrays
+# words per array of the codeword walk: the largest span table, and the
+# offsets times the table a step adds; bounds the (words, n) int64 arrays
 _CHUNK = 1 << 12
 
 # minors per block of a level; bounds the arrays a level step holds
@@ -121,21 +129,31 @@ def _enumerated_min_distance(code: LinearCode) -> int:
     q = f.q
     k, n = code.k, code.n
     G = code.generator.entries
+    # tables[s] is span(G[k - s:]), q^s words: the next row's q multiples
+    # added to the level below (level 0, the zero word, is left implicit)
+    tables = [None]
+    scalars = np.arange(q)[:, None]
+    while len(tables) < k and q ** len(tables) <= _CHUNK:
+        multiples = f.mul_array(scalars, G[k - len(tables)])
+        if len(tables) > 1:
+            multiples = f.add_array(multiples[:, None], tables[-1]).reshape(-1, n)
+        tables.append(multiples)
     best = n
     for j in range(k):
-        # messages with digits 0..j-1 zero and digit j equal to 1
-        lead = G[j]
-        free = G[j + 1 :]
-        nfree = free.shape[0]
-        total = q**nfree
-        for start in range(0, total, _CHUNK):
-            rem = np.arange(start, min(start + _CHUNK, total))
-            words = lead
-            for row in free:
+        # messages with digits 0..j-1 zero and digit j equal to 1: the
+        # low free rows come from a table, the high ones from an offset
+        s = min(k - 1 - j, len(tables) - 1)
+        high = G[j + 1 : k - s]
+        total = q ** len(high)
+        step = _CHUNK // q**s
+        for start in range(0, total, step):
+            rem = np.arange(start, min(start + step, total))
+            offsets = G[j]
+            for row in high:
                 rem, digit = np.divmod(rem, q)
-                words = f.add_array(words, f.mul_array(digit[:, None], row))
-            weights = np.count_nonzero(words, axis=-1)
-            best = min(best, int(weights.min()))
+                offsets = f.add_array(offsets, f.mul_array(digit[:, None], row))
+            words = f.add_array(offsets[..., None, :], tables[s]) if s else offsets
+            best = min(best, int(np.count_nonzero(words, axis=-1).min()))
             if best == 1:
                 return 1
     return best

@@ -315,6 +315,10 @@ def test_scalar_ops_return_ints(p, m):
     results = [f.add(a, b), f.sub(a, b), f.neg(a), f.mul(a, b), f.inv(a), f.pow(a, 5),
                f.pow(0, 0), f.sqrt(f.mul(a, a)), f.root_of_unity(f.q - 1), f.generator]
     assert all(type(x) is int for x in results)
+    # numpy integers take the checked branch and still give ints
+    a, b = np.int64(a), np.uint16(b)
+    results = [f.add(a, b), f.add(1, b), f.sub(a, b), f.neg(a), f.mul(a, b), f.inv(a), f.pow(a, 5)]
+    assert all(type(x) is int for x in results)
 
 
 def test_fields_pickle_and_copy_by_their_key():

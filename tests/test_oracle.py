@@ -93,6 +93,67 @@ def test_min_distance_memory_is_bounded():
     assert peak < 2 * 2**20
 
 
+def test_min_distance_memory_is_bounded_on_long_codes():
+    # at n = 40 every word array is (at most _CHUNK, 40) int64
+    f = Field(13)
+    rng = random.Random(40)
+    while True:
+        rows = [[rng.randrange(13) for _ in range(40)] for _ in range(5)]
+        if rank(Matrix(f, rows)) == 5:
+            break
+    code = linear_code(f, rows)
+    tracemalloc.start()
+    try:
+        min_distance(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * oracle._CHUNK * code.n * 8
+
+
+def _weight_one_code(f, rng, n, k):
+    """An [n, k] code holding a unit vector as the word of a message
+    (1, u) with every digit of u nonzero, so d = 1 and the walk meets
+    that word only at lead row 0, after its high-row offsets."""
+    while True:
+        rows = [[rng.randrange(f.q) for _ in range(n)] for _ in range(k - 1)]
+        first = [0] * n
+        first[rng.randrange(n)] = 1
+        for row in rows:
+            u = rng.randrange(1, f.q)
+            first = [f.sub(x, f.mul(u, y)) for x, y in zip(first, row)]
+        if rank(Matrix(f, [first, *rows])) == k:
+            return linear_code(f, [first, *rows])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 9])
+def test_walk_matches_scalar_enumeration_at_every_chunk_size(q, monkeypatch):
+    """_CHUNK = 1 leaves no table, so every free row is a high row; 3 and
+    16 give partial tables beside high rows; at 100 the high-row
+    messages cross chunk boundaries and small codes fit whole."""
+    f = Field(*factor_prime_power(q))
+    rng = random.Random(q)
+    at_bound = set()
+    for k in range(1, 6):
+        if k < q:
+            mds = _random_code(f, rng, rng.randint(k, q), k, grs_like=True)
+        else:
+            # [k + 1, k] with an all-nonzero parity column
+            mds = linear_code(f, [[int(i == j) for j in range(k)] + [1] for i in range(k)])
+        codes = [
+            mds,
+            _random_code(f, rng, k + 3, k, grs_like=False),
+            _weight_one_code(f, rng, k + 3, k),
+        ]
+        for code in codes:
+            expected = _scalar_min_distance(code)
+            at_bound.add(expected == code.n - code.k + 1)
+            for chunk in (1, 3, 16, 100):
+                monkeypatch.setattr(oracle, "_CHUNK", chunk)
+                assert oracle._enumerated_min_distance(code) == expected, (k, chunk)
+    assert at_bound == {True, False}
+
+
 def test_min_distance_budget():
     f = Field(13)
     spec = grs(eval_set(f, range(13)), [1] * 13, 6)
