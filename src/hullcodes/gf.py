@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
 import numpy as np
 
@@ -225,8 +226,14 @@ def _field_tables(p: int, m: int, modulus: tuple) -> tuple:
         zech[-n:] = 0
         zech.flags.writeable = False
         log_minus_one = int(log[p - 1])
+    spread = None
+    if m > 1 and p > 2:
+        # digit i of each element moved to bit i * (63 // m) (sum_array)
+        digits = np.arange(q)[:, None] // p ** np.arange(m) % p
+        spread = digits @ (1 << (63 // m) * np.arange(m))
+        spread.flags.writeable = False
     exp.flags.writeable = log.flags.writeable = False
-    return g, exp, log, zech, log_minus_one
+    return g, exp, log, zech, log_minus_one, spread
 
 
 class Field:
@@ -250,12 +257,18 @@ class Field:
             if not _irreducible_modulus(modulus, p):
                 raise FieldError(f"modulus {list(modulus)} is reducible over GF({p})")
             self.modulus = modulus
-        self.generator, exp, log, zech, self._log_minus_one = _field_tables(p, m, self.modulus)
+        self.generator, exp, log, zech, self._log_minus_one, self._spread_array = _field_tables(p, m, self.modulus)
         self._exp_array, self._log_array, self._zech_array = exp, log, zech
         # the scalar ops index the same buffers; an item is a Python int
         self._exp, self._log = memoryview(exp), memoryview(log)
         self._zech = None if zech is None else memoryview(zech)
         self._zero_log = 2 * (self.q - 1)
+        # sum_array's slots for odd p, m > 1: digit i at bit i * width
+        width = 63 // m
+        self._spread_shifts = width * np.arange(m)
+        self._spread_mask = (1 << width) - 1
+        self._spread_terms = self._spread_mask // (p - 1)
+        self._digit_weights = p ** np.arange(m)
 
     # -- element encoding --
 
@@ -263,6 +276,7 @@ class Field:
         """Polynomial-basis coefficients of x, constant term first."""
         if not (type(x) is int and 0 <= x < self.q):
             self._check(x)
+            x = int(x)
         out = []
         for _ in range(self.m):
             x, c = divmod(x, self.p)
@@ -272,12 +286,12 @@ class Field:
     def from_coeffs(self, cs) -> int:
         enc = 0
         for c in reversed(list(cs)):
-            enc = enc * self.p + c % self.p
+            enc = enc * self.p + operator.index(c) % self.p
         return enc
 
     def scalar(self, n: int) -> int:
         """Embed an integer via the prime subfield."""
-        return n % self.p
+        return operator.index(n) % self.p
 
     def _check(self, *xs):
         for x in xs:
@@ -378,6 +392,8 @@ class Field:
     def add_array(self, a, b):
         if self.m == 1:
             return (a + b) % self.p
+        if self.p == 2:
+            return np.bitwise_xor(a, b)  # the digits add mod 2
         log = self._log_array
         la = log[a]
         return self._exp_array[la + self._zech_array[log[b] - la + self._zero_log]]
@@ -385,6 +401,8 @@ class Field:
     def sub_array(self, a, b):
         if self.m == 1:
             return (a - b) % self.p
+        if self.p == 2:
+            return np.bitwise_xor(a, b)
         return self.add_array(a, self._exp_array[self._log_array[b] + self._log_minus_one])
 
     def inv_array(self, a):
@@ -404,14 +422,20 @@ class Field:
             return int(self.sum_array(np.ravel(a), 0))
         if self.m == 1:
             return a.sum(axis) % self.p
-        a = np.moveaxis(a, axis, 0) if axis else a
-        # zero rows up to a power of two, then pairwise halving
-        pad = (1 << (len(a) - 1).bit_length()) - len(a) if len(a) else 1
-        a = np.concatenate([a, np.zeros((pad,) + a.shape[1:], dtype=np.int64)])
-        while len(a) > 1:
-            half = len(a) // 2
-            a = self.add_array(a[:half], a[half:])
-        return a[0]
+        if self.p == 2:
+            return np.bitwise_xor.reduce(a, axis)
+        # odd p: the digits of up to _spread_terms entries add as plain
+        # integers in the slots of their spread encodings, and the slot
+        # sums taken mod p are the digits of the field sum
+        spread = self._spread_array[a]
+        if a.shape[axis] > self._spread_terms:
+            starts = np.arange(0, a.shape[axis], self._spread_terms)
+            return self.sum_array(self._unspread(np.add.reduceat(spread, starts, axis)), axis)
+        return self._unspread(spread.sum(axis))
+
+    def _unspread(self, s):
+        """The elements whose digits are the slots of s, mod p."""
+        return (s[..., None] >> self._spread_shifts & self._spread_mask) % self.p @ self._digit_weights
 
     # -- identity / serialization --
 

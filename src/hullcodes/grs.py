@@ -15,9 +15,11 @@ both.
 Each spec keeps its evaluation map, int64 arrays of O(kn) memory, in
 its own attributes, so the map lives and dies with the spec: G = V diag(v)
 (V[j, i] = a_i^j, plus the extended column) on the first encode or
-generator_matrix call, and L, whose row j interpolates v_i^2 a_i^j / u_i,
-on the first hull_membership query.  encode(f) is f G and the hull
-witness of f is f L.
+generator_matrix call, and L on the first hull_membership query.  Row j
+of L takes the values v_i^2 a_i^j / u_i at the points; it is
+x^j lam mod P, lam the interpolant of v_i^2 / u_i (the certificate
+polynomial), so after lam each row is one shift and one subtraction.
+encode(f) is f G and the hull witness of f is f L.
 """
 
 from __future__ import annotations
@@ -86,18 +88,28 @@ class GrsSpec:
             G = np.hstack([G, np.arange(self.k)[:, None] == self.k - 1])
         return G
 
-    def dual_interpolants(self, rows: int) -> np.ndarray:
-        """rows x n: row j holds the coefficients of the
-        interpolant of v_i^2 a_i^j / u_i (row 0 is the certificate
-        polynomial of hull.py)."""
+    def dual_interpolant(self) -> np.ndarray:
+        """The n coefficients of the interpolant of v_i^2 / u_i: the
+        certificate polynomial of hull.py."""
         f = self.field
         a, v, u, P = (f.asarray(x) for x in (self.points.a, self.v, self.points.u, self.points.P))
-        scale = f.mul_array(f.mul_array(v, v), f.inv_array(u))
-        values = f.mul_array(f.pow_array(a, np.arange(rows)[:, None]), scale)
-        return interpolate_batch(f, a, values, P, u)
+        values = f.mul_array(f.mul_array(v, v), f.inv_array(u))
+        return interpolate_batch(f, a, values[None], P, u)[0]
 
-    # L = dual_interpolants(k), built on first use and then kept
-    witness_map = cached_property(lambda self: self.dual_interpolants(self.k))
+    @cached_property
+    def witness_map(self) -> np.ndarray:
+        """L, k x n: row j interpolates v_i^2 a_i^j / u_i, so it is
+        x^j lam mod P, lam the dual interpolant and P the node
+        polynomial; each row is the one before shifted up once, less its
+        top coefficient times P.  Built on first use and then kept."""
+        f, n = self.field, self.n
+        P = f.asarray(self.points.P[:n])  # P is monic of degree n
+        L = np.empty((self.k, n), dtype=np.int64)
+        L[0] = self.dual_interpolant()
+        for j in range(1, self.k):
+            shifted = np.concatenate(([0], L[j - 1, :-1]))
+            L[j] = f.sub_array(shifted, f.mul_array(L[j - 1, -1], P))
+        return L
 
     @property
     def field(self) -> Field:

@@ -132,7 +132,7 @@ def _degree_rule(spec: GrsSpec, lam) -> bool:
 
 
 def _certify(spec: GrsSpec) -> Certificate | None:
-    lam = poly_trim(spec.dual_interpolants(1)[0].tolist())
+    lam = poly_trim(spec.dual_interpolant().tolist())
     return Certificate(tuple(lam)) if _degree_rule(spec, lam) else None
 
 

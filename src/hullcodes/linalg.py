@@ -20,6 +20,8 @@ determinant and the polynomial helpers stay scalar.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .gf import Field, FieldError
@@ -213,11 +215,28 @@ def poly_coeff(fx, i: int) -> int:
 
 
 def poly_eval_array(f: Field, fx, xs) -> np.ndarray:
-    """fx at every entry of the array xs, one Horner step per coefficient."""
-    acc = np.zeros(np.shape(xs), dtype=np.int64)
-    for c in f.asarray(fx)[::-1]:
-        acc = f.add_array(f.mul_array(acc, xs), c)
-    return acc
+    """fx at every entry of the array xs: V c, with V[i, s] = x_i^s and
+    c the coefficients.
+
+    Column block b of V is diag(x_i^(bB)) times the first block V_B, so
+    V c = sum_b x_i^(bB) (V_B c_b), c_b the b-th run of B coefficients:
+    one product V_B [c_0 ... c_{nb-1}] and one row sum, with B and nb
+    about sqrt(len(fx)) (the baby-step giant-step split of Paterson and
+    Stockmeyer, SIAM J. Comput. 2(1), 1973).  The points are taken a
+    block at a time (_block_rows)."""
+    d, x = len(fx), np.ravel(xs)
+    out = np.zeros(x.shape, dtype=np.int64)
+    if d:
+        B, nb = _split(d)
+        runs = np.zeros(B * nb, dtype=np.int64)
+        runs[:d] = f.asarray(fx)
+        runs = runs.reshape(nb, B).T  # column b is c_b
+        step = _block_rows(B + nb, max(len(x), d))
+        for start in range(0, len(x), step):
+            powers = _powers(f, x[start : start + step], B, nb)
+            E = lincomb(f, powers[:, :B], runs)
+            out[start : start + step] = f.sum_array(f.mul_array(E, powers[:, B:]), axis=1)
+    return out.reshape(np.shape(xs))
 
 
 def lincomb(f: Field, X, M) -> np.ndarray:
@@ -226,10 +245,38 @@ def lincomb(f: Field, X, M) -> np.ndarray:
     if f.m == 1:
         # exact in int64: (p - 1)^2 * len(x) < 2^48 for q <= MAX_Q
         return X @ M % f.p
-    if X.ndim == 2:
-        # row by row, so memory stays O(M.size)
-        return np.array([lincomb(f, x, M) for x in X], dtype=np.int64).reshape(len(X), M.shape[1])
-    return f.sum_array(f.mul_array(X[:, None], M), axis=0)
+    if X.ndim == 1:
+        return lincomb(f, X[None], M)[0]
+    # the products of a block of rows at a time: at most
+    # max(_BLOCK, M.size) of them
+    out = np.empty((len(X), M.shape[1]), dtype=np.int64)
+    step = max(1, _BLOCK // max(M.size, 1))
+    for start in range(0, len(X), step):
+        out[start : start + step] = f.sum_array(f.mul_array(X[start : start + step, :, None], M), axis=1)
+    return out
+
+
+# the fewest entries a block of the Vandermonde and Hankel products, or
+# of lincomb's products over GF(p^m), may hold
+_BLOCK = 1 << 10
+
+
+def _block_rows(width: int, n: int) -> int:
+    """Rows of width entries per block, about max(n / 2, _BLOCK) entries
+    in all: a kernel on inputs of length n holds O(n) entries at a
+    time, as Horner's rule and the synthetic divisions did."""
+    return max(1, max(n // 2, _BLOCK) // max(width, 1))
+
+
+def _split(d: int) -> tuple[int, int]:
+    """(B, nb): d exponents as nb runs of B = ceil(sqrt(d)), d >= 1."""
+    B = math.isqrt(d - 1) + 1
+    return B, -(-d // B)
+
+
+def _powers(f: Field, x, B: int, nb: int) -> np.ndarray:
+    """len(x) x (B + nb): x_i^t for t < B, then x_i^(bB) for b < nb."""
+    return f.pow_array(x[:, None], np.concatenate([np.arange(B), B * np.arange(nb)]))
 
 
 def node_weights(f: Field, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -237,7 +284,7 @@ def node_weights(f: Field, xs) -> tuple[np.ndarray, np.ndarray]:
 
     P holds the coefficients of P = prod_j (x - x_j), constant term
     first, and w_i = 1 / prod_{j != i} (x_i - x_j), which is 1 / P'(x_i).
-    Both take O(n) array steps and O(n) memory.
+    P takes n array steps; P' at the nodes is one poly_eval_array.
     """
     n = len(xs)
     P = np.zeros(n + 1, dtype=np.int64)
@@ -254,17 +301,38 @@ def interpolate_batch(f: Field, xs, Y, P, w) -> np.ndarray:
     """Untrimmed coefficient rows of the interpolants through
     (xs_i, Y[r, i]), one per row of Y: sum_i Y[r, i] w_i P(x) / (x - x_i)
     with P and w the node_weights of xs (Berrut and Trefethen, SIAM Rev.
-    46(3), 2004).  The n synthetic divisions P / (x - x_i) do not depend
-    on Y, so they run once, in lockstep, for the whole batch: O(n) array
-    steps and O(n * rows) memory, never an n x n array."""
-    C = f.mul_array(Y, w)
-    out = np.zeros(C.shape, dtype=np.int64)
-    quot = np.zeros(len(xs), dtype=np.int64)
-    for j in range(len(xs), 0, -1):
-        # quot_i = coefficient j-1 of P / (x - x_i)
-        quot = f.add_array(P[j], f.mul_array(xs, quot))
-        out[:, j - 1] = lincomb(f, quot, C.T)
-    return out
+    46(3), 2004).
+
+    P(x) / (x - x_i) = sum_j x^j sum_s x_i^s P_(j+1+s), so the rows are
+    (C V) Hk with C = Y w, V[i, s] = x_i^s as in poly_eval_array and the
+    Hankel matrix Hk[s, j] = P_(j+1+s) (0 past P's top).  C V takes V's
+    column blocks from its first, as poly_eval_array does, a block of
+    nodes at a time (_block_rows), and adds up the blocks; Hk is read as
+    windows of P, B columns at a time, with the terms that vanish past
+    P's top left out."""
+    rows, n = Y.shape
+    B, nb = _split(n)
+    # CV[r, b, t] = sum_i C[r, i] x_i^(bB) x_i^t, C = Y w, summed over
+    # node blocks
+    CV = np.zeros((rows, nb, B), dtype=np.int64)
+    step = _block_rows(B + nb + rows * (nb + 1), Y.size)
+    for start in range(0, n, step):
+        powers = _powers(f, xs[start : start + step], B, nb)
+        C = f.mul_array(Y[:, start : start + step], w[start : start + step])
+        scaled = f.mul_array(C[:, None], powers[:, B:].T)
+        terms = lincomb(f, scaled.reshape(rows * nb, len(powers)), powers[:, :B])
+        CV = f.add_array(CV, terms.reshape(CV.shape))
+    CV = CV.reshape(rows, nb * B)[:, :n]
+    # columns j = start.. of Hk, B at a time: window row j - start is
+    # P_(j+1) .. P_(n-start+j), zero past P's top, and the terms
+    # s >= n - start vanish in these columns
+    tail = np.concatenate([P[1:], np.zeros(B - 1, dtype=np.int64)])
+    out = np.empty((n, rows), dtype=np.int64)
+    for start in range(0, n, B):
+        shape = (min(B, n - start), n - start)
+        window = np.lib.stride_tricks.as_strided(tail[start:], shape, 2 * tail.strides, writeable=False)
+        out[start : start + B] = lincomb(f, window, CV[:, : n - start].T)
+    return out.T
 
 
 def interpolate(f: Field, points) -> list[int]:

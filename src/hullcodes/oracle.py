@@ -50,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .gf import Field
-from .linalg import LinalgError, Matrix, _null_basis, _rref_array
+from .linalg import LinalgError, Matrix, _null_basis, _rref_array, lincomb
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,17 @@ class LinearCode:
 
     @cached_property
     def _stacked_hull_dim(self) -> int:
-        """n - rank([G; H]), H the null basis of G (a dual generator)."""
+        """n - rank([G; H]), H the null basis of G (a dual generator),
+        by the first block step of eliminating [G; H] (see hull_dim_oracle)."""
         f, (R, rk, pivots) = self.field, self.echelon
         if rk != self.k:
             raise LinalgError("generator matrix is not full row rank")
-        stacked = np.vstack([self.generator.entries, _null_basis(f, R, rk, pivots)])
-        return self.n - _rref_array(f, stacked)[1]
+        G, H = self.generator.entries, _null_basis(f, R, rk, pivots)
+        pivots = list(pivots)
+        free = [c for c in range(self.n) if c not in pivots]
+        # G - G[:, free] H, on the pivot columns; its free columns are 0
+        block = f.sub_array(G[:, pivots], lincomb(f, G[:, free], H[:, pivots]))
+        return self.k - _rref_array(f, block)[1]
 
     @cached_property
     def _min_distance(self) -> int:
@@ -276,7 +281,16 @@ def _subset_rank(S: np.ndarray, n: int, binom) -> np.ndarray:
 
 def hull_dim_oracle(code: LinearCode) -> int:
     """dim(C intersect C-dual) as n - rank([G; H]), bypassing the Gram
-    matrix route used by hull_report; computed once per code."""
+    matrix route used by hull_report; computed once per code.
+
+    H, the null basis of G, is the identity on the free columns of G's
+    echelon form.  So subtracting G[:, free] H from G clears G's free
+    columns without changing the row space of [G; H], and then
+    rank [G; H] = (n - k) + rank of the k x k block left on the pivot
+    columns: the hull dimension is k minus that rank.  This is the first
+    block step of eliminating [G; H] (Dumas, Giorgi and Pernet, ACM TOMS
+    35(3), 2008); it reads nothing of H but the identity block and the
+    pivot columns, and no Gram matrix."""
     return code._stacked_hull_dim
 
 

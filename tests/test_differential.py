@@ -23,7 +23,7 @@ from sympy.polys.domains import GF, ZZ
 from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_neg, gf_rem, gf_sub
 from sympy.polys.matrices import DomainMatrix
 
-from hullcodes import cli
+from hullcodes import cli, linalg
 from hullcodes.construct import make_seed, reduce_hull
 from hullcodes.gf import MAX_Q, Field, is_prime
 from hullcodes.grs import GrsError, GrsSpec, encode, eval_set, generator_matrix, grs
@@ -34,6 +34,7 @@ from hullcodes.linalg import (
     interpolate_batch,
     node_weights,
     nullspace,
+    poly_eval_array,
     poly_trim,
     rank,
     rref,
@@ -238,6 +239,18 @@ def test_array_ops_match_scalar_ops(p, m):
         assert f.sum_array(chunk) == _scalar_sum(f, chunk.tolist())
 
 
+@pytest.mark.parametrize("p, m", [(13, 1), (2, 11), (3, 2), (7, 2), (3, 7), (3, 10)])
+def test_sum_array_along_an_axis_matches_scalar_sums(p, m):
+    # GF(3^10) spreads its 10 digits 6 bits apart, so at most 31 entries
+    # add at once: an axis of 300 takes ten chunks
+    f = Field(p, m)
+    A = np.random.default_rng(f.q).integers(0, f.q, (3, 300, 4))
+    for axis in range(3):
+        want = np.apply_along_axis(lambda line: _scalar_sum(f, line.tolist()), axis, A)
+        assert np.array_equal(f.sum_array(A, axis=axis), want)
+    assert f.sum_array(A[:, :0], axis=1).tolist() == [[0] * 4] * 3
+
+
 @pytest.mark.parametrize("p, m", [(2, 2), (3, 2), (7, 2), (3, 7)])
 def test_extension_field_linear_algebra(p, m):
     """No sympy DomainMatrix over GF(p^m): matmul against the scalar ops,
@@ -394,6 +407,76 @@ def test_interpolate_batch_matches_row_by_row(p, m):
             assert poly_trim(coeffs) == interpolate(f, zip(xs, ys))
 
 
+@pytest.mark.parametrize("block", [1, 64, linalg._BLOCK])
+@pytest.mark.parametrize("p, m", [(1031, 1), (13, 1), (3, 2), (2, 5), (3, 4)])
+def test_poly_eval_array_matches_scalar_horner(monkeypatch, block, p, m):
+    # a small block splits the points, and the Vandermonde product over
+    # GF(p^m), into many blocks
+    monkeypatch.setattr(linalg, "_BLOCK", block)
+    f = Field(p, m)
+    rng = random.Random(f.q + block)
+    points = [rng.randrange(f.q) for _ in range(60)] + [0]
+    for d in (0, 1, 2, 5, 17, 100):
+        fx = [rng.randrange(f.q) for _ in range(d)]
+        want = [poly_eval(f, fx, x) for x in points]
+        assert poly_eval_array(f, fx, np.array(points)).tolist() == want
+        grid = np.array(points[:60]).reshape(6, 10)
+        assert poly_eval_array(f, fx, grid).tolist() == np.array(want[:60]).reshape(6, 10).tolist()
+        scalar = poly_eval_array(f, fx, np.int64(points[7]))
+        assert scalar.shape == () and int(scalar) == want[7]
+        assert poly_eval_array(f, fx, np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
+
+
+@pytest.mark.parametrize("block", [1, 64, linalg._BLOCK])
+def test_interpolate_batch_matches_a_vandermonde_solve_across_blocks(monkeypatch, block):
+    monkeypatch.setattr(linalg, "_BLOCK", block)
+    p, n = 1031, 40
+    f = Field(p)
+    rng = random.Random(block)
+    xs = rng.sample(range(p), n)
+    Y = [[rng.randrange(p) for _ in range(n)] for _ in range(3)]
+    nodes = f.asarray(xs)
+    out = interpolate_batch(f, nodes, np.array(Y), *node_weights(f, nodes))
+    assert [poly_trim(row) for row in out.tolist()] == [_vandermonde_solve(p, xs, ys) for ys in Y]
+
+
+@pytest.mark.parametrize("block", [1, 64])
+@pytest.mark.parametrize("p, m", [(3, 3), (2, 6)])
+def test_interpolate_batch_across_blocks_over_extension_fields(monkeypatch, block, p, m):
+    monkeypatch.setattr(linalg, "_BLOCK", block)
+    f = Field(p, m)
+    rng = random.Random(f.q + block)
+    xs = rng.sample(range(f.q), 25)
+    Y = [[rng.randrange(f.q) for _ in xs] for _ in range(2)]
+    nodes = f.asarray(xs)
+    out = interpolate_batch(f, nodes, np.array(Y), *node_weights(f, nodes))
+    for row, ys in zip(out.tolist(), Y):
+        assert [poly_eval(f, row, x) for x in xs] == ys
+
+
+def _witness_map_by_interpolation(spec):
+    """The witness map's definition: row j is the interpolant of
+    v_i^2 a_i^j / u_i, all k rows as one batch."""
+    f = spec.field
+    a, v, u, P = (f.asarray(x) for x in (spec.points.a, spec.v, spec.points.u, spec.points.P))
+    scale = f.mul_array(f.mul_array(v, v), f.inv_array(u))
+    values = f.mul_array(f.pow_array(a, np.arange(spec.k)[:, None]), scale)
+    return interpolate_batch(f, a, values, P, u)
+
+
+@pytest.mark.parametrize("p, m", [(13, 1), (73, 1), (3, 2), (2, 4), (5, 2)])
+def test_witness_map_matches_its_definition(p, m):
+    f = Field(p, m)
+    rng = random.Random(f.q)
+    for extended in (False, True):
+        n = min(f.q, 20)
+        points = eval_set(f, rng.sample(range(f.q), n))
+        v = [rng.randrange(1, f.q) for _ in range(n)]
+        for k in sorted({1, 2, n // 2, n - 1, n} | ({n + 1} if extended else set())):
+            spec = grs(points, v, k, extended)
+            assert np.array_equal(spec.witness_map, _witness_map_by_interpolation(spec))
+
+
 def test_witness_map_memory_is_linear_in_n():
     # an n x n int64 array would be 32 MB here; L itself is 2 x 2000
     f = Field(2003)
@@ -413,14 +496,16 @@ def test_witness_map_memory_is_linear_in_n():
 
 
 def test_witness_map_is_built_once_per_spec_and_dies_with_it(monkeypatch):
+    # the map starts from the spec's dual interpolant, so each build
+    # makes one call, which records the spec's k
     built = []
-    original = GrsSpec.dual_interpolants
+    original = GrsSpec.dual_interpolant
 
-    def counting(spec, rows):
-        built.append(rows)
-        return original(spec, rows)
+    def counting(spec):
+        built.append(spec.k)
+        return original(spec)
 
-    monkeypatch.setattr(GrsSpec, "dual_interpolants", counting)
+    monkeypatch.setattr(GrsSpec, "dual_interpolant", counting)
     seed = make_seed(grs(eval_set(Field(13), range(13)), [1] * 13, 6))
     spec = reduce_hull(seed, 4, 2)
     built.clear()

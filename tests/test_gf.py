@@ -87,6 +87,19 @@ def test_element_encoding_round_trip():
     assert f.scalar(5) == 2
 
 
+def test_encoding_helpers_return_ints_for_numpy_integers():
+    f = Field(7, 2)
+    digits = f.coeffs(np.int64(10))
+    assert digits == [3, 1] and all(type(c) is int for c in digits)
+    for got, want in ((f.from_coeffs([np.int64(3), 1]), 10), (f.from_coeffs(np.array([3, 1])), 10),
+                      (f.scalar(np.int64(9)), 2), (f.scalar(np.uint8(9)), 2), (f.scalar(-3), 4)):
+        assert got == want and type(got) is int
+    with pytest.raises(TypeError):
+        f.scalar(2.0)
+    with pytest.raises(TypeError):
+        f.from_coeffs([1.5])
+
+
 def test_is_square_counts():
     for q, p, m in ((13, 13, 1), (27, 3, 3), (49, 7, 2)):
         f = Field(p, m)
@@ -388,7 +401,8 @@ def test_modulus_verdicts_are_cached_and_bounded():
 def test_cached_tables_equal_fresh_ones():
     for q, p, m in _prime_powers(256):
         f = Field(p, m)
-        g, exp, log, zech, log_minus_one = gf._field_tables.__wrapped__(p, m, f.modulus)
+        g, exp, log, zech, log_minus_one, spread = gf._field_tables.__wrapped__(p, m, f.modulus)
         assert (f.generator, f._log_minus_one) == (g, log_minus_one), q
-        for mine, fresh in ((f._exp_array, exp), (f._log_array, log), (f._zech_array, zech)):
+        tables = ((f._exp_array, exp), (f._log_array, log), (f._zech_array, zech), (f._spread_array, spread))
+        for mine, fresh in tables:
             assert (mine is None and fresh is None) or np.array_equal(mine, fresh), q

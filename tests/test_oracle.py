@@ -4,14 +4,15 @@ import pathlib
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from sympy import Matrix as SympyMatrix
 
 from hullcodes import linalg, oracle
 from hullcodes.construct import make_seed, reduce_hull_grs, ternary_codes
 from hullcodes.gf import Field, factor_prime_power
-from hullcodes.grs import eval_set, grs
-from hullcodes.hull import code_from_grs, hull_report, linear_code
+from hullcodes.grs import encode, eval_set, grs
+from hullcodes.hull import code_from_grs, hull_membership, hull_report, linear_code
 from hullcodes.linalg import LinalgError, Matrix, determinant, rank
 from hullcodes.oracle import (
     BudgetError,
@@ -443,9 +444,80 @@ def test_hull_dim_oracle_self_dual_and_lcd():
     assert hull_dim_oracle(lcd) == 0
 
 
+def _stacked_reference(code):
+    """n - rank([G; H]) with H from oracle._null_basis, by one
+    elimination of the whole n x n stack: the referee's definition."""
+    f = code.field
+    H = oracle._null_basis(f, *code.echelon)
+    return code.n - rank(Matrix(f, np.vstack([code.generator.entries, H])))
+
+
+def _full_rank_codes(f, rng, n):
+    """Seeded random [n, k] codes for every k in 1..n-1; for k <= n - 2 a
+    second one has a zero column and a repeated one, which move the
+    pivots."""
+    for k in range(1, n):
+        for planted in (False, True)[: 1 + (k <= n - 2)]:
+            while True:
+                rows = [[rng.randrange(f.q) for _ in range(n)] for _ in range(k)]
+                if planted:
+                    for row in rows:
+                        row[0], row[3] = 0, row[2]
+                if rank(Matrix(f, rows)) == k:
+                    yield linear_code(f, rows)
+                    break
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["null-basis", "flipped-pivot-block"])
+def test_stacked_referee_is_n_minus_rank_of_the_stack(monkeypatch, flip):
+    # with the sign of H's pivot block flipped, H is no dual generator and
+    # n - rank([G; H]) is no hull dimension, yet the referee must still
+    # agree with it: it eliminates [G; H] and computes no Gram rank
+    if flip:
+        original = oracle._null_basis
+
+        def flipped(f, R, rk, pivots):
+            H = original(f, R, rk, pivots)
+            H[:, list(pivots)] = f.sub_array(0, H[:, list(pivots)])
+            return H
+
+        monkeypatch.setattr(oracle, "_null_basis", flipped)
+    differs = 0
+    for p, m in ((5, 1), (13, 1), (3, 2), (7, 2)):
+        f = Field(p, m)
+        rng = random.Random(f.q)
+        for code in _full_rank_codes(f, rng, 8):
+            assert hull_dim_oracle(code) == _stacked_reference(code)
+            differs += hull_dim_oracle(code) != hull_report(code).hull_dim
+    assert differs > 0 if flip else differs == 0
+
+
+def test_referee_and_witness_on_a_long_code_stay_small():
+    # GF(65521) [2048, 64]: one elimination of the 2048 x 2048 stack
+    # [G; H] held 65 MB; the k x k block step leaves H, 1984 x 2048
+    # int64 (32 MB), as the largest array
+    f = Field(65521)
+    spec = grs(eval_set(f, range(2048)), [1] * 2048, 64)
+    code = code_from_grs(spec)
+    message = [1, 2, 3]
+    tracemalloc.start()
+    try:
+        dim = hull_dim_oracle(code)
+        witness = hull_membership(spec, message)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20, peak
+    assert dim == hull_report(code).hull_dim
+    word = Matrix(f, [encode(spec, message)])
+    in_hull = not word.matmul(code.generator.transpose()).entries.any()
+    assert (witness is not None) == in_hull
+
+
 def test_a_code_runs_each_referee_once(monkeypatch):
     # one code op of the small_codes benchmark workload: G, G G^T and
-    # [G; H] are eliminated once each, the codewords enumerated once
+    # the k x k block of [G; H] are eliminated once each, the codewords
+    # enumerated once
     calls = {"rref": 0, "enumerate": 0}
     real_rref, real_enumerate = linalg._rref_array, oracle._enumerated_min_distance
 
