@@ -26,7 +26,14 @@ one read-only int64 numpy array.  The ops on whole arrays of encodings
 which also sums along one axis), which the linear algebra, the GRS
 evaluation maps and the oracle are built on, index the arrays; the
 scalar ops (add, mul, inv, ...) index memoryviews of the same buffers,
-which give Python ints without a copy.  A memoryview does not pickle,
+which give Python ints without a copy.  Two array ops skip the Zech
+table, as the encoding's digits add mod p: over GF(2^m), add_array,
+sub_array and sum_array are bitwise exclusive or; and over GF(p^m), p
+odd, sum_array adds the entries' spread encodings (digit i moved to
+bit i * (63 // m), a table kept with the others) as plain integers,
+as many at once as the slots hold, and takes each slot mod p.  The
+scalar ops keep the Zech route, so the tests that check the array ops
+against them compare two routes.  A memoryview does not pickle,
 so a Field pickles as its key and is rebuilt, checks and all.  The
 array ops trust their inputs; asarray is the one check, made once per
 input array where it enters, and it raises FieldError for any entry
@@ -189,9 +196,10 @@ def _find_generator(p: int, m: int, modulus) -> int:
 
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _field_tables(p: int, m: int, modulus: tuple) -> tuple:
-    """(generator, exp, log, zech, log(-1)) of GF(p^m) mod modulus: the
-    tables as read-only int64 arrays, with zech and log(-1) None when
-    m = 1.  The caller has checked the key.
+    """(generator, exp, log, zech, log(-1), spread) of GF(p^m) mod
+    modulus: the tables as read-only int64 arrays, with zech and log(-1)
+    None when m = 1 and spread (sum_array's) None unless m > 1 and p is
+    odd.  The caller has checked the key.
 
     With n = q - 1 and Z = log[0] = 2n, exp is two periods of g^i and
     then a zero tail up to index 2Z, so exp[Z + s] = 0 for every s in
@@ -228,7 +236,7 @@ def _field_tables(p: int, m: int, modulus: tuple) -> tuple:
         log_minus_one = int(log[p - 1])
     spread = None
     if m > 1 and p > 2:
-        # digit i of each element moved to bit i * (63 // m) (sum_array)
+        # digit i of each element moved to bit i * (63 // m)
         digits = np.arange(q)[:, None] // p ** np.arange(m) % p
         spread = digits @ (1 << (63 // m) * np.arange(m))
         spread.flags.writeable = False
@@ -257,7 +265,8 @@ class Field:
             if not _irreducible_modulus(modulus, p):
                 raise FieldError(f"modulus {list(modulus)} is reducible over GF({p})")
             self.modulus = modulus
-        self.generator, exp, log, zech, self._log_minus_one, self._spread_array = _field_tables(p, m, self.modulus)
+        tables = _field_tables(p, m, self.modulus)
+        self.generator, exp, log, zech, self._log_minus_one, self._spread_array = tables
         self._exp_array, self._log_array, self._zech_array = exp, log, zech
         # the scalar ops index the same buffers; an item is a Python int
         self._exp, self._log = memoryview(exp), memoryview(log)
@@ -424,6 +433,8 @@ class Field:
             return a.sum(axis) % self.p
         if self.p == 2:
             return np.bitwise_xor.reduce(a, axis)
+        if a.shape[axis] <= 1:  # no sum to take
+            return a.sum(axis)
         # odd p: the digits of up to _spread_terms entries add as plain
         # integers in the slots of their spread encodings, and the slot
         # sums taken mod p are the digits of the field sum

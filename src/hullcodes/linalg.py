@@ -11,11 +11,18 @@ interpolation (interpolate_batch) and evaluation at many points
 makes one fused integer multiply-subtract per pivot and reduces the
 matrix mod p once, at the end (delayed reduction), and a product is
 A @ B % p.  Over GF(p^m), m > 1, each pivot scales and updates the
-matrix through the field's exp/log/Zech tables (see gf.py).  A batch of
-interpolations takes O(n) array steps.  Each input is checked once, as
-it is converted (Field.asarray): a Matrix is one read-only int64 array,
-and Matrix.rows (Python ints) is built only when read, for output.
-determinant and the polynomial helpers stay scalar.
+matrix through the field's exp/log/Zech tables (see gf.py), and a
+product forms its terms a block of rows at a time and sums them with
+sum_array.  Evaluation is a product with the Vandermonde matrix and
+interpolation one with the Vandermonde and a Hankel matrix of the node
+polynomial; both build V's column blocks from its first (baby steps and
+giant steps) and take the points, or the Hankel columns, a block at a
+time.  On n points they hold O(n) entries at a time, never an n x n
+array; over GF(p) that is O(sqrt(n)) array steps, and over GF(p^m), whose
+products are formed as arrays, O(n) of them.  Each input is
+checked once, as it is converted (Field.asarray): a Matrix is one
+read-only int64 array, and Matrix.rows (Python ints) is built only when
+read, for output.  determinant and the polynomial helpers stay scalar.
 """
 
 from __future__ import annotations

@@ -5,7 +5,11 @@ imports only gf and linalg, never the modules it referees: minimum
 distance comes from enumerating codewords, MDS checks fall back to
 checking every k x k minor, and the hull dimension is n - rank([G; H])
 with H a dual generator, the one copy of that formula (hull_report
-takes its cross-check from hull_dim_oracle).  These are the referees
+takes its cross-check from hull_dim_oracle).  That rank comes from the
+first block step of eliminating [G; H]: H is the identity on the free
+columns of G's echelon form, so clearing G's free columns against it
+leaves one k x k block to eliminate (see hull_dim_oracle), and no Gram
+matrix is formed.  These are the referees
 for everything the constructive modules claim.  LinearCode, the plain
 code they take, lives here for that reason.
 
