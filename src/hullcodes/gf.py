@@ -52,6 +52,8 @@ import numpy as np
 MAX_Q = 2**16
 # Fields whose tables the cache keeps; a GF(2^16) entry holds about 4.7 MB.
 TABLE_CACHE_SIZE = 16
+# The fewest products matmul_array forms at a time over GF(p^m).
+_PRODUCTS = 1 << 10
 
 
 class FieldError(ValueError):
@@ -421,7 +423,9 @@ class Field:
 
     def pow_array(self, a, e):
         """a ** e, broadcast, for integers e >= 0 (0 ** 0 is 1)."""
-        idx = np.where((a == 0) & (e > 0), self._zero_log, self._log_array[a] * e % (self.q - 1))
+        idx = np.asarray(self._log_array[a] * e)
+        idx %= self.q - 1
+        np.copyto(idx, self._zero_log, where=(a == 0) & (e > 0))
         return self._exp_array[idx]
 
     def sum_array(self, a, axis=None):
@@ -435,18 +439,44 @@ class Field:
             return np.bitwise_xor.reduce(a, axis)
         if a.shape[axis] <= 1:  # no sum to take
             return a.sum(axis)
-        # odd p: the digits of up to _spread_terms entries add as plain
-        # integers in the slots of their spread encodings, and the slot
-        # sums taken mod p are the digits of the field sum
-        spread = self._spread_array[a]
-        if a.shape[axis] > self._spread_terms:
-            starts = np.arange(0, a.shape[axis], self._spread_terms)
-            return self.sum_array(self._unspread(np.add.reduceat(spread, starts, axis)), axis)
-        return self._unspread(spread.sum(axis))
+        # odd p: up to _spread_terms entries at a time add as plain
+        # integers in the slots of their spread encodings; the slot sums
+        # taken mod p are the digits of the field sums of those chunks
+        starts = np.arange(0, a.shape[axis], self._spread_terms)
+        return self.sum_array(self._unspread(np.add.reduceat(self._spread_array[a], starts, axis)), axis)
 
     def _unspread(self, s):
         """The elements whose digits are the slots of s, mod p."""
         return (s[..., None] >> self._spread_shifts & self._spread_mask) % self.p @ self._digit_weights
+
+    def matmul_array(self, X, M):
+        """X M for 2-D arrays of elements.  Over GF(p), one integer
+        product reduced once.  Over GF(p^m), the products of a block of
+        X's rows at a time, at most max(_PRODUCTS, M.size) of them, each
+        one lookup from the logs of X and of M (M's taken once), summed
+        as sum_array sums but with the slot sums of all blocks read back
+        at once."""
+        if self.m == 1:
+            # exact in int64: (p - 1)^2 * len(M) < 2^48 for q <= MAX_Q
+            return X @ M % self.p
+        K, N = M.shape
+        if M.size == 0:
+            return np.zeros((len(X), N), dtype=np.int64)
+        logM = self._log_array[M]
+        step = max(1, _PRODUCTS // M.size)
+        blocks = range(0, len(X), step)
+        if self.p == 2:
+            out = np.empty((len(X), N), dtype=np.int64)
+            for start in blocks:
+                products = self._exp_array[self._log_array[X[start : start + step]][:, :, None] + logM]
+                out[start : start + step] = np.bitwise_xor.reduce(products, axis=1)
+            return out
+        starts = np.arange(0, K, self._spread_terms)
+        sums = np.empty((len(X), len(starts), N), dtype=np.int64)
+        for start in blocks:
+            products = self._exp_array[self._log_array[X[start : start + step]][:, :, None] + logM]
+            sums[start : start + step] = np.add.reduceat(self._spread_array[products], starts, axis=1)
+        return self.sum_array(self._unspread(sums), axis=1)
 
     # -- identity / serialization --
 

@@ -229,8 +229,9 @@ def poly_eval_array(f: Field, fx, xs) -> np.ndarray:
     V c = sum_b x_i^(bB) (V_B c_b), c_b the b-th run of B coefficients:
     one product V_B [c_0 ... c_{nb-1}] and one row sum, with B and nb
     about sqrt(len(fx)) (the baby-step giant-step split of Paterson and
-    Stockmeyer, SIAM J. Comput. 2(1), 1973).  The points are taken a
-    block at a time (_block_rows)."""
+    Stockmeyer, SIAM J. Comput. 2(1), 1973).  x^0 = 1 takes no column,
+    so a constant costs no powers.  The points are taken a block at a
+    time (_block_rows)."""
     d, x = len(fx), np.ravel(xs)
     out = np.zeros(x.shape, dtype=np.int64)
     if d:
@@ -238,33 +239,28 @@ def poly_eval_array(f: Field, fx, xs) -> np.ndarray:
         runs = np.zeros(B * nb, dtype=np.int64)
         runs[:d] = f.asarray(fx)
         runs = runs.reshape(nb, B).T  # column b is c_b
-        step = _block_rows(B + nb, max(len(x), d))
+        # x^t for 0 < t < B, then x^(bB) for 0 < b < nb
+        exps = np.concatenate([np.arange(1, B), B * np.arange(1, nb)])
+        step = _block_rows(len(exps), max(len(x), d))
         for start in range(0, len(x), step):
-            powers = _powers(f, x[start : start + step], B, nb)
-            E = lincomb(f, powers[:, :B], runs)
-            out[start : start + step] = f.sum_array(f.mul_array(E, powers[:, B:]), axis=1)
+            powers = _powers(f, x[start : start + step], exps)
+            E = f.add_array(runs[0], lincomb(f, powers[:, : B - 1], runs[1:]))
+            scaled = f.sum_array(f.mul_array(E[:, 1:], powers[:, B - 1 :]), axis=1)
+            out[start : start + step] = f.add_array(E[:, 0], scaled)
     return out.reshape(np.shape(xs))
 
 
 def lincomb(f: Field, X, M) -> np.ndarray:
     """X M for a 2-D array M and a vector or 2-D array X: each row x of
-    X gives sum_j x_j M[j].  The one field matrix product."""
-    if f.m == 1:
-        # exact in int64: (p - 1)^2 * len(x) < 2^48 for q <= MAX_Q
-        return X @ M % f.p
+    X gives sum_j x_j M[j].  The one field matrix product
+    (Field.matmul_array)."""
     if X.ndim == 1:
-        return lincomb(f, X[None], M)[0]
-    # the products of a block of rows at a time: at most
-    # max(_BLOCK, M.size) of them
-    out = np.empty((len(X), M.shape[1]), dtype=np.int64)
-    step = max(1, _BLOCK // max(M.size, 1))
-    for start in range(0, len(X), step):
-        out[start : start + step] = f.sum_array(f.mul_array(X[start : start + step, :, None], M), axis=1)
-    return out
+        return f.matmul_array(X[None], M)[0]
+    return f.matmul_array(X, M)
 
 
-# the fewest entries a block of the Vandermonde and Hankel products, or
-# of lincomb's products over GF(p^m), may hold
+# the fewest entries a block of the Vandermonde and Hankel products may
+# hold
 _BLOCK = 1 << 10
 
 
@@ -281,9 +277,11 @@ def _split(d: int) -> tuple[int, int]:
     return B, -(-d // B)
 
 
-def _powers(f: Field, x, B: int, nb: int) -> np.ndarray:
-    """len(x) x (B + nb): x_i^t for t < B, then x_i^(bB) for b < nb."""
-    return f.pow_array(x[:, None], np.concatenate([np.arange(B), B * np.arange(nb)]))
+def _powers(f: Field, x, exps) -> np.ndarray:
+    """len(x) x len(exps): x_i^e.  Taken as the transpose, so each array
+    step runs along x, not along a row as short as 2 entries, and then
+    laid out by rows."""
+    return np.ascontiguousarray(f.pow_array(x, exps[:, None]).T)
 
 
 def node_weights(f: Field, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -322,9 +320,10 @@ def interpolate_batch(f: Field, xs, Y, P, w) -> np.ndarray:
     # CV[r, b, t] = sum_i C[r, i] x_i^(bB) x_i^t, C = Y w, summed over
     # node blocks
     CV = np.zeros((rows, nb, B), dtype=np.int64)
+    exps = np.concatenate([np.arange(B), B * np.arange(nb)])
     step = _block_rows(B + nb + rows * (nb + 1), Y.size)
     for start in range(0, n, step):
-        powers = _powers(f, xs[start : start + step], B, nb)
+        powers = _powers(f, xs[start : start + step], exps)
         C = f.mul_array(Y[:, start : start + step], w[start : start + step])
         scaled = f.mul_array(C[:, None], powers[:, B:].T)
         terms = lincomb(f, scaled.reshape(rows * nb, len(powers)), powers[:, :B])
