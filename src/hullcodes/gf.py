@@ -22,22 +22,23 @@ read-only by every Field with that key; each Field still checks its
 parameters before it takes them from the cache (the verdict on an
 explicit modulus is kept in a cache of the same size).  Each table is
 one read-only int64 numpy array.  The ops on whole arrays of encodings
-(mul_array, add_array, sub_array, inv_array, pow_array and sum_array,
-which also sums along one axis), which the linear algebra, the GRS
-evaluation maps and the oracle are built on, index the arrays; the
-scalar ops (add, mul, inv, ...) index memoryviews of the same buffers,
-which give Python ints without a copy.  Two array ops skip the Zech
-table, as the encoding's digits add mod p: over GF(2^m), add_array,
-sub_array and sum_array are bitwise exclusive or; and over GF(p^m), p
-odd, sum_array adds the entries' spread encodings (digit i moved to
-bit i * (63 // m), a table kept with the others) as plain integers,
-as many at once as the slots hold, and takes each slot mod p.  The
-scalar ops keep the Zech route, so the tests that check the array ops
-against them compare two routes.  A memoryview does not pickle,
-so a Field pickles as its key and is rebuilt, checks and all.  The
-array ops trust their inputs; asarray is the one check, made once per
-input array where it enters, and it raises FieldError for any entry
-that is not an element, as the scalar ops do per element.
+(mul_array, add_array, sub_array, inv_array, pow_array, sum_array, which
+also sums along one axis, and matmul_array, the matrix product), which
+the linear algebra, the GRS evaluation maps and the oracle are built on,
+index the arrays; the scalar ops (add, mul, inv, ...) index memoryviews
+of the same buffers, which give Python ints without a copy.  The array
+sums skip the Zech table, as the encoding's digits add mod p: over
+GF(2^m), add_array, sub_array, sum_array and matmul_array's sums are
+bitwise exclusive or; over GF(p^m), p odd, sum_array and matmul_array
+add the entries' spread encodings (digit i moved to bit i * (63 // m), a
+table kept with the others) as plain integers, as many at once as the
+slots hold, and take each slot mod p.  The scalar ops keep the Zech
+route, so the tests that check the array ops against them compare two
+routes.  A memoryview does not pickle, so a Field pickles as its key and
+is rebuilt, checks and all.  The array ops trust their inputs; asarray
+is the one check, made once per input array where it enters, and it
+raises FieldError for any entry that is not an element, as the scalar
+ops do per element.
 """
 
 from __future__ import annotations
@@ -450,7 +451,8 @@ class Field:
         return (s[..., None] >> self._spread_shifts & self._spread_mask) % self.p @ self._digit_weights
 
     def matmul_array(self, X, M):
-        """X M for 2-D arrays of elements.  Over GF(p), one integer
+        """X M for a 2-D array M and a vector or 2-D array X of elements:
+        each row x of X gives sum_j x_j M[j].  Over GF(p), one integer
         product reduced once.  Over GF(p^m), the products of a block of
         X's rows at a time, at most max(_PRODUCTS, M.size) of them, each
         one lookup from the logs of X and of M (M's taken once), summed
@@ -459,6 +461,8 @@ class Field:
         if self.m == 1:
             # exact in int64: (p - 1)^2 * len(M) < 2^48 for q <= MAX_Q
             return X @ M % self.p
+        if X.ndim == 1:
+            return self.matmul_array(X[None], M)[0]
         K, N = M.shape
         if M.size == 0:
             return np.zeros((len(X), N), dtype=np.int64)

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .gf import Field, is_int_list
-from .linalg import Matrix, interpolate_batch, lincomb, node_weights, poly_deg
+from .linalg import Matrix, interpolate_batch, node_weights, poly_deg
 
 
 class GrsError(ValueError):
@@ -148,7 +148,7 @@ def encode(spec: GrsSpec, fx) -> list[int]:
     if poly_deg(fx) > spec.k - 1:
         raise GrsError(f"message degree {poly_deg(fx)} >= dimension {spec.k}")
     f = spec.field
-    return lincomb(f, f.asarray(fx), spec.generator_array[: len(fx)]).tolist()
+    return f.matmul_array(f.asarray(fx), spec.generator_array[: len(fx)]).tolist()
 
 
 # --- serialization (elements as their integer encodings) ---

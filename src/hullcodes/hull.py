@@ -36,7 +36,6 @@ import numpy as np
 from .gf import Field
 from .linalg import (
     Matrix,
-    lincomb,
     nullspace,
     poly_coeff,
     poly_deg,
@@ -183,7 +182,7 @@ def hull_membership(spec: GrsSpec, fx) -> list[int] | None:
         raise HullError(f"message degree {poly_deg(fx)} >= dimension {spec.k}")
     f = spec.field
     n, k = spec.n, spec.k
-    g = poly_trim(lincomb(f, f.asarray(fx), spec.witness_map[: len(fx)]).tolist())
+    g = poly_trim(f.matmul_array(f.asarray(fx), spec.witness_map[: len(fx)]).tolist())
     if not spec.extended:
         return g if poly_deg(g) <= n - k - 1 else None
     if poly_deg(g) <= n - k and poly_coeff(fx, k - 1) == f.neg(poly_coeff(g, n - k)):

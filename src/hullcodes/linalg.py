@@ -5,15 +5,15 @@ concerns, so pivoting just takes the first nonzero entry.  Polynomials
 are lists of element encodings, constant term first, with no trailing
 zeros (the zero polynomial is the empty list, of degree -1).
 
-rref, nullspace, products (lincomb, which Matrix.matmul calls),
+rref, nullspace, products (Matrix.matmul),
 interpolation (interpolate_batch) and evaluation at many points
 (poly_eval_array) run on whole int64 arrays.  Over GF(p), Gauss-Jordan
 makes one fused integer multiply-subtract per pivot and reduces the
-matrix mod p once, at the end (delayed reduction), and a product is
-A @ B % p.  Over GF(p^m), m > 1, each pivot scales and updates the
-matrix through the field's exp/log/Zech tables (see gf.py), and a
-product forms its terms a block of rows at a time and sums them with
-sum_array.  Evaluation is a product with the Vandermonde matrix and
+matrix mod p once, at the end (delayed reduction).  Over GF(p^m),
+m > 1, each pivot scales and updates the matrix through the field's
+exp/log/Zech tables (see gf.py).  A product is Field.matmul_array:
+A @ B % p over GF(p), table lookups summed a block of rows at a time
+over GF(p^m).  Evaluation is a product with the Vandermonde matrix and
 interpolation one with the Vandermonde and a Hankel matrix of the node
 polynomial; both build V's column blocks from its first (baby steps and
 giant steps) and take the points, or the Hankel columns, a block at a
@@ -78,7 +78,7 @@ class Matrix:
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise LinalgError("dimension mismatch")
-        return Matrix(self.field, lincomb(self.field, self.entries, other.entries))
+        return Matrix(self.field, self.field.matmul_array(self.entries, other.entries))
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -244,19 +244,10 @@ def poly_eval_array(f: Field, fx, xs) -> np.ndarray:
         step = _block_rows(len(exps), max(len(x), d))
         for start in range(0, len(x), step):
             powers = _powers(f, x[start : start + step], exps)
-            E = f.add_array(runs[0], lincomb(f, powers[:, : B - 1], runs[1:]))
+            E = f.add_array(runs[0], f.matmul_array(powers[:, : B - 1], runs[1:]))
             scaled = f.sum_array(f.mul_array(E[:, 1:], powers[:, B - 1 :]), axis=1)
             out[start : start + step] = f.add_array(E[:, 0], scaled)
     return out.reshape(np.shape(xs))
-
-
-def lincomb(f: Field, X, M) -> np.ndarray:
-    """X M for a 2-D array M and a vector or 2-D array X: each row x of
-    X gives sum_j x_j M[j].  The one field matrix product
-    (Field.matmul_array)."""
-    if X.ndim == 1:
-        return f.matmul_array(X[None], M)[0]
-    return f.matmul_array(X, M)
 
 
 # the fewest entries a block of the Vandermonde and Hankel products may
@@ -326,7 +317,7 @@ def interpolate_batch(f: Field, xs, Y, P, w) -> np.ndarray:
         powers = _powers(f, xs[start : start + step], exps)
         C = f.mul_array(Y[:, start : start + step], w[start : start + step])
         scaled = f.mul_array(C[:, None], powers[:, B:].T)
-        terms = lincomb(f, scaled.reshape(rows * nb, len(powers)), powers[:, :B])
+        terms = f.matmul_array(scaled.reshape(rows * nb, len(powers)), powers[:, :B])
         CV = f.add_array(CV, terms.reshape(CV.shape))
     CV = CV.reshape(rows, nb * B)[:, :n]
     # columns j = start.. of Hk, B at a time: window row j - start is
@@ -337,7 +328,7 @@ def interpolate_batch(f: Field, xs, Y, P, w) -> np.ndarray:
     for start in range(0, n, B):
         shape = (min(B, n - start), n - start)
         window = np.lib.stride_tricks.as_strided(tail[start:], shape, 2 * tail.strides, writeable=False)
-        out[start : start + B] = lincomb(f, window, CV[:, : n - start].T)
+        out[start : start + B] = f.matmul_array(window, CV[:, : n - start].T)
     return out.T
 
 

@@ -54,7 +54,7 @@ from functools import cached_property
 import numpy as np
 
 from .gf import Field
-from .linalg import LinalgError, Matrix, _null_basis, _rref_array, lincomb
+from .linalg import LinalgError, Matrix, _null_basis, _rref_array
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ class LinearCode:
         pivots = list(pivots)
         free = [c for c in range(self.n) if c not in pivots]
         # G - G[:, free] H, on the pivot columns; its free columns are 0
-        block = f.sub_array(G[:, pivots], lincomb(f, G[:, free], H[:, pivots]))
+        block = f.sub_array(G[:, pivots], f.matmul_array(G[:, free], H[:, pivots]))
         return self.k - _rref_array(f, block)[1]
 
     @cached_property

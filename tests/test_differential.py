@@ -251,6 +251,20 @@ def test_sum_array_along_an_axis_matches_scalar_sums(p, m):
     assert f.sum_array(A[:, :0], axis=1).tolist() == [[0] * 4] * 3
 
 
+@pytest.mark.parametrize("p, m", [(13, 1), (2, 11), (7, 2), (3, 10)])
+def test_matmul_array_matches_scalar_products(p, m):
+    # K = 70 inner terms take three slot chunks over GF(3^10); 40 rows
+    # of a 70 x 20 M take several row blocks
+    f = Field(p, m)
+    rng = np.random.default_rng(f.q)
+    for rows, K, N in ((40, 70, 20), (3, 1, 5), (2, 0, 3), (2, 4, 0), (0, 3, 2)):
+        X, M = rng.integers(0, f.q, (rows, K)), rng.integers(0, f.q, (K, N))
+        want = [[_scalar_sum(f, [f.mul(a, b) for a, b in zip(row, col)]) for col in M.T.tolist()]
+                for row in X.tolist()]
+        got = f.matmul_array(X, M)
+        assert got.shape == (rows, N) and got.tolist() == want
+
+
 @pytest.mark.parametrize("p, m", [(2, 2), (3, 2), (7, 2), (3, 7)])
 def test_extension_field_linear_algebra(p, m):
     """No sympy DomainMatrix over GF(p^m): matmul against the scalar ops,
