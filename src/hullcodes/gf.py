@@ -456,8 +456,8 @@ class Field:
         product reduced once.  Over GF(p^m), the products of a block of
         X's rows at a time, at most max(_PRODUCTS, M.size) of them, each
         one lookup from the logs of X and of M (M's taken once), summed
-        as sum_array sums but with the slot sums of all blocks read back
-        at once."""
+        as sum_array sums; the slot sums are read back in blocks of their
+        own, larger where the output rows are short."""
         if self.m == 1:
             # exact in int64: (p - 1)^2 * len(M) < 2^48 for q <= MAX_Q
             return X @ M % self.p
@@ -480,7 +480,12 @@ class Field:
         for start in blocks:
             products = self._exp_array[self._log_array[X[start : start + step]][:, :, None] + logM]
             sums[start : start + step] = np.add.reduceat(self._spread_array[products], starts, axis=1)
-        return self.sum_array(self._unspread(sums), axis=1)
+        # read back as many rows at a time as hold _PRODUCTS digits
+        out = np.empty((len(X), N), dtype=np.int64)
+        step = max(1, _PRODUCTS // (self.m * len(starts) * N))
+        for start in range(0, len(X), step):
+            out[start : start + step] = self.sum_array(self._unspread(sums[start : start + step]), axis=1)
+        return out
 
     # -- identity / serialization --
 
