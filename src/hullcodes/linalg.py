@@ -229,24 +229,23 @@ def poly_eval_array(f: Field, fx, xs) -> np.ndarray:
     V c = sum_b x_i^(bB) (V_B c_b), c_b the b-th run of B coefficients:
     one product V_B [c_0 ... c_{nb-1}] and one row sum, with B and nb
     about sqrt(len(fx)) (the baby-step giant-step split of Paterson and
-    Stockmeyer, SIAM J. Comput. 2(1), 1973).  x^0 = 1 takes no column,
-    so a constant costs no powers.  The points are taken a block at a
-    time (_block_rows)."""
-    d, x = len(fx), np.ravel(xs)
-    out = np.zeros(x.shape, dtype=np.int64)
-    if d:
-        B, nb = _split(d)
-        runs = np.zeros(B * nb, dtype=np.int64)
-        runs[:d] = f.asarray(fx)
-        runs = runs.reshape(nb, B).T  # column b is c_b
-        # x^t for 0 < t < B, then x^(bB) for 0 < b < nb
-        exps = np.concatenate([np.arange(1, B), B * np.arange(1, nb)])
-        step = _block_rows(len(exps), max(len(x), d))
-        for start in range(0, len(x), step):
-            powers = _powers(f, x[start : start + step], exps)
-            E = f.add_array(runs[0], f.matmul_array(powers[:, : B - 1], runs[1:]))
-            scaled = f.sum_array(f.mul_array(E[:, 1:], powers[:, B - 1 :]), axis=1)
-            out[start : start + step] = f.add_array(E[:, 0], scaled)
+    Stockmeyer, SIAM J. Comput. 2(1), 1973).  The points are taken a
+    block at a time (_block_rows).  A constant, such as the certificate
+    of a seed on the whole field, takes no powers."""
+    c, x = f.asarray(fx), np.ravel(xs)
+    if len(c) <= 1:
+        return np.full(np.shape(xs), c[0] if len(c) else 0, dtype=np.int64)
+    B, nb = _split(len(c))
+    runs = np.zeros(B * nb, dtype=np.int64)
+    runs[: len(c)] = c
+    runs = runs.reshape(nb, B).T  # column b is c_b
+    exps = np.concatenate([np.arange(B), B * np.arange(nb)])
+    out = np.empty(x.shape, dtype=np.int64)
+    step = _block_rows(B + nb, max(len(x), len(c)))
+    for start in range(0, len(x), step):
+        powers = _powers(f, x[start : start + step], exps)
+        E = f.matmul_array(powers[:, :B], runs)
+        out[start : start + step] = f.sum_array(f.mul_array(E, powers[:, B:]), axis=1)
     return out.reshape(np.shape(xs))
 
 
