@@ -232,16 +232,16 @@ def poly_eval_array(f: Field, fx, xs) -> np.ndarray:
     Stockmeyer, SIAM J. Comput. 2(1), 1973).  The points are taken a
     block at a time (_block_rows).  A constant, such as the certificate
     of a seed on the whole field, takes no powers."""
-    c, x = f.asarray(fx), np.ravel(xs)
-    if len(c) <= 1:
-        return np.full(np.shape(xs), c[0] if len(c) else 0, dtype=np.int64)
-    B, nb = _split(len(c))
-    runs = np.zeros(B * nb, dtype=np.int64)
-    runs[: len(c)] = c
-    runs = runs.reshape(nb, B).T  # column b is c_b
+    runs, x = f.asarray(fx), np.ravel(xs)
+    d = len(runs)
+    if d <= 1:
+        return np.full(np.shape(xs), runs[0] if d else 0, dtype=np.int64)
+    B, nb = _split(d)
+    # column b is c_b
+    runs = np.concatenate([runs, np.zeros(B * nb - d, dtype=np.int64)]).reshape(nb, B).T
     exps = np.concatenate([np.arange(B), B * np.arange(nb)])
     out = np.empty(x.shape, dtype=np.int64)
-    step = _block_rows(B + nb, max(len(x), len(c)))
+    step = _block_rows(B + nb, max(len(x), d))
     for start in range(0, len(x), step):
         powers = _powers(f, x[start : start + step], exps)
         E = f.matmul_array(powers[:, :B], runs)
