@@ -5,24 +5,24 @@ concerns, so pivoting just takes the first nonzero entry.  Polynomials
 are lists of element encodings, constant term first, with no trailing
 zeros (the zero polynomial is the empty list, of degree -1).
 
-rref, nullspace, products (Matrix.matmul),
-interpolation (interpolate_batch) and evaluation at many points
-(poly_eval_array) run on whole int64 arrays.  Over GF(p), Gauss-Jordan
-makes one fused integer multiply-subtract per pivot and reduces the
-matrix mod p once, at the end (delayed reduction).  Over GF(p^m),
-m > 1, each pivot scales and updates the matrix through the field's
-exp/log/Zech tables (see gf.py).  A product is Field.matmul_array:
-A @ B % p over GF(p), table lookups summed a block of rows at a time
-over GF(p^m).  Evaluation is a product with the Vandermonde matrix and
-interpolation one with the Vandermonde and a Hankel matrix of the node
-polynomial; both build V's column blocks from its first (baby steps and
-giant steps) and take the points, or the Hankel columns, a block at a
-time.  On n points they hold O(n) entries at a time, never an n x n
-array; over GF(p) that is O(sqrt(n)) array steps, and over GF(p^m), whose
-products are formed as arrays, O(n) of them.  Each input is
-checked once, as it is converted (Field.asarray): a Matrix is one
-read-only int64 array, and Matrix.rows (Python ints) is built only when
-read, for output.  determinant and the polynomial helpers stay scalar.
+rref, nullspace, products (Matrix.matmul), interpolation
+(interpolate_batch) and evaluation at many points (poly_eval_array) run
+on whole int64 arrays.  Over GF(p), Gauss-Jordan makes one fused integer
+multiply-subtract per pivot and reduces the matrix mod p once, at the
+end (delayed reduction).  Over GF(p^m), m > 1, each pivot scales and
+updates the matrix through the field's exp/log/Zech tables (see gf.py).
+A product is Field.matmul_array: A @ B % p over GF(p), table lookups
+summed a block of rows at a time over GF(p^m).  Evaluation is a product
+with the Vandermonde matrix and interpolation one with the Vandermonde
+and a Hankel matrix of the node polynomial; both build V's column blocks
+from its first (baby steps and giant steps) and take the points, or the
+Hankel columns, a block at a time.  On n points they hold O(n) entries
+at a time, never an n x n array; over GF(p) that is O(sqrt(n)) array
+steps, and over GF(p^m), whose products are formed as arrays, O(n) of
+them.  Each input is checked once, as it is converted (Field.asarray): a
+Matrix is one read-only int64 array, and Matrix.rows (Python ints) is
+built only when read, for output.  determinant and the polynomial
+helpers stay scalar.
 """
 
 from __future__ import annotations
@@ -256,8 +256,8 @@ _BLOCK = 1 << 10
 
 def _block_rows(width: int, n: int) -> int:
     """Rows of width entries per block, about max(n / 2, _BLOCK) entries
-    in all: a kernel on inputs of length n holds O(n) entries at a
-    time, as Horner's rule and the synthetic divisions did."""
+    in all, so that a kernel on inputs of length n holds O(n) entries at
+    a time."""
     return max(1, max(n // 2, _BLOCK) // max(width, 1))
 
 
@@ -319,15 +319,13 @@ def interpolate_batch(f: Field, xs, Y, P, w) -> np.ndarray:
         terms = f.matmul_array(scaled.reshape(rows * nb, len(powers)), powers[:, :B])
         CV = f.add_array(CV, terms.reshape(CV.shape))
     CV = CV.reshape(rows, nb * B)[:, :n]
-    # columns j = start.. of Hk, B at a time: window row j - start is
-    # P_(j+1) .. P_(n-start+j), zero past P's top, and the terms
-    # s >= n - start vanish in these columns
-    tail = np.concatenate([P[1:], np.zeros(B - 1, dtype=np.int64)])
+    # window row j is P_(j+1) .. P_(j+n), zero past P's top: column j of
+    # Hk.  Its columns are taken B at a time, and from column start on
+    # the terms s >= n - start vanish
+    window = np.lib.stride_tricks.sliding_window_view(np.concatenate([P[1:], np.zeros(n - 1, dtype=np.int64)]), n)
     out = np.empty((n, rows), dtype=np.int64)
     for start in range(0, n, B):
-        shape = (min(B, n - start), n - start)
-        window = np.lib.stride_tricks.as_strided(tail[start:], shape, 2 * tail.strides, writeable=False)
-        out[start : start + B] = f.matmul_array(window, CV[:, : n - start].T)
+        out[start : start + B] = f.matmul_array(window[start : start + B, : n - start], CV[:, : n - start].T)
     return out.T
 
 
