@@ -23,7 +23,7 @@ from sympy.polys.domains import GF, ZZ
 from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_neg, gf_rem, gf_sub
 from sympy.polys.matrices import DomainMatrix
 
-from hullcodes import cli, linalg
+from hullcodes import cli, gf, linalg
 from hullcodes.construct import make_seed, reduce_hull
 from hullcodes.gf import MAX_Q, Field, is_prime
 from hullcodes.grs import GrsError, GrsSpec, encode, eval_set, generator_matrix, grs
@@ -427,6 +427,7 @@ def test_poly_eval_array_matches_scalar_horner(monkeypatch, block, p, m):
     # a small block splits the points, and the Vandermonde product over
     # GF(p^m), into many blocks
     monkeypatch.setattr(linalg, "_BLOCK", block)
+    monkeypatch.setattr(gf, "_PRODUCTS", block)
     f = Field(p, m)
     rng = random.Random(f.q + block)
     points = [rng.randrange(f.q) for _ in range(60)] + [0]
@@ -458,6 +459,7 @@ def test_interpolate_batch_matches_a_vandermonde_solve_across_blocks(monkeypatch
 @pytest.mark.parametrize("p, m", [(3, 3), (2, 6)])
 def test_interpolate_batch_across_blocks_over_extension_fields(monkeypatch, block, p, m):
     monkeypatch.setattr(linalg, "_BLOCK", block)
+    monkeypatch.setattr(gf, "_PRODUCTS", block)
     f = Field(p, m)
     rng = random.Random(f.q + block)
     xs = rng.sample(range(f.q), 25)
