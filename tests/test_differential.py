@@ -245,9 +245,11 @@ def test_sum_array_along_an_axis_matches_scalar_sums(p, m):
     # add at once: an axis of 300 takes ten chunks
     f = Field(p, m)
     A = np.random.default_rng(f.q).integers(0, f.q, (3, 300, 4))
-    for axis in range(3):
-        want = np.apply_along_axis(lambda line: _scalar_sum(f, line.tolist()), axis, A)
-        assert np.array_equal(f.sum_array(A, axis=axis), want)
+    # q - 1 has every digit p - 1, so its sums fill the slots to the brim
+    for B in (A, np.full((3, 300, 4), f.q - 1)):
+        for axis in range(3):
+            want = np.apply_along_axis(lambda line: _scalar_sum(f, line.tolist()), axis, B)
+            assert np.array_equal(f.sum_array(B, axis=axis), want)
     assert f.sum_array(A[:, :0], axis=1).tolist() == [[0] * 4] * 3
 
 
@@ -257,8 +259,12 @@ def test_matmul_array_matches_scalar_products(p, m):
     # of a 70 x 20 M take several row blocks
     f = Field(p, m)
     rng = np.random.default_rng(f.q)
-    for rows, K, N in ((40, 70, 20), (3, 1, 5), (2, 0, 3), (2, 4, 0), (0, 3, 2)):
-        X, M = rng.integers(0, f.q, (rows, K)), rng.integers(0, f.q, (K, N))
+    cases = [(rng.integers(0, f.q, (rows, K)), rng.integers(0, f.q, (K, N)))
+             for rows, K, N in ((40, 70, 20), (3, 1, 5), (2, 0, 3), (2, 4, 0), (0, 3, 2))]
+    # products q - 1 (every digit p - 1) fill the slots to the brim
+    cases.append((np.full((2, 70), f.q - 1), np.ones((70, 3), dtype=np.int64)))
+    for X, M in cases:
+        rows, N = len(X), M.shape[1]
         want = [[_scalar_sum(f, [f.mul(a, b) for a, b in zip(row, col)]) for col in M.T.tolist()]
                 for row in X.tolist()]
         got = f.matmul_array(X, M)
