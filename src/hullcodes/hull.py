@@ -23,8 +23,9 @@ encode(f) lies in the hull iff the interpolant g of v_i^2 f(a_i) / u_i
 has degree <= n - k - 1 (extended: <= n - k and f_{k-1} = -g_{n-k}).  g
 is linear in f, so hull_membership reads it off as f L from the spec's
 witness map L (grs.py), built on the first query and kept with the
-spec.  check_certificate, which guards every reduction, never reads L:
-it evaluates lam at every point itself.
+spec; row j of L is x^j lam mod P, so L takes one interpolation, that
+of the certificate polynomial lam.  check_certificate, which guards
+every reduction, never reads L: it evaluates lam at every point itself.
 """
 
 from __future__ import annotations
