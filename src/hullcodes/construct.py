@@ -111,11 +111,22 @@ def _rootless_twist(field: Field, xs: np.ndarray, degree: int) -> np.ndarray:
 def _smallest_root_free(field: Field, degree: int, xs: np.ndarray) -> np.ndarray:
     # the values at xs of the smallest monic polynomial of the degree, by
     # (c_{d-1}, ..., c_0) in encoding order, with no root in the field;
-    # for degree 2 and 3 that is the smallest irreducible one.
-    for high_first in itertools.product(range(field.q), repeat=degree):
-        values = poly_eval_array(field, list(reversed(high_first)) + [1], np.arange(field.q))
-        if values.all():
-            return values[xs]
+    # for degree 2 and 3 that is the smallest irreducible one.  The
+    # candidates are taken q^2 at a time, every (c_1, c_0) for one choice
+    # of the rest: g + c_0 has no root iff -c_0 is no value of g.
+    q = field.q
+    x = np.arange(q)
+    neg = field.sub_array(0, x)
+    for high in itertools.product(range(q), repeat=degree - 2):
+        # g[c_1] at every x: x^d + ... + c_2 x^2 + c_1 x
+        top = poly_eval_array(field, [0, 0, *reversed(high), 1], x)
+        g = field.add_array(top, field.mul_array(x[:, None], x))
+        hit = np.zeros((q, q), dtype=bool)
+        hit[x[:, None], g] = True
+        root_free = ~hit[:, neg]
+        if root_free.any():
+            c1, c0 = divmod(int(root_free.argmax()), q)
+            return field.add_array(g[c1, xs], c0)
     raise ConstructionError(  # pragma: no cover
         f"no root-free monic polynomial of degree {degree} over GF({field.q})"
     )
@@ -179,7 +190,7 @@ def reduce_hull(
     s = k - 1 - l if extend else k - l
     pi = None  # the twist's values pi(a_i)
     if twist:
-        xs = field.asarray(points.a)
+        xs = points.a_array
         if b is not None or spec.n < field.q:
             pi = field.pow_array(field.sub_array(xs, choose_b(field, points, b)), m - k)
         elif m - k >= 2:
@@ -189,7 +200,7 @@ def reduce_hull(
             # pi-free route (l < k): the infinity coordinate absorbs one
             # hull dimension, so retarget s accordingly
             s = k - 1 - l
-    v = field.asarray(spec.v)
+    v = spec.v_array.copy()
     v[:s] = field.mul_array(choose_alpha(field, alpha), v[:s])
     if pi is not None:
         v = field.mul_array(v, pi)

@@ -37,8 +37,8 @@ route, so the tests that check the array ops against them compare two
 routes.  A memoryview does not pickle, so a Field pickles as its key and
 is rebuilt, checks and all.  The array ops trust their inputs; asarray
 is the one check, made once per input array where it enters, and it
-raises FieldError for any entry that is not an element, as the scalar
-ops do per element.
+raises FieldError for any entry that is not an element, a bool among
+ints included, as the scalar ops do per element.
 """
 
 from __future__ import annotations
@@ -391,11 +391,20 @@ class Field:
         a = np.asarray(x)
         if a.size == 0:
             return a.astype(np.int64)
-        if a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= self.q:
-            entries = a.ravel().tolist()
+        out = a.astype(np.int64) if a.dtype.kind in "iu" else None
+        # one bound checks both ends: a negative entry reads as a large
+        # unsigned one.  numpy reads a bool among ints as 0 or 1, so the
+        # types of a sequence's entries are read too; an array's dtype
+        # tells alone
+        array = isinstance(x, np.ndarray)
+        if (
+            out is None or out.view(np.uint64).max() >= self.q
+            or not array and not _BOOLS.isdisjoint(map(type, _entries(x, a.ndim)))
+        ):
+            entries = a.ravel().tolist() if array else _entries(x, a.ndim)
             bad = next((v for v in entries if not _is_element(v, self.q)), x)
             raise FieldError(f"{bad!r} is not an element of GF({self.q})")
-        return a.astype(np.int64)
+        return out
 
     def mul_array(self, a, b):
         log = self._log_array
@@ -521,6 +530,18 @@ class Field:
                 "that is a list of integers or null"
             )
         return cls(d["p"], d["m"], d["modulus"])
+
+
+_BOOLS = frozenset((bool, np.bool_))
+
+
+def _entries(x, ndim: int):
+    """The entries of x, nested ndim deep, as one iterable."""
+    if ndim == 0:
+        return (x,)
+    for _ in range(ndim - 1):
+        x = itertools.chain.from_iterable(x)
+    return x
 
 
 def _is_element(x, q: int) -> bool:

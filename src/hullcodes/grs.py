@@ -6,11 +6,16 @@ a_i, nonzero column multipliers v_i, dimension k.  The codewords are
 x^(k-1) appended as an extra coordinate in the extended case.
 
 Alongside each evaluation set we keep the node polynomial
-P = prod_j (x - a_j) and the derived quantities
+P = prod_j (x - a_j), from a product tree, and the derived quantities
 u_i = prod_{j != i} (a_i - a_j)^(-1) = 1 / P'(a_i) (linalg.node_weights),
 which tie a GRS code to its dual in everything downstream (certificates,
 hull membership, duality); every interpolation over the points reuses
-both.
+both.  The tuples a, u, P and a spec's v are the public, hashable
+identity and the serialized form; the array kernels read each as one
+read-only int64 array (a_array, u_array, P_array, v_array).  eval_set
+and grs keep the arrays they checked (Field.asarray) or computed; on a
+hand-built EvaluationSet or GrsSpec each array is converted and checked
+on first use, then kept.
 
 Each spec keeps its evaluation map, int64 arrays of O(kn) memory, in
 its own attributes, so the map lives and dies with the spec: G = V diag(v)
@@ -38,6 +43,17 @@ class GrsError(ValueError):
     pass
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _keep(obj, **arrays) -> None:
+    """Fill obj's cached array properties with arrays already checked,
+    or computed by the field's ops, so they are not checked again."""
+    vars(obj).update((name, _frozen(array)) for name, array in arrays.items())
+
+
 @dataclass(frozen=True)
 class EvaluationSet:
     field: Field
@@ -49,6 +65,18 @@ class EvaluationSet:
     @property
     def n(self) -> int:
         return len(self.a)
+
+    @cached_property
+    def a_array(self) -> np.ndarray:
+        return _frozen(self.field.asarray(self.a))
+
+    @cached_property
+    def u_array(self) -> np.ndarray:
+        return _frozen(self.field.asarray(self.u))
+
+    @cached_property
+    def P_array(self) -> np.ndarray:
+        return _frozen(self.field.asarray(self.P))
 
 
 def eval_set(field: Field, a) -> EvaluationSet:
@@ -68,7 +96,9 @@ def eval_set(field: Field, a) -> EvaluationSet:
     if len(set(a)) != len(a):
         raise GrsError("evaluation points must be pairwise distinct")
     P, u = node_weights(field, xs)
-    return EvaluationSet(field, a, tuple(u.tolist()), tuple(P.tolist()))
+    points = EvaluationSet(field, a, tuple(u.tolist()), tuple(P.tolist()))
+    _keep(points, a_array=xs, u_array=u, P_array=P)
+    return points
 
 
 @dataclass(frozen=True)
@@ -79,11 +109,14 @@ class GrsSpec:
     extended: bool = False
 
     @cached_property
+    def v_array(self) -> np.ndarray:
+        return _frozen(self.field.asarray(self.v))
+
+    @cached_property
     def generator_array(self) -> np.ndarray:
         """G, k x length: row j is (v_i a_i^j), then [j = k-1] if extended."""
         f = self.field
-        a, v = f.asarray(self.points.a), f.asarray(self.v)
-        G = f.mul_array(f.pow_array(a, np.arange(self.k)[:, None]), v)
+        G = f.mul_array(f.pow_array(self.points.a_array, np.arange(self.k)[:, None]), self.v_array)
         if self.extended:
             G = np.hstack([G, np.arange(self.k)[:, None] == self.k - 1])
         return G
@@ -91,10 +124,9 @@ class GrsSpec:
     def dual_interpolant(self) -> np.ndarray:
         """The n coefficients of the interpolant of v_i^2 / u_i: the
         certificate polynomial of hull.py."""
-        f = self.field
-        a, v, u, P = (f.asarray(x) for x in (self.points.a, self.v, self.points.u, self.points.P))
-        values = f.mul_array(f.mul_array(v, v), f.inv_array(u))
-        return interpolate_batch(f, a, values[None], P, u)[0]
+        f, points, v = self.field, self.points, self.v_array
+        values = f.mul_array(f.mul_array(v, v), f.inv_array(points.u_array))
+        return interpolate_batch(f, points.a_array, values[None], points.P_array, points.u_array)[0]
 
     @cached_property
     def witness_map(self) -> np.ndarray:
@@ -103,7 +135,7 @@ class GrsSpec:
         polynomial; each row is the one before shifted up once, less its
         top coefficient times P.  Built on first use and then kept."""
         f, n = self.field, self.n
-        P = f.asarray(self.points.P[:n])  # P is monic of degree n
+        P = self.points.P_array[:n]  # P is monic of degree n
         L = np.empty((self.k, n), dtype=np.int64)
         L[0] = self.dual_interpolant()
         for j in range(1, self.k):
@@ -129,13 +161,15 @@ def grs(points: EvaluationSet, v, k: int, extended: bool = False) -> GrsSpec:
     v = tuple(v)
     if len(v) != points.n:
         raise GrsError("multiplier count does not match evaluation set")
-    v = tuple(points.field.asarray(v).tolist())
-    if any(x == 0 for x in v):
+    v_array = points.field.asarray(v)
+    if not v_array.all():
         raise GrsError("multipliers must be nonzero")
     kmax = points.n + 1 if extended else points.n
     if not 1 <= k <= kmax:
         raise GrsError(f"dimension {k} out of range 1..{kmax}")
-    return GrsSpec(points, v, k, extended)
+    spec = GrsSpec(points, tuple(v_array.tolist()), k, extended)
+    _keep(spec, v_array=v_array)
+    return spec
 
 
 def generator_matrix(spec: GrsSpec) -> Matrix:

@@ -163,8 +163,8 @@ def check_certificate(cert: Certificate, spec: GrsSpec) -> bool:
     f, points = spec.field, spec.points
     if not _degree_rule(spec, cert.lam):
         return False
-    v = f.asarray(spec.v)
-    lam_u = f.mul_array(poly_eval_array(f, cert.lam, f.asarray(points.a)), f.asarray(points.u))
+    v = spec.v_array
+    lam_u = f.mul_array(poly_eval_array(f, cert.lam, points.a_array), points.u_array)
     return bool(np.array_equal(lam_u, f.mul_array(v, v)))
 
 
@@ -194,7 +194,7 @@ def hull_membership(spec: GrsSpec, fx) -> list[int] | None:
 def verify_power_sums(points: EvaluationSet) -> bool:
     """sum_i a_i^m u_i is 0 for 0 <= m <= n-2 and 1 for m = n-1."""
     f = points.field
-    a, terms = f.asarray(points.a), f.asarray(points.u)
+    a, terms = points.a_array, points.u_array
     for m in range(points.n):  # terms = a_i^m u_i: O(n) memory
         if f.sum_array(terms) != (1 if m == points.n - 1 else 0):
             return False

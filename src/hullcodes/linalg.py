@@ -12,17 +12,21 @@ multiply-subtract per pivot and reduces the matrix mod p once, at the
 end (delayed reduction).  Over GF(p^m), m > 1, each pivot scales and
 updates the matrix through the field's exp/log/Zech tables (see gf.py).
 A product is Field.matmul_array: A @ B % p over GF(p), table lookups
-summed a block of rows at a time over GF(p^m).  Evaluation is a product
-with the Vandermonde matrix and interpolation one with the Vandermonde
-and a Hankel matrix of the node polynomial; both build V's column blocks
-from its first (baby steps and giant steps) and take the points, or the
-Hankel columns, a block at a time.  On n points they hold O(n) entries
-at a time, never an n x n array; over GF(p) that is O(sqrt(n)) array
-steps, and over GF(p^m), whose products are formed as arrays, O(n) of
-them.  Each input is checked once, as it is converted (Field.asarray): a
-Matrix is one read-only int64 array, and Matrix.rows (Python ints) is
-built only when read, for output.  determinant and the polynomial
-helpers stay scalar.
+summed a block of rows at a time over GF(p^m).  Elimination stops once
+the rows below the pivots found are zero.  Evaluation is a product with
+the Vandermonde matrix and interpolation one with the Vandermonde and a
+Hankel matrix of the node polynomial P = prod_j (x - x_j); both build
+V's column blocks from its first (baby steps and giant steps) and take
+the points, or the Hankel columns, a block at a time.  P comes from a
+product tree of ceil(log2 n) levels, each a batch of outer products of
+pairs and their skew sums.  On n points every step of these kernels
+holds at most max(_BLOCK, n floor(sqrt(n))) entries, never an n x n
+array: up to a few hundred points that is one step, and past them
+O(sqrt(n)) steps (over GF(p^m), matmul_array splits a step's products
+further).  Each input is checked once, as it is converted
+(Field.asarray): a Matrix is one read-only int64 array, and Matrix.rows
+(Python ints) is built only when read, for output.  determinant and the
+polynomial helpers stay scalar.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .gf import Field, FieldError
 
@@ -108,16 +113,21 @@ def _rref_array(f: Field, A: np.ndarray):
     field's exp/log/Zech tables."""
     prime = f.m == 1
     pivots = []
-    r = 0
-    for c in range(A.shape[1]):
-        if r == A.shape[0]:
-            break
+    (nrows, ncols), r, c = A.shape, 0, 0
+    while r < nrows and c < ncols:
         # over GF(p) entries drift from their residues between pivots;
         # only the pivot column and the pivot row are reduced, so both
         # factors of every product below lie in 0..p-1
         coef = A[:, c] % f.p if prime else A[:, c].copy()
         nonzero = coef[r:].nonzero()[0]
         if nonzero.size == 0:
+            # a column that is zero from row r down stays so, since those
+            # rows change only by multiples of one of them: stop if every
+            # column is, else go on at the next one that is not
+            rest = A[r:, c + 1 :] % f.p if prime else A[r:, c + 1 :]
+            if not np.count_nonzero(rest):
+                break
+            c += 1 + int(rest.any(axis=0).argmax())
             continue
         i = r + nonzero[0]
         if i != r:
@@ -137,6 +147,7 @@ def _rref_array(f: Field, A: np.ndarray):
             A[:, c:] = f.sub_array(A[:, c:], f.mul_array(coef[:, None], row))
         pivots.append(c)
         r += 1
+        c += 1
     if prime:
         A %= f.p
     return A, r, tuple(pivots)
@@ -154,13 +165,25 @@ def nullspace(M: Matrix) -> Matrix:
 def _null_basis(f: Field, R: np.ndarray, rk: int, pivots) -> np.ndarray:
     """Basis rows of {x : M x^T = 0} from the rref (R, rk, pivots) of M,
     an int64 array of ncols - rk rows; R is only read."""
-    ncols = R.shape[1]
-    free = [c for c in range(ncols) if c not in pivots]
+    free, block = _null_pivot_block(f, R, rk, pivots)
     # row t: 1 at free column free[t], -R[i, free[t]] at pivot column i
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    basis = np.zeros((len(free), R.shape[1]), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
-    basis[:, list(pivots)] = f.sub_array(0, R[:rk, free]).T
+    basis[:, list(pivots)] = block
     return basis
+
+
+def _null_pivot_block(f: Field, R: np.ndarray, rk: int, pivots) -> tuple[np.ndarray, np.ndarray]:
+    """(free, block) for the rref (R, rk, pivots) of M: the free columns,
+    and the null basis of M on the pivot columns, -R[:rk, free]^T,
+    (ncols - rk) x rk.  On the free columns the basis is the identity,
+    so the two give all of it; R is only read."""
+    free = np.ones(R.shape[1], dtype=bool)
+    free[list(pivots)] = False
+    free = free.nonzero()[0]
+    # a transpose, so each column is contiguous: a product with the block
+    # reads columns
+    return free, f.sub_array(0, R[:rk].take(free, axis=1)).T
 
 
 def dual_generator(G: Matrix) -> Matrix:
@@ -249,16 +272,21 @@ def poly_eval_array(f: Field, fx, xs) -> np.ndarray:
     return out.reshape(np.shape(xs))
 
 
-# the fewest entries a block of the Vandermonde and Hankel products may
-# hold
-_BLOCK = 1 << 10
+# the fewest entries a step of the polynomial kernels may hold
+_BLOCK = 1 << 16
+
+
+def _block_entries(n: int) -> int:
+    """The entries a step of a polynomial kernel on inputs of length n
+    may hold: max(_BLOCK, n floor(sqrt(n))).  So inputs of a few hundred
+    points take one step, and larger ones O(sqrt(n)) steps."""
+    return max(_BLOCK, n * math.isqrt(n))
 
 
 def _block_rows(width: int, n: int) -> int:
-    """Rows of width entries per block, about max(n / 2, _BLOCK) entries
-    in all, so that a kernel on inputs of length n holds O(n) entries at
-    a time."""
-    return max(1, max(n // 2, _BLOCK) // max(width, 1))
+    """Rows of width entries per step (_block_entries(n) in all), at
+    least one."""
+    return max(1, _block_entries(n) // max(width, 1))
 
 
 def _split(d: int) -> tuple[int, int]:
@@ -278,18 +306,72 @@ def node_weights(f: Field, xs) -> tuple[np.ndarray, np.ndarray]:
     """(P, w) for distinct nodes xs (an int64 array of elements).
 
     P holds the coefficients of P = prod_j (x - x_j), constant term
-    first, and w_i = 1 / prod_{j != i} (x_i - x_j), which is 1 / P'(x_i).
-    P takes n array steps; P' at the nodes is one poly_eval_array.
+    first (_node_polynomial), and w_i = 1 / prod_{j != i} (x_i - x_j),
+    which is 1 / P'(x_i), one poly_eval_array.
     """
     n = len(xs)
-    P = np.zeros(n + 1, dtype=np.int64)
-    P[0] = 1
-    for x in xs:
-        # P <- (x - x_j) P; P's top entry is still 0
-        P = f.sub_array(np.concatenate(([0], P[:-1])), f.mul_array(x, P))
+    P = _node_polynomial(f, xs)
     # P' = sum_j j P_j x^(j-1); the integer j is the element j % p
     dP = f.mul_array(np.arange(1, n + 1) % f.p, P[1:])
     return P, f.inv_array(poly_eval_array(f, dP, xs))
+
+
+def _node_polynomial(f: Field, xs) -> np.ndarray:
+    """The n + 1 coefficients of prod_j (x - x_j), by a product tree
+    (the subproduct tree of von zur Gathen and Gerhard, Modern Computer
+    Algebra, 3rd ed., 2013, Sec. 10.1): each level multiplies its
+    polynomials in pairs, an odd last one times the constant 1, so there
+    are ceil(log2 n) levels.  The first is the closed form
+    (x + c)(x + d) = cd + (c + d) x + x^2 with c, d the negated nodes;
+    the others are _tree_level."""
+    n, h = len(xs), len(xs) // 2
+    neg = f.sub_array(0, xs)
+    c, d = neg[0 : 2 * h : 2], neg[1 : 2 * h : 2]
+    # rows of width w = 3, then w zeros; an odd last node gives x - x_n
+    rows = np.zeros((h + n % 2, 6), dtype=np.int64)
+    rows[:h, 0] = f.mul_array(c, d)
+    rows[:h, 1] = f.add_array(c, d)
+    rows[:h, 2] = 1
+    if n % 2:
+        rows[h, :2] = neg[-1], 1
+    w, limit = 3, _block_entries(n)
+    while len(rows) > 1:
+        rows, w = _tree_level(f, rows, w, limit), 2 * w - 1
+    return rows[0, : n + 1].copy()
+
+
+def _tree_level(f: Field, rows: np.ndarray, w: int, limit: int) -> np.ndarray:
+    """The products of rows 2i and 2i + 1, an odd last row times the
+    constant 1.  A row holds a polynomial of degree below w and then
+    at least w zeros; so do the rows returned, of width 2w - 1.
+
+    The products of a pair are the outer product of its rows, and the
+    product polynomial its skew sums: coefficient s sums the entries
+    (t, s - t).  With the second row's first r zeros, row t of a block
+    of r rows of that outer product, read flat in rows of w + r - 1
+    entries, is shifted right by t, so the skew sums are column sums.
+    A step takes a block of pairs and r rows of their outer products,
+    at most limit entries unless one pair's row holds more."""
+    pairs, odd = divmod(len(rows), 2)
+    r = min(w, max(1, limit // (2 * w)))
+    step = max(1, limit // (r * (w + r)))
+    out = np.zeros((pairs + odd, 4 * w - 2), dtype=np.int64)
+    if odd:
+        out[pairs, :w] = rows[-1, :w]
+    A, B = rows[0 : 2 * pairs : 2, :w], rows[1 : 2 * pairs : 2, None, : w + r]
+    products = out[:pairs, : 2 * w - 1]
+    for start in range(0, pairs, step):
+        for t in range(0, w, r):
+            part = A[start : start + step, t : t + r]
+            m, rr = part.shape
+            outer = f.mul_array(part[:, :, None], B[start : start + step])
+            skew = outer.reshape(m, -1)[:, : rr * (w + r - 1)].reshape(m, rr, w + r - 1)
+            # coefficients t .. t + w + r - 2 of the block's products,
+            # all 0 past 2w - 2
+            block = products[start : start + step, t : t + w + r - 1]
+            sums = f.sum_array(skew, axis=1)[:, : block.shape[1]]
+            block[...] = sums if t == 0 else f.add_array(block, sums)
+    return out
 
 
 def interpolate_batch(f: Field, xs, Y, P, w) -> np.ndarray:
@@ -311,7 +393,7 @@ def interpolate_batch(f: Field, xs, Y, P, w) -> np.ndarray:
     # node blocks
     CV = np.zeros((rows, nb, B), dtype=np.int64)
     exps = np.concatenate([np.arange(B), B * np.arange(nb)])
-    step = _block_rows(B + nb + rows * (nb + 1), Y.size)
+    step = _block_rows(B + nb + rows * (nb + 1), n)
     for start in range(0, n, step):
         powers = _powers(f, xs[start : start + step], exps)
         C = f.mul_array(Y[:, start : start + step], w[start : start + step])
@@ -320,12 +402,15 @@ def interpolate_batch(f: Field, xs, Y, P, w) -> np.ndarray:
         CV = f.add_array(CV, terms.reshape(CV.shape))
     CV = CV.reshape(rows, nb * B)[:, :n]
     # window row j is P_(j+1) .. P_(j+n), zero past P's top: column j of
-    # Hk.  Its columns are taken B at a time, and from column start on
-    # the terms s >= n - start vanish
-    window = np.lib.stride_tricks.sliding_window_view(np.concatenate([P[1:], np.zeros(n - 1, dtype=np.int64)]), n)
+    # Hk.  Its columns are taken a block at a time, and from column
+    # start on the terms s >= n - start vanish
+    tail = np.concatenate([P[1:], np.zeros(n - 1, dtype=np.int64)])
     out = np.empty((n, rows), dtype=np.int64)
-    for start in range(0, n, B):
-        out[start : start + B] = f.matmul_array(window[start : start + B, : n - start], CV[:, : n - start].T)
+    step = _block_rows(n, n)
+    for start in range(0, n, step):
+        cols = min(step, n - start)
+        window = as_strided(tail[start:], (cols, n - start), 2 * tail.strides, writeable=False)
+        out[start : start + cols] = f.matmul_array(window, CV[:, : n - start].T)
     return out.T
 
 

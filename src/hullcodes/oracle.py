@@ -54,7 +54,7 @@ from functools import cached_property
 import numpy as np
 
 from .gf import Field
-from .linalg import LinalgError, Matrix, _null_basis, _rref_array
+from .linalg import LinalgError, Matrix, _null_pivot_block, _rref_array
 
 
 @dataclass(frozen=True)
@@ -88,11 +88,12 @@ class LinearCode:
         f, (R, rk, pivots) = self.field, self.echelon
         if rk != self.k:
             raise LinalgError("generator matrix is not full row rank")
-        G, H = self.generator.entries, _null_basis(f, R, rk, pivots)
-        pivots = list(pivots)
-        free = [c for c in range(self.n) if c not in pivots]
+        # H, the null basis of G, is the identity on the free columns and
+        # H_piv on the pivot columns
+        free, H_piv = _null_pivot_block(f, R, rk, pivots)
+        G = self.generator.entries
         # G - G[:, free] H, on the pivot columns; its free columns are 0
-        block = f.sub_array(G[:, pivots], f.matmul_array(G[:, free], H[:, pivots]))
+        block = f.sub_array(G[:, list(pivots)], f.matmul_array(G[:, free], H_piv))
         return self.k - _rref_array(f, block)[1]
 
     @cached_property
@@ -293,8 +294,8 @@ def hull_dim_oracle(code: LinearCode) -> int:
     rank [G; H] = (n - k) + rank of the k x k block left on the pivot
     columns: the hull dimension is k minus that rank.  This is the first
     block step of eliminating [G; H] (Dumas, Giorgi and Pernet, ACM TOMS
-    35(3), 2008); it reads nothing of H but the identity block and the
-    pivot columns, and no Gram matrix."""
+    35(3), 2008).  Of H it builds only the pivot columns, (n - k) x k,
+    never the whole (n - k) x n basis, and it forms no Gram matrix."""
     return code._stacked_hull_dim
 
 

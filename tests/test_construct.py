@@ -1,7 +1,10 @@
 import dataclasses
+import itertools
 
+import numpy as np
 import pytest
 
+from hullcodes import construct
 from hullcodes.construct import (
     ConstructionError,
     SeedCode,
@@ -17,6 +20,7 @@ from hullcodes.construct import (
 from hullcodes.gf import Field, FieldError
 from hullcodes.grs import eval_set, grs
 from hullcodes.hull import certify, code_from_grs, hull_report
+from hullcodes.linalg import poly_eval_array
 from hullcodes.oracle import OracleBudget, is_mds, min_distance
 
 F13 = Field(13)
@@ -157,6 +161,21 @@ def test_reduce_egrs_full_field_fallbacks():
                 continue
             spec = reduce_hull_egrs(seed, k, l)
             assert hull_report(code_from_grs(spec)).hull_dim == l, (k, l)
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 49])
+@pytest.mark.parametrize("degree", [2, 3])
+def test_smallest_root_free_matches_one_candidate_at_a_time(q, degree):
+    # the reference tries the monic candidates one by one, (c_{d-1}, ...,
+    # c_0) in encoding order, and takes the first with no root
+    f = Field(*_pm(q))
+    everywhere = np.arange(q)
+    for high_first in itertools.product(range(q), repeat=degree):
+        want = poly_eval_array(f, list(reversed(high_first)) + [1], everywhere)
+        if want.all():
+            break
+    xs = np.array([3, 0, q - 1, 5, 3])
+    assert construct._smallest_root_free(f, degree, xs).tolist() == want[xs].tolist()
 
 
 def test_reduce_egrs_explicit_b_at_full_field_fails():

@@ -155,6 +155,113 @@ def test_delayed_reduction_at_the_largest_prime():
             assert _ints(ours, p) == _ints(DR.nullspace().rref()[0], p)
 
 
+def _scalar_rref(f, rows):
+    """Gauss-Jordan by the scalar ops, every column scanned: the
+    reference for (R, rank, pivots)."""
+    R, pivots = [list(row) for row in rows], []
+    for c in range(len(R[0]) if R else 0):
+        r = len(pivots)
+        i = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if i is None:
+            continue
+        R[r], R[i] = R[i], R[r]
+        inv = f.inv(R[r][c])
+        R[r] = [f.mul(inv, x) for x in R[r]]
+        for j in range(len(R)):
+            if j != r and R[j][c]:
+                coef = R[j][c]
+                R[j] = [f.sub(x, f.mul(coef, y)) for x, y in zip(R[j], R[r])]
+        pivots.append(c)
+    return R, len(pivots), tuple(pivots)
+
+
+def _trailing_zero_matrices(f, rng):
+    """Zero matrices, and rank-deficient ones whose rows below the rank
+    are zero before the last column: random products of rank r < rows,
+    and a dead run of columns between two pivots."""
+    for shape in ((1, 1), (3, 5), (5, 3), (4, 4)):
+        yield [[0] * shape[1] for _ in range(shape[0])]
+    for nrows, ncols in ((4, 6), (6, 4), (5, 5), (3, 8)):
+        for r in range(1, min(nrows, ncols)):
+            left = [[rng.randrange(f.q) for _ in range(r)] for _ in range(nrows)]
+            right = [[rng.randrange(f.q) for _ in range(ncols)] for _ in range(r)]
+            yield [[_scalar_sum(f, [f.mul(a, b) for a, b in zip(row, col)]) for col in zip(*right)]
+                   for row in left]
+    yield [[1] * 7, [1] * 6 + [2], [0] * 7]
+    yield [[1, 0, 0, 0, 2], [0, 0, 0, 0, 0], [0, 0, 0, 0, 1]]
+
+
+@pytest.mark.parametrize("p, m", [(5, 1), (13, 1), (65521, 1), (3, 2), (2, 4)])
+def test_rref_stops_at_a_zero_trailing_block(p, m):
+    # once the rows below the rank are zero (mod p over GF(p), where the
+    # entries drift between pivots) the elimination stops; the output is
+    # that of scanning every column
+    f = Field(p, m)
+    rng = random.Random(f.q)
+    for rows in _trailing_zero_matrices(f, rng):
+        want = _scalar_rref(f, rows)
+        R, rk, pivots = rref(Matrix(f, rows))
+        assert ([list(r) for r in R.rows], rk, pivots) == want, rows
+    if m == 1 and p > 2:
+        # the second row becomes [0, 1 - (p - 1)^2, 0], 0 mod p only
+        R, rk, pivots = rref(Matrix(f, [[1, p - 1, 1], [p - 1, 1, p - 1]]))
+        assert (rk, pivots, R.rows[1]) == (1, (0,), (0, 0, 0))
+
+
+def _scalar_node_weights(f, xs):
+    """(P, w) by scalar products: P = (x - x_1) ... (x - x_n) one factor
+    at a time, and w_i = 1 / prod_{j != i} (x_i - x_j)."""
+    P = [1]
+    for x in xs:
+        P = [f.sub(a, f.mul(x, b)) for a, b in zip([0] + P, P + [0])]
+    w = []
+    for xi in xs:
+        prod = 1
+        for xj in xs:
+            if xj != xi:
+                prod = f.mul(prod, f.sub(xi, xj))
+        w.append(f.inv(prod))
+    return P, w
+
+
+@pytest.mark.parametrize("p, m", [(13, 1), (1031, 1), (65521, 1), (3, 2), (2, 5), (3, 4)])
+def test_node_weights_match_a_scalar_product_loop(monkeypatch, p, m):
+    # the product tree's levels split into blocks of pairs and of rows
+    # of their outer products at the smaller _BLOCK values
+    f = Field(p, m)
+    rng = random.Random(f.q)
+    sizes = {1, 2, 3, f.q} | {2**j + e for j in range(2, 8) for e in (-1, 1)}
+    for n in sorted(x for x in sizes if x <= min(f.q, 129)):
+        xs = rng.sample(range(f.q), n)
+        want_P, want_w = _scalar_node_weights(f, xs)
+        for block in (1, 64, 1 << 16):
+            monkeypatch.setattr(linalg, "_BLOCK", block)
+            P, w = node_weights(f, np.array(xs))
+            assert (P.tolist(), w.tolist()) == (want_P, want_w), (n, block)
+
+
+def test_eval_set_memory_at_a_long_length():
+    # the product tree holds at most n floor(sqrt(n)) entries per step,
+    # 5.9 MB of int64 here, and a few such arrays at a time
+    f = Field(65521)
+    tracemalloc.start()
+    try:
+        points = eval_set(f, range(8192))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
+    # on range(n), u_i = 1 / (i! (n - 1 - i)! (-1)^(n - 1 - i))
+    xs = (0, 1, 4095, 8191)
+    fact = [1]
+    for i in range(1, 8192):
+        fact.append(fact[-1] * i % 65521)
+    assert [points.u[i] for i in xs] == [
+        pow(fact[i] * fact[8191 - i] * (-1) ** (8191 - i), -1, 65521) for i in xs
+    ]
+    assert points.P[-1] == 1 and points.P[0] == 0 and len(points.P) == 8193
+
+
 def _vandermonde_solve(p, xs, ys):
     n = len(xs)
     V = _dm([[pow(x, j, p) for j in range(n)] for x in xs], (n, n), p)
@@ -427,7 +534,9 @@ def test_interpolate_batch_matches_row_by_row(p, m):
             assert poly_trim(coeffs) == interpolate(f, zip(xs, ys))
 
 
-@pytest.mark.parametrize("block", [1, 64, linalg._BLOCK])
+# blocks from one entry up to the default; 1024 splits the larger inputs
+# into a few steps
+@pytest.mark.parametrize("block", [1, 64, 1024, linalg._BLOCK])
 @pytest.mark.parametrize("p, m", [(1031, 1), (13, 1), (3, 2), (2, 5), (3, 4)])
 def test_poly_eval_array_matches_scalar_horner(monkeypatch, block, p, m):
     # a small block splits the points, and the Vandermonde product over
@@ -448,7 +557,9 @@ def test_poly_eval_array_matches_scalar_horner(monkeypatch, block, p, m):
         assert poly_eval_array(f, fx, np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
 
 
-@pytest.mark.parametrize("block", [1, 64, linalg._BLOCK])
+# blocks from one entry up to the default; 1024 splits the larger inputs
+# into a few steps
+@pytest.mark.parametrize("block", [1, 64, 1024, linalg._BLOCK])
 def test_interpolate_batch_matches_a_vandermonde_solve_across_blocks(monkeypatch, block):
     monkeypatch.setattr(linalg, "_BLOCK", block)
     p, n = 1031, 40

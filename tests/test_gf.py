@@ -198,6 +198,23 @@ def test_asarray_names_the_first_bad_entry():
         f.asarray([[1, 2], [7, 9]])
 
 
+def test_asarray_refuses_a_bool_among_ints():
+    # numpy reads [True, 1] as the int64 array [1 1]; a bool is refused
+    # wherever it sits, and an int array is taken by its dtype alone
+    from hullcodes.grs import eval_set, grs
+
+    for f in (Field(7), Field(3, 2)):
+        for bad in ([True, 1], (1, False), [1, np.True_], [[1, 2], [3, True]], [np.array([1, 2]), [True, 3]]):
+            with pytest.raises(FieldError, match=r"^(True|False|np\.True_) is not an element"):
+                f.asarray(bad)
+        assert f.asarray(np.array([True, 1]).astype(np.int64)).tolist() == [1, 1]
+        assert f.asarray([np.int64(1), 2]).tolist() == [1, 2]
+        with pytest.raises(FieldError):
+            eval_set(f, [True, 2])
+        with pytest.raises(FieldError):
+            grs(eval_set(f, [1, 2]), [True, 3], 1)
+
+
 def _scalar_powers(p, modulus, g):
     """g^0, ..., g^(q-2) by the scalar recurrence g^i = g^(i-1) * g, each
     product a digit-list product reduced by the modulus."""

@@ -3,6 +3,7 @@ import pytest
 
 from hullcodes.gf import Field, FieldError
 from hullcodes.grs import (
+    EvaluationSet,
     GrsError,
     encode,
     eval_set,
@@ -98,3 +99,31 @@ def test_spec_serialization_round_trip():
     assert d["schema"] == 1
     back = spec_from_dict(d)
     assert back == spec
+
+
+def test_point_arrays_are_read_only_copies_of_the_tuples():
+    for f in (F13, Field(3, 2)):
+        pts = eval_set(f, [5, 0, 3, 7])
+        spec = grs(pts, [1, 2, 4, 8], 2)
+        for arr, tup in ((pts.a_array, pts.a), (pts.u_array, pts.u), (pts.P_array, pts.P), (spec.v_array, spec.v)):
+            assert arr.dtype == np.int64 and arr.tolist() == list(tup)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        # built once, then kept
+        assert pts.a_array is pts.a_array and spec.v_array is spec.v_array
+
+
+def test_a_hand_built_evaluation_set_is_checked_when_read():
+    # the dataclass takes any tuples; the arrays are checked as they are
+    # built, so a non-element fails there
+    for bad in ((0, 13), (0, -1), (0, True), (0, 1.5)):
+        pts = EvaluationSet(F13, bad, (12, 1), (0, 12, 1))
+        with pytest.raises(FieldError):
+            pts.a_array
+    pts = EvaluationSet(F13, (0, 1), (12, 13), (0, 12, 1))
+    with pytest.raises(FieldError):
+        pts.u_array
+    pts = EvaluationSet(F13, (0, 1), (12, 1), (0, 12, 14))
+    with pytest.raises(FieldError):
+        pts.P_array

@@ -445,10 +445,14 @@ def test_hull_dim_oracle_self_dual_and_lcd():
 
 
 def _stacked_reference(code):
-    """n - rank([G; H]) with H from oracle._null_basis, by one
+    """n - rank([G; H]) with H the identity on the free columns and
+    oracle._null_pivot_block's block on the pivot columns, by one
     elimination of the whole n x n stack: the referee's definition."""
-    f = code.field
-    H = oracle._null_basis(f, *code.echelon)
+    f, (R, rk, pivots) = code.field, code.echelon
+    free, block = oracle._null_pivot_block(f, R, rk, pivots)
+    H = np.zeros((len(free), code.n), dtype=np.int64)
+    H[np.arange(len(free)), free] = 1
+    H[:, list(pivots)] = block
     return code.n - rank(Matrix(f, np.vstack([code.generator.entries, H])))
 
 
@@ -474,14 +478,13 @@ def test_stacked_referee_is_n_minus_rank_of_the_stack(monkeypatch, flip):
     # n - rank([G; H]) is no hull dimension, yet the referee must still
     # agree with it: it eliminates [G; H] and computes no Gram rank
     if flip:
-        original = oracle._null_basis
+        original = oracle._null_pivot_block
 
         def flipped(f, R, rk, pivots):
-            H = original(f, R, rk, pivots)
-            H[:, list(pivots)] = f.sub_array(0, H[:, list(pivots)])
-            return H
+            free, block = original(f, R, rk, pivots)
+            return free, f.sub_array(0, block)
 
-        monkeypatch.setattr(oracle, "_null_basis", flipped)
+        monkeypatch.setattr(oracle, "_null_pivot_block", flipped)
     differs = 0
     for p, m in ((5, 1), (13, 1), (3, 2), (7, 2)):
         f = Field(p, m)
@@ -494,8 +497,8 @@ def test_stacked_referee_is_n_minus_rank_of_the_stack(monkeypatch, flip):
 
 def test_referee_and_witness_on_a_long_code_stay_small():
     # GF(65521) [2048, 64]: one elimination of the 2048 x 2048 stack
-    # [G; H] held 65 MB; the k x k block step leaves H, 1984 x 2048
-    # int64 (32 MB), as the largest array
+    # [G; H] held 65 MB; the k x k block step builds only H's pivot
+    # columns, 1984 x 64
     f = Field(65521)
     spec = grs(eval_set(f, range(2048)), [1] * 2048, 64)
     code = code_from_grs(spec)
@@ -512,6 +515,25 @@ def test_referee_and_witness_on_a_long_code_stay_small():
     word = Matrix(f, [encode(spec, message)])
     in_hull = not word.matmul(code.generator.transpose()).entries.any()
     assert (witness is not None) == in_hull
+
+
+def test_referee_on_a_very_long_code_reads_only_the_pivot_block():
+    # GF(65521) [20000, 2] from its generator: the whole null basis would
+    # be 19998 x 20000 int64, 3.2 GB; its pivot block is 19998 x 2
+    f = Field(65521)
+    n = 20000
+    code = linear_code(f, [[1] * n, list(range(n))])
+    tracemalloc.start()
+    try:
+        dim = hull_dim_oracle(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    # the Gram matrix [[n, s1], [s1, s2]] of power sums decides the hull
+    s1, s2 = n * (n - 1) // 2, (n - 1) * n * (2 * n - 1) // 6
+    gram = Matrix(f, [[n % f.p, s1 % f.p], [s1 % f.p, s2 % f.p]])
+    assert dim == 2 - rank(gram)
 
 
 def test_a_code_runs_each_referee_once(monkeypatch):
