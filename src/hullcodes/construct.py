@@ -35,6 +35,7 @@ import numpy as np
 from .gf import Field
 from .grs import EvaluationSet, GrsSpec, grs
 from .hull import Certificate, LinearCode, certify, check_certificate, linear_code
+from . import linalg
 from .linalg import poly_eval_array
 
 
@@ -111,22 +112,27 @@ def _rootless_twist(field: Field, xs: np.ndarray, degree: int) -> np.ndarray:
 def _smallest_root_free(field: Field, degree: int, xs: np.ndarray) -> np.ndarray:
     # the values at xs of the smallest monic polynomial of the degree, by
     # (c_{d-1}, ..., c_0) in encoding order, with no root in the field;
-    # for degree 2 and 3 that is the smallest irreducible one.  The
-    # candidates are taken q^2 at a time, every (c_1, c_0) for one choice
-    # of the rest: g + c_0 has no root iff -c_0 is no value of g.
+    # for degree 2 and 3 that is the smallest irreducible one.  For each
+    # choice of the higher coefficients the candidates (c_1, c_0) are
+    # taken max(1, _BLOCK // q) rows of c_1 at a time, q entries a row:
+    # g + c_0 has no root iff -c_0 is no value of g.  So a step holds
+    # O(max(_BLOCK, q)) entries, and q <= 256 takes one step.
     q = field.q
     x = np.arange(q)
     neg = field.sub_array(0, x)
+    rows = max(1, linalg._BLOCK // q)
     for high in itertools.product(range(q), repeat=degree - 2):
-        # g[c_1] at every x: x^d + ... + c_2 x^2 + c_1 x
         top = poly_eval_array(field, [0, 0, *reversed(high), 1], x)
-        g = field.add_array(top, field.mul_array(x[:, None], x))
-        hit = np.zeros((q, q), dtype=bool)
-        hit[x[:, None], g] = True
-        root_free = ~hit[:, neg]
-        if root_free.any():
-            c1, c0 = divmod(int(root_free.argmax()), q)
-            return field.add_array(g[c1, xs], c0)
+        for start in range(0, q, rows):
+            c1 = x[start : start + rows]
+            # row i at every x: x^d + ... + c_2 x^2 + c1[i] x
+            g = field.add_array(top, field.mul_array(c1[:, None], x))
+            hit = np.zeros(g.shape, dtype=bool)
+            hit[np.arange(len(c1))[:, None], g] = True
+            root_free = ~hit[:, neg]
+            if root_free.any():
+                i, c0 = divmod(int(root_free.argmax()), q)
+                return field.add_array(g[i, xs], c0)
     raise ConstructionError(  # pragma: no cover
         f"no root-free monic polynomial of degree {degree} over GF({field.q})"
     )

@@ -19,7 +19,8 @@ Hankel matrix of the node polynomial P = prod_j (x - x_j); both build
 V's column blocks from its first (baby steps and giant steps) and take
 the points, or the Hankel columns, a block at a time.  P comes from a
 product tree of ceil(log2 n) levels, each a batch of outer products of
-pairs and their skew sums.  On n points every step of these kernels
+pairs and their skew sums (over GF(p) in plain integers, reduced once
+per level).  On n points every step of these kernels
 holds at most max(_BLOCK, n floor(sqrt(n))) entries, never an n x n
 array: up to a few hundred points that is one step, and past them
 O(sqrt(n)) steps (over GF(p^m), matmul_array splits a step's products
@@ -351,7 +352,12 @@ def _tree_level(f: Field, rows: np.ndarray, w: int, limit: int) -> np.ndarray:
     of r rows of that outer product, read flat in rows of w + r - 1
     entries, is shifted right by t, so the skew sums are column sums.
     A step takes a block of pairs and r rows of their outer products,
-    at most limit entries unless one pair's row holds more."""
+    at most limit entries unless one pair's row holds more.  Over GF(p)
+    the products and sums are plain integers, reduced mod p once, at the
+    end (delayed reduction, as in _rref_array): each output entry sums
+    at most w < 2^17 products below 2^32."""
+    prime = f.m == 1
+    mul, add = (np.multiply, np.add) if prime else (f.mul_array, f.add_array)
     pairs, odd = divmod(len(rows), 2)
     r = min(w, max(1, limit // (2 * w)))
     step = max(1, limit // (r * (w + r)))
@@ -364,13 +370,15 @@ def _tree_level(f: Field, rows: np.ndarray, w: int, limit: int) -> np.ndarray:
         for t in range(0, w, r):
             part = A[start : start + step, t : t + r]
             m, rr = part.shape
-            outer = f.mul_array(part[:, :, None], B[start : start + step])
+            outer = mul(part[:, :, None], B[start : start + step])
             skew = outer.reshape(m, -1)[:, : rr * (w + r - 1)].reshape(m, rr, w + r - 1)
             # coefficients t .. t + w + r - 2 of the block's products,
             # all 0 past 2w - 2
             block = products[start : start + step, t : t + w + r - 1]
-            sums = f.sum_array(skew, axis=1)[:, : block.shape[1]]
-            block[...] = sums if t == 0 else f.add_array(block, sums)
+            sums = (skew.sum(axis=1) if prime else f.sum_array(skew, axis=1))[:, : block.shape[1]]
+            block[...] = sums if t == 0 else add(block, sums)
+    if prime:
+        out %= f.p
     return out
 
 

@@ -1,10 +1,11 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hullcodes import construct
+from hullcodes import construct, linalg
 from hullcodes.construct import (
     ConstructionError,
     SeedCode,
@@ -163,19 +164,45 @@ def test_reduce_egrs_full_field_fallbacks():
             assert hull_report(code_from_grs(spec)).hull_dim == l, (k, l)
 
 
-@pytest.mark.parametrize("q", [9, 25, 27, 49])
-@pytest.mark.parametrize("degree", [2, 3])
-def test_smallest_root_free_matches_one_candidate_at_a_time(q, degree):
+def _first_root_free(f, degree):
     # the reference tries the monic candidates one by one, (c_{d-1}, ...,
     # c_0) in encoding order, and takes the first with no root
+    everywhere = np.arange(f.q)
+    for high_first in itertools.product(range(f.q), repeat=degree):
+        values = poly_eval_array(f, list(reversed(high_first)) + [1], everywhere)
+        if values.all():
+            return values
+
+
+@pytest.mark.parametrize("q", [9, 16, 25, 27, 49])
+@pytest.mark.parametrize("degree", [2, 3])
+def test_smallest_root_free_matches_one_candidate_at_a_time(q, degree, monkeypatch):
+    # at the smaller _BLOCK values a step holds one or a few c_1 rows
     f = Field(*_pm(q))
-    everywhere = np.arange(q)
-    for high_first in itertools.product(range(q), repeat=degree):
-        want = poly_eval_array(f, list(reversed(high_first)) + [1], everywhere)
-        if want.all():
-            break
+    want = _first_root_free(f, degree)
     xs = np.array([3, 0, q - 1, 5, 3])
-    assert construct._smallest_root_free(f, degree, xs).tolist() == want[xs].tolist()
+    for block in (1, 64, 1 << 16):
+        monkeypatch.setattr(linalg, "_BLOCK", block)
+        got = construct._smallest_root_free(f, degree, xs)
+        assert got.tolist() == want[xs].tolist(), block
+
+
+@pytest.mark.parametrize("q, degree", [(7**4, 2), (7**4, 3), (3**8, 2)])
+def test_smallest_root_free_at_a_large_field_stays_small(q, degree):
+    # a step holds max(_BLOCK, q) entries, not q^2 (46 MB of int64 at
+    # q = 7^4, 344 MB at 3^8)
+    f = Field(*_pm(q))
+    want = _first_root_free(f, degree)
+    xs = np.arange(q)
+    construct._smallest_root_free(f, degree, xs)  # the field's tables
+    tracemalloc.start()
+    try:
+        got = construct._smallest_root_free(f, degree, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == want.tolist()
+    assert peak < 4 * 2**20, peak
 
 
 def test_reduce_egrs_explicit_b_at_full_field_fails():
