@@ -22,6 +22,20 @@ FAMILY_TABLE states each family once: its builder, its variants and the
 FamilyParams fields it requires and may read.  build_family checks a
 FamilyParams against that row before the builder runs.
 
+build_family keeps the seeds it built in a process-wide cache keyed on
+the frozen FamilyParams (mu is normalised to a tuple of ints, so it
+hashes), bounded like the field tables by gf.TABLE_CACHE_SIZE.  So the
+points, multipliers and certificate of a family seed are built and
+certified once per process, not once per construct; twisted_pair
+resolves its default omega first, so an omitted omega and the same
+omega given share one seed.  A cached seed holds its field (and so the
+field's tables), its O(n) point arrays and, once a membership query
+has read it, the seed spec's witness map.  An exception is never cached:
+invalid parameters raise FamilyError on every call.  What still runs on
+every construct is reduce_hull's re-validation of the certificate
+(check_certificate) and the referees (hull_report, hull_dim_oracle,
+is_mds), which cache nothing across codes.
+
 Quadratic-residue facts are never assumed: every family recomputes the
 relevant products and checks squareness at runtime, so an invalid
 parameter choice (or the documented exception case of even_cosets
@@ -30,11 +44,13 @@ parameter choice (or the documented exception case of even_cosets
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
 from .construct import SeedCode, make_seed, reduce_hull, unreachable
-from .gf import Field, factor_prime_power
+from .gf import TABLE_CACHE_SIZE, Field, factor_prime_power
 from .grs import GrsSpec, eval_set, grs
 
 
@@ -55,6 +71,15 @@ class FamilyParams:
     e: int | None = None
     q: int | None = None
     omega: int | None = None
+
+    def __post_init__(self):
+        # a tuple of ints, so that equal parameters hash alike
+        if self.mu is not None:
+            try:
+                mu = tuple(int(x) for x in self.mu)
+            except (TypeError, ValueError):
+                raise FamilyError(f"coset exponents mu must be integers, got {self.mu!r}") from None
+            object.__setattr__(self, "mu", mu)
 
 
 @dataclass(frozen=True)
@@ -105,7 +130,7 @@ def _same_coset(field: Field, beta: int, m: int, a: int, b: int) -> bool:
 
 
 def _validate_mu(field: Field, beta: int, m: int, mu, even_only: bool) -> tuple:
-    mu = tuple(int(x) for x in mu)
+    mu = tuple(mu)
     if list(mu) != sorted(set(mu)):
         raise FamilyError("coset exponents mu must be strictly increasing")
     if even_only and any(x % 2 for x in mu):
@@ -255,9 +280,10 @@ def family_twisted_pair(params: FamilyParams) -> FamilySeed:
         raise FamilyError(f"t = {t} must be odd and divide q - 1 = {q - 1}")
 
     omega = params.omega
-    if omega is None:
+    if omega is None:  # the default and the same omega given share one cached seed
         omega = next(x for x in range(2, q) if not field.is_square(x))
-    elif omega == 0 or field.is_square(omega):
+        return build_family(dataclasses.replace(params, omega=omega))
+    if omega == 0 or field.is_square(omega):
         raise FamilyError(f"omega = {omega} must be a non-square")
 
     alpha = field.root_of_unity(t)
@@ -298,7 +324,10 @@ FAMILY_TABLE = {
 FAMILIES = tuple(FAMILY_TABLE)
 
 
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
 def build_family(params: FamilyParams) -> FamilySeed:
+    """The certified seed of params, built once per process (see the
+    module docstring); FamilyError if params are invalid."""
     name = params.family
     if name not in FAMILY_TABLE:
         raise FamilyError(f"unknown family {name!r}; expected one of {FAMILIES}")

@@ -457,7 +457,11 @@ class Field:
 
     def _unspread(self, s):
         """The elements whose digits are the slots of s, mod p."""
-        return (s[..., None] >> self._spread_shifts & self._spread_mask) % self.p @ self._digit_weights
+        # in place, so one array of m entries per entry of s is live
+        digits = s[..., None] >> self._spread_shifts
+        digits &= self._spread_mask
+        digits %= self.p
+        return digits @ self._digit_weights
 
     def matmul_array(self, X, M):
         """X M for a 2-D array M and a vector or 2-D array X of elements:

@@ -2,10 +2,11 @@
 
 The hull of a code C with generator G is C intersect C-dual.  Since G
 has full row rank, a codeword x*G lies in the hull iff x*(G*G^T) = 0,
-so dim Hull = k - rank(Gram).  Every report is cross-checked against
-the referee oracle.hull_dim_oracle, which computes n - rank([G; H]) with
-H a dual generator.  LinearCode is the referees' plain code type,
-re-exported here.
+so dim Hull = k - rank(Gram), and a hull basis is N G for N a null
+basis of Gram (HullReport builds it only when read).  Every report is
+cross-checked against the referee oracle.hull_dim_oracle, which
+computes n - rank([G; H]) with H a dual generator.  LinearCode is the
+referees' plain code type, re-exported here.
 
 Self-orthogonality of (extended) GRS codes is decided by a certificate
 polynomial: the unique interpolant of the values v_i^2 / u_i.  The code
@@ -31,6 +32,7 @@ every reduction, never reads L: it evaluates lam at every point itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,10 +74,17 @@ def code_from_grs(spec: GrsSpec) -> LinearCode:
 @dataclass(frozen=True)
 class HullReport:
     hull_dim: int
-    hull_basis: Matrix
     gram_rank: int
     classification: str
     oracle_agrees: bool
+    coefficients: Matrix  # a null basis of the Gram matrix
+    generator: Matrix
+
+    @cached_property
+    def hull_basis(self) -> Matrix:
+        """coefficients * generator, a basis of the hull, built on first
+        read: no CLI output prints it."""
+        return self.coefficients.matmul(self.generator)
 
     def to_dict(self) -> dict:
         return {
@@ -107,10 +116,11 @@ def hull_report(code: LinearCode) -> HullReport:
     hull_dim = coeff.nrows
     return HullReport(
         hull_dim=hull_dim,
-        hull_basis=coeff.matmul(G),
         gram_rank=code.k - hull_dim,
         classification=classify(code.n, code.k, hull_dim),
         oracle_agrees=hull_dim_oracle(code) == hull_dim,
+        coefficients=coeff,
+        generator=G,
     )
 
 

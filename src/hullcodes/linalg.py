@@ -20,7 +20,8 @@ V's column blocks from its first (baby steps and giant steps) and take
 the points, or the Hankel columns, a block at a time.  P comes from a
 product tree of ceil(log2 n) levels, each a batch of outer products of
 pairs and their skew sums (over GF(p) in plain integers, reduced once
-per level).  On n points every step of these kernels
+per level).  On n points (for evaluation: a polynomial of length n, at
+any number of points) every step of these kernels
 holds at most max(_BLOCK, n floor(sqrt(n))) entries, never an n x n
 array: up to a few hundred points that is one step, and past them
 O(sqrt(n)) steps (over GF(p^m), matmul_array splits a step's products
@@ -254,8 +255,11 @@ def poly_eval_array(f: Field, fx, xs) -> np.ndarray:
     one product V_B [c_0 ... c_{nb-1}] and one row sum, with B and nb
     about sqrt(len(fx)) (the baby-step giant-step split of Paterson and
     Stockmeyer, SIAM J. Comput. 2(1), 1973).  The points are taken a
-    block at a time (_block_rows).  A constant, such as the certificate
-    of a seed on the whole field, takes no powers."""
+    block at a time (_block_rows), sized by the length of fx: so a
+    low-degree polynomial at many points takes several small steps,
+    and one of degree about n at n points the steps of n.  A constant,
+    such as the certificate of a seed on the whole field, takes no
+    powers."""
     runs, x = f.asarray(fx), np.ravel(xs)
     d = len(runs)
     if d <= 1:
@@ -265,7 +269,7 @@ def poly_eval_array(f: Field, fx, xs) -> np.ndarray:
     runs = np.concatenate([runs, np.zeros(B * nb - d, dtype=np.int64)]).reshape(nb, B).T
     exps = np.concatenate([np.arange(B), B * np.arange(nb)])
     out = np.empty(x.shape, dtype=np.int64)
-    step = _block_rows(B + nb, max(len(x), d))
+    step = _block_rows(B + nb, d)
     for start in range(0, len(x), step):
         powers = _powers(f, x[start : start + step], exps)
         E = f.matmul_array(powers[:, :B], runs)

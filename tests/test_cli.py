@@ -469,3 +469,19 @@ def test_verify_rejects_malformed_or_oversized_json(doc, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_a_cached_seed_is_still_revalidated_on_every_construct(monkeypatch, capsys):
+    from hullcodes import construct, families
+
+    argv = "construct --family twisted_pair --q 11 --t 5 --k {k} --l {l}"
+    assert main(argv.format(k=3, l=1).split()) == 0  # builds and caches the seed
+    capsys.readouterr()
+    monkeypatch.setattr(construct, "check_certificate", lambda cert, spec: False)
+    for k, l in ((3, 1), (2, 2), (4, 0)):
+        hits = families.build_family.cache_info().hits
+        assert main(argv.format(k=k, l=l).split()) == 2
+        assert families.build_family.cache_info().hits == hits + 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed certificate fails re-validation" in captured.err

@@ -18,7 +18,7 @@ import sys
 
 import pytest
 
-from hullcodes import cli
+from hullcodes import cli, families
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -78,6 +78,23 @@ def test_golden(name, tmp_path):
     assert out == (GOLDEN / f"{name}.stdout").read_text()
     if written is not None:
         assert written == (GOLDEN / f"{name}.json").read_text()
+
+
+# the golden constructs from a family seed, which the seed cache reuses
+FAMILY_CONSTRUCTS = sorted(name for name, argv in CASES.items() if argv.startswith("construct --family"))
+
+
+@pytest.mark.parametrize("name", FAMILY_CONSTRUCTS)
+def test_golden_family_construct_cold_and_warm(name, tmp_path):
+    cold = _run(name, tmp_path)
+    assert families.build_family.cache_info().hits == 0
+    warm = _run(name, tmp_path)
+    assert families.build_family.cache_info().hits >= 1
+    assert warm == cold
+    expected = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert cold[:2] == (expected[name], (GOLDEN / f"{name}.stdout").read_text())
+    if cold[2] is not None:
+        assert cold[2] == (GOLDEN / f"{name}.json").read_text()
 
 
 def _regenerate():

@@ -557,6 +557,37 @@ def test_poly_eval_array_matches_scalar_horner(monkeypatch, block, p, m):
         assert poly_eval_array(f, fx, np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
 
 
+# a step is sized by the polynomial's length, so here by d alone, and
+# the points outnumber the entries a step holds at every block but 2^16
+@pytest.mark.parametrize("block", [1, 64, 1024, linalg._BLOCK])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_poly_eval_array_at_more_points_than_a_step_holds(monkeypatch, block, d):
+    monkeypatch.setattr(linalg, "_BLOCK", block)
+    monkeypatch.setattr(gf, "_PRODUCTS", block)
+    f = Field(3, 7)
+    rng = random.Random(block + d)
+    fx = [rng.randrange(f.q) for _ in range(d - 1)] + [rng.randrange(1, f.q)]
+    out = poly_eval_array(f, fx, np.arange(f.q))
+    assert out.tolist() == [poly_eval(f, fx, x) for x in range(f.q)]
+
+
+def test_poly_eval_array_of_low_degree_at_a_whole_large_field_stays_small():
+    # degree 2 at the 59049 points of GF(3^10): one step of every point
+    # peaked at 14 MB; a step of max(_BLOCK, 3) entries stays near 3 MiB
+    f = Field(3, 10)
+    x = np.arange(f.q)
+    fx = [5, 7, 1]
+    tracemalloc.start()
+    try:
+        out = poly_eval_array(f, fx, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    sample = list(range(0, f.q, 997)) + [f.q - 1]
+    assert out[sample].tolist() == [poly_eval(f, fx, int(xi)) for xi in sample]
+
+
 # blocks from one entry up to the default; 1024 splits the larger inputs
 # into a few steps
 @pytest.mark.parametrize("block", [1, 64, 1024, linalg._BLOCK])

@@ -276,3 +276,51 @@ def test_out_of_range_targets():
 def test_odd_cosets_variant_i_needs_three_points():
     with pytest.raises(FamilyError, match=r"variant i .*n = t\*m"):
         build_family(FamilyParams("odd_cosets", "i", r=5, m=1, t=1))
+
+
+# --- the seed cache ---
+
+
+def test_equal_params_give_the_same_seed_object():
+    first = build_family(FamilyParams("even_cosets", "iv", r=7, m=3, t=4))
+    assert build_family(FamilyParams("even_cosets", "iv", r=7, m=3, t=4)) is first
+    assert build_family.cache_info().hits == 1
+    assert build_family(FamilyParams("even_cosets", "iii", r=7, m=3, t=4)) is not first
+
+
+def test_a_list_mu_and_a_tuple_mu_give_the_same_seed():
+    as_list = FamilyParams("even_cosets", "i", r=7, m=3, t=4, mu=[0, 1, 2, 3])
+    assert as_list.mu == (0, 1, 2, 3) and all(type(x) is int for x in as_list.mu)
+    assert as_list == FamilyParams("even_cosets", "i", r=7, m=3, t=4, mu=(0, 1, 2, 3))
+    fs = build_family(as_list)
+    assert build_family(FamilyParams("even_cosets", "i", r=7, m=3, t=4, mu=(0, 1, 2, 3))) is fs
+    with pytest.raises(FamilyError, match="mu must be integers"):
+        FamilyParams("even_cosets", "i", r=7, m=3, t=4, mu=["a"])
+
+
+def test_the_default_omega_and_the_same_omega_given_share_one_seed():
+    fs = build_family(FamilyParams("twisted_pair", "i", q=7, t=3))
+    assert fs.params.omega == 3  # the smallest non-square of GF(7) from 2 on
+    assert build_family(FamilyParams("twisted_pair", "i", q=7, t=3, omega=3)) is fs
+    assert build_family(FamilyParams("twisted_pair", "i", q=7, t=3, omega=5)) is not fs
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        FamilyParams("even_cosets", "i", r=7, m=4, t=3),  # m does not divide q - 1
+        FamilyParams("twisted_pair", "i", q=7, t=3, omega=2),  # a square
+        FamilyParams("additive", p=3, s=1, e=1, r=7),  # a parameter it does not read
+    ],
+)
+def test_invalid_params_raise_on_every_call(params):
+    for _ in range(3):
+        with pytest.raises(FamilyError):
+            build_family(params)
+    assert build_family.cache_info().currsize == 0
+
+
+def test_the_seed_cache_has_the_field_table_bound():
+    from hullcodes import gf
+
+    assert build_family.cache_info().maxsize == gf.TABLE_CACHE_SIZE
