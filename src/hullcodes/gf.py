@@ -23,16 +23,18 @@ parameters before it takes them from the cache (the verdict on an
 explicit modulus is kept in a cache of the same size).  Each table is
 one read-only int64 numpy array.  The ops on whole arrays of encodings
 (mul_array, add_array, sub_array, inv_array, pow_array, sum_array, which
-also sums along one axis, and matmul_array, the matrix product), which
-the linear algebra, the GRS evaluation maps and the oracle are built on,
-index the arrays; the scalar ops (add, mul, inv, ...) index memoryviews
-of the same buffers, which give Python ints without a copy.  The array
-sums skip the Zech table, as the encoding's digits add mod p: over
-GF(2^m), add_array, sub_array, sum_array and matmul_array's sums are
-bitwise exclusive or; over GF(p^m), p odd, sum_array and matmul_array
-add the entries' spread encodings (digit i moved to bit i * (63 // m), a
-table kept with the others) as plain integers, as many at once as the
-slots hold, and take each slot mod p.  The scalar ops keep the Zech
+also sums along one axis, matmul_array, the matrix product, and
+sum_log_products, a sum of products given by the logs of their
+factors), which the linear algebra, the GRS evaluation maps and the
+oracle are built on, index the arrays; the scalar ops (add, mul, inv,
+...) index memoryviews of the same buffers, which give Python ints
+without a copy.  The array sums skip the Zech table, as the encoding's
+digits add mod p: over GF(2^m), add_array, sub_array, sum_array and the
+sums of matmul_array and sum_log_products are bitwise exclusive or;
+over GF(p^m), p odd, those sums add the entries' spread encodings
+(digit i moved to bit i * (63 // m), a table kept with the others) as
+plain integers, as many at once as the slots hold, and take each slot
+mod p.  The scalar ops keep the Zech
 route, so the tests that check the array ops against them compare two
 routes.  A memoryview does not pickle, so a Field pickles as its key and
 is rebuilt, checks and all.  The array ops trust their inputs; asarray
@@ -247,6 +249,21 @@ def _field_tables(p: int, m: int, modulus: tuple) -> tuple:
     return g, exp, log, zech, log_minus_one, spread
 
 
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _log_product_tables(p: int, m: int, modulus: tuple) -> tuple:
+    """(logs, terms) for sum_log_products, read-only: _field_tables' log
+    in the smallest unsigned dtype that holds 4(q - 1), the largest sum
+    of two logs, and the table that maps such a sum to the term added:
+    exp itself, or over odd GF(p^m) the spread encoding of exp, one
+    int64 per entry of exp (1.9 MB for GF(3^10), the largest such
+    field).  The caller has checked the key."""
+    _, exp, log, _, _, spread = _field_tables(p, m, modulus)
+    logs = log.astype(np.min_scalar_type(4 * (p**m - 1)))
+    terms = exp if spread is None else spread[exp]
+    logs.flags.writeable = terms.flags.writeable = False
+    return logs, terms
+
+
 class Field:
     """The finite field GF(p^m); elements are ints in range(p**m)."""
 
@@ -276,11 +293,9 @@ class Field:
         self._zech = None if zech is None else memoryview(zech)
         self._zero_log = 2 * (self.q - 1)
         # sum_array's slots for odd p, m > 1: digit i at bit i * width
-        width = 63 // m
-        self._spread_shifts = width * np.arange(m)
-        self._spread_mask = (1 << width) - 1
+        self._spread_width = 63 // m
+        self._spread_mask = (1 << self._spread_width) - 1
         self._spread_terms = self._spread_mask // (p - 1)
-        self._digit_weights = p ** np.arange(m)
 
     # -- element encoding --
 
@@ -438,6 +453,41 @@ class Field:
         np.copyto(idx, self._zero_log, where=(a == 0) & (e > 0))
         return self._exp_array[idx]
 
+    def log_array(self, a):
+        """The logs of a's entries, for sum_log_products, in an unsigned
+        dtype that holds the sum of two; the log of 0 is a sentinel that
+        takes every product with 0 to 0."""
+        return self._log_products[0][a]
+
+    def sum_log_products(self, pairs):
+        """sum_t x_t y_t for a nonempty iterable of pairs of arrays of
+        logs (log_array's) of x_t and y_t, every x_t + y_t of one shape.
+        Each product is one lookup at the sum of the logs, summed in the
+        domain of sum_array: plain integers over GF(p), reduced mod p
+        once; exclusive or over GF(2^m); spread encodings, read from a
+        table composed with exp, over odd GF(p^m), read back once per
+        _spread_terms products."""
+        terms = self._log_products[1]
+        pairs = iter(pairs)
+        x, y = next(pairs)
+        total = terms[x + y]
+        if self.m > 1 and self.p > 2:
+            held = 1
+            for x, y in pairs:
+                if held == self._spread_terms:  # every slot could overflow
+                    total, held = self._spread_array[self._unspread(total)], 1
+                total += terms[x + y]
+                held += 1
+            return self._unspread(total)
+        add = np.add if self.m == 1 else np.bitwise_xor
+        for x, y in pairs:
+            add(total, terms[x + y], out=total)
+        return total % self.p if self.m == 1 else total
+
+    @functools.cached_property
+    def _log_products(self) -> tuple:
+        return _log_product_tables(self.p, self.m, self.modulus)
+
     def sum_array(self, a, axis=None):
         """Field sum of all entries of a (an int), or of a along one axis
         (an array)."""
@@ -457,11 +507,16 @@ class Field:
 
     def _unspread(self, s):
         """The elements whose digits are the slots of s, mod p."""
-        # in place, so one array of m entries per entry of s is live
-        digits = s[..., None] >> self._spread_shifts
-        digits &= self._spread_mask
-        digits %= self.p
-        return digits @ self._digit_weights
+        # a digit at a time, in place: two arrays the size of s are live
+        out = s & self._spread_mask
+        out %= self.p
+        for i in range(1, self.m):
+            digit = s >> i * self._spread_width
+            digit &= self._spread_mask
+            digit %= self.p
+            digit *= self.p**i
+            out += digit
+        return out
 
     def matmul_array(self, X, M):
         """X M for a 2-D array M and a vector or 2-D array X of elements:
@@ -489,10 +544,12 @@ class Field:
                 out[start : start + step] = np.bitwise_xor.reduce(products, axis=1)
             return out
         starts = np.arange(0, K, self._spread_terms)
+        terms = self._log_products[1]
         sums = np.empty((len(X), len(starts), N), dtype=np.int64)
         for start in blocks:
-            products = self._exp_array[self._log_array[X[start : start + step]][:, :, None] + logM]
-            sums[start : start + step] = np.add.reduceat(self._spread_array[products], starts, axis=1)
+            # each product's spread encoding, one lookup in the composed table
+            products = terms[self._log_array[X[start : start + step]][:, :, None] + logM]
+            sums[start : start + step] = np.add.reduceat(products, starts, axis=1)
         # read back as many rows at a time as hold _PRODUCTS digits
         out = np.empty((len(X), N), dtype=np.int64)
         step = max(1, _PRODUCTS // (self.m * len(starts) * N))

@@ -119,7 +119,7 @@ class GrsSpec:
         G = f.mul_array(f.pow_array(self.points.a_array, np.arange(self.k)[:, None]), self.v_array)
         if self.extended:
             G = np.hstack([G, np.arange(self.k)[:, None] == self.k - 1])
-        return G
+        return _frozen(G)
 
     def dual_interpolant(self) -> np.ndarray:
         """The n coefficients of the interpolant of v_i^2 / u_i: the
@@ -174,7 +174,7 @@ def grs(points: EvaluationSet, v, k: int, extended: bool = False) -> GrsSpec:
 
 def generator_matrix(spec: GrsSpec) -> Matrix:
     """The k x n (or k x (n+1)) Vandermonde-with-multipliers generator."""
-    return Matrix(spec.field, spec.generator_array)
+    return Matrix._wrap(spec.field, spec.generator_array)
 
 
 def encode(spec: GrsSpec, fx) -> list[int]:

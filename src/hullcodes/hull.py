@@ -39,7 +39,7 @@ import numpy as np
 from .gf import Field
 from .linalg import (
     Matrix,
-    nullspace,
+    _null_space_array,
     poly_coeff,
     poly_deg,
     poly_eval_array,
@@ -110,9 +110,10 @@ def classify(n: int, k: int, hull_dim: int) -> str:
 
 
 def hull_report(code: LinearCode) -> HullReport:
-    G = code.generator
-    gram = G.matmul(G.transpose())
-    coeff = nullspace(gram)
+    f, G = code.field, code.generator
+    # G^T as a C-ordered copy: numpy's integer product reads it faster
+    gram = f.matmul_array(G.entries, G.entries.T.copy())
+    coeff = Matrix._wrap(f, _null_space_array(f, gram))
     hull_dim = coeff.nrows
     return HullReport(
         hull_dim=hull_dim,

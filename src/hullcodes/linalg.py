@@ -26,7 +26,8 @@ holds at most max(_BLOCK, n floor(sqrt(n))) entries, never an n x n
 array: up to a few hundred points that is one step, and past them
 O(sqrt(n)) steps (over GF(p^m), matmul_array splits a step's products
 further).  Each input is checked once, as it is converted
-(Field.asarray): a Matrix is one read-only int64 array, and Matrix.rows
+(Field.asarray): a Matrix is one read-only int64 array, an array the
+field's ops made is wrapped without a second check, and Matrix.rows
 (Python ints) is built only when read, for output.  determinant and the
 polynomial helpers stay scalar.
 """
@@ -70,6 +71,17 @@ class Matrix:
         self.entries.flags.writeable = False
         self.nrows, self.ncols = self.entries.shape
 
+    @classmethod
+    def _wrap(cls, field: Field, array: np.ndarray) -> "Matrix":
+        """A Matrix on a 2-D int64 array of elements that the field's ops
+        made, taken as it is and made read-only: it came from checked
+        arrays, so it is not checked again."""
+        M = object.__new__(cls)
+        array.flags.writeable = False
+        M.field, M.entries = field, array
+        M.nrows, M.ncols = array.shape
+        return M
+
     @property
     def rows(self) -> tuple:
         """The entries as a tuple of rows of Python ints, for output."""
@@ -80,12 +92,12 @@ class Matrix:
         return self.entries.copy()
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.entries.T)
+        return Matrix._wrap(self.field, self.entries.T)
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise LinalgError("dimension mismatch")
-        return Matrix(self.field, self.field.matmul_array(self.entries, other.entries))
+        return Matrix._wrap(self.field, self.field.matmul_array(self.entries, other.entries))
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -101,7 +113,7 @@ class Matrix:
 def rref(M: Matrix):
     """Reduced row echelon form: (R, rank, pivot_columns)."""
     A, r, pivots = _rref_array(M.field, M.array())
-    return Matrix(M.field, A), r, pivots
+    return Matrix._wrap(M.field, A), r, pivots
 
 
 def _rref_array(f: Field, A: np.ndarray):
@@ -161,7 +173,13 @@ def rank(M: Matrix) -> int:
 
 def nullspace(M: Matrix) -> Matrix:
     """Basis rows of {x : M x^T = 0}; row count = ncols - rank."""
-    return Matrix(M.field, _null_basis(M.field, *_rref_array(M.field, M.array())))
+    return Matrix._wrap(M.field, _null_space_array(M.field, M.array()))
+
+
+def _null_space_array(f: Field, A: np.ndarray) -> np.ndarray:
+    """nullspace of an int64 array of elements, which it overwrites, as
+    an int64 array."""
+    return _null_basis(f, *_rref_array(f, A))
 
 
 def _null_basis(f: Field, R: np.ndarray, rk: int, pivots) -> np.ndarray:

@@ -19,8 +19,9 @@ hull.linear_code's full-rank check, the dual basis and the minor check
 share; the stacked hull dimension; and the minimum distance, whose
 budget min_distance checks on every call.  So a code's referee work
 runs once.  The referees stay independent: a result belongs to one
-code object (there is no process-wide or value-keyed cache, so two
-equal codes each do their own work), an exception is never kept (a
+code object (no result is kept process-wide or by value, so two equal
+codes each do their own work; the one process-wide cache holds index
+arrays keyed by a shape, see below), an exception is never kept (a
 failing check fails on every call), and hull_report's Gram route reads
 none of these results, so its hull dimension comes from G G^T alone.
 
@@ -32,22 +33,32 @@ Roth and Seroussi, IEEE Trans. Inf. Theory 31(6), 1985).  It builds
 the i x i minors of A level by level, each from the level below by a
 Laplace expansion, and stops at the first level that holds a zero, so a
 zero entry of A ends it at level 1.  Beside the two levels it holds, a
-step works on blocks of at most _BLOCK minors.  Enumeration covers one
+step works on blocks of at most _BLOCK minors.  A level's index arrays
+(its row subsets and, per block, its column subsets and the rank of
+each with one column dropped) depend on the shape alone: a level that
+fits one block takes them from a bounded cache of plans, and a larger
+one streams its blocks.  The logs of A and of the level below are taken
+once per level, so each Laplace term is one table lookup at a sum of
+logs, and a block is summed and reduced once (Field.sum_log_products).
+Enumeration covers one
 projective representative per 1-dimensional message subspace (first
 nonzero message digit normalized to 1), which reaches all nonzero
 weights with (q^k - 1)/(q - 1) codewords.  It keeps span tables, as
 minimum-distance searches do (Grassl, 2006): the words of
 span(G[k - s:]) for each s whose q^s words fit in _CHUNK, each level
 built from the one below.  A lead row whose free rows one table covers
-gets each word with one addition; above the largest table, the high
-free rows give offsets, each added to that table.  So every word array
-has at most _CHUNK rows, and the tables together fewer than
-2 _CHUNK.
+makes one offset, and above the largest table the high free rows give
+offsets; each offset o meets every word t of the table.  The table is a
+subspace, so the words o + t have the weights n - #{i : t_i = o_i}: one
+comparison, no field addition, per word.  So every array of the walk
+has at most _CHUNK rows, and the tables together fewer than 2 _CHUNK.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -121,6 +132,9 @@ _CHUNK = 1 << 12
 # beside the two levels
 _BLOCK = 1 << 15
 
+# level plans the cache keeps (see _cached_plan)
+_PLANS = 64
+
 
 def min_distance(code: LinearCode, budget: OracleBudget = DEFAULT_BUDGET) -> int:
     """Exact minimum distance by exhaustive enumeration.  Every call
@@ -162,8 +176,15 @@ def _enumerated_min_distance(code: LinearCode) -> int:
             for row in high:
                 rem, digit = np.divmod(rem, q)
                 offsets = f.add_array(offsets, f.mul_array(digit[:, None], row))
-            words = f.add_array(offsets[..., None, :], tables[s]) if s else offsets
-            best = min(best, int(np.count_nonzero(words, axis=-1).min()))
+            if s:
+                # o + t has weight n - #{i : t_i = -o_i}; a table is a
+                # subspace, so as t runs over it so does -t, and the words
+                # o + t have the weights n - #{i : t_i = o_i}: a comparison
+                # in place of an addition
+                matches = np.count_nonzero(tables[s] == offsets[..., None, :], axis=-1)
+                best = min(best, n - int(matches.max()))
+            else:
+                best = min(best, int(np.count_nonzero(offsets, axis=-1).min()))
             if best == 1:
                 return 1
     return best
@@ -215,40 +236,93 @@ def _minor_levels(f: Field, A: np.ndarray):
         yield None
         return
     yield A
-    nrows, ncols = A.shape
-    binom = _binomials(ncols)
-    # signed[j % 2] is (-1)^j A, the signs of the Laplace expansion
-    signed = np.stack([A, f.sub_array(0, A)])
+    # logs[j % 2] holds the logs of (-1)^j A, the signs of the Laplace
+    # expansion
+    logs = f.log_array(np.stack([A, f.sub_array(0, A)]))
     below = A
-    for i in range(2, nrows + 1):
-        below = _minors_level(f, signed, below, i, binom)
+    for i in range(2, len(A) + 1):
+        below = _minors_level(f, logs, below, i)
         yield below
         if below is None:
             return
 
 
-def _minors_level(f: Field, signed: np.ndarray, below: np.ndarray, i: int, binom):
-    """Every i x i minor of A = signed[0] from the (i - 1) x (i - 1)
-    minors below, or None at the first block that holds a zero.
+def _minors_level(f: Field, logs: np.ndarray, below: np.ndarray, i: int):
+    """Every i x i minor of A from the (i - 1) x (i - 1) minors below, or
+    None at the first block that holds a zero; logs[j % 2] holds the
+    logs of (-1)^j A.
 
     Laplace expansion along the first row r of the row subset R:
-    det[R, C] = sum_j (-1)^j A[r, c_j] det[R - r, C - c_j].  Column
-    subsets are taken _BLOCK // (C(nrows, i) + i) at a time, so every
-    array the step holds beside the two levels has at most _BLOCK
-    entries."""
-    _, nrows, ncols = signed.shape
-    rows = np.array(list(itertools.combinations(range(nrows), i)), dtype=np.intp)
-    first = signed[:, rows[:, 0]]
-    rest = _subset_rank(rows[:, 1:], nrows, binom)[:, None]
+    det[R, C] = sum_j (-1)^j A[r, c_j] det[R - r, C - c_j].  The logs of
+    both factors are taken once per level, so each term is one lookup
+    at their sum, and a block is summed and reduced once
+    (Field.sum_log_products).  The column subsets come in the blocks of
+    _level_plan, so every array the step holds beside the two levels
+    has at most _BLOCK entries."""
+    _, nrows, ncols = logs.shape
+    first, rest, blocks = _level_plan(nrows, ncols, i)
+    logs = logs[:, first]
+    below = f.log_array(below)
     # the smallest dtype that holds every element
-    out = np.empty((len(rows), binom[ncols, i]), dtype=np.min_scalar_type(f.q - 1))
-    subsets = itertools.combinations(range(ncols), i)
-    block = max(1, _BLOCK // (len(rows) + i))
-    for start in range(0, out.shape[1], block):
-        cols = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(subsets, block)),
-            dtype=np.intp,
-        ).reshape(-1, i)
+    out = np.empty((len(first), math.comb(ncols, i)), dtype=np.min_scalar_type(f.q - 1))
+    start = 0
+    for cols, drop in blocks:
+        det = f.sum_log_products(
+            (logs[j % 2][:, cols[:, j]], below[rest, drop[:, j]]) for j in range(i)
+        )
+        if not det.all():
+            return None
+        out[:, start : start + len(cols)] = det
+        start += len(cols)
+    return out
+
+
+def _level_plan(nrows, ncols, i):
+    """(first, rest, blocks), the index arrays of level i of the minors
+    of an nrows x ncols matrix: the first row of each row subset R, the
+    rank of R minus that row (a column), and the column subsets in
+    blocks of _BLOCK // (C(nrows, i) + i), each block (cols, drop) with
+    drop[:, j] the rank of C - c_j.  They depend on the shape alone, so
+    a level that fits one block takes them from a bounded cache
+    (_cached_plan); a larger one streams its blocks."""
+    step = max(1, _BLOCK // (math.comb(nrows, i) + i))
+    if math.comb(ncols, i) <= step:
+        return _cached_plan(nrows, ncols, i, _BLOCK)
+    return _plan(nrows, ncols, i, step)
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _cached_plan(nrows, ncols, i, block):
+    """_level_plan of a level that fits one block of the given size,
+    read-only.  It holds index arrays, never results: first and rest
+    hold C(nrows, i) entries each and cols and drop C(ncols, i) i, where
+    C(ncols, i) (C(nrows, i) + i) <= block and C(nrows, i) <= C(ncols, i).
+    So a plan has fewer than 2 block + 2 sqrt(block) intp entries, at
+    most 0.53 MB at _BLOCK = 2^15, and the cache, which keeps _PLANS, at
+    most 34 MB; the 42 levels of a pass of the benchmark's family_sweep
+    take 0.18 MB."""
+    first, rest, blocks = _plan(nrows, ncols, i, block)
+    cols, drop = next(blocks)
+    for array in (first, rest, cols, drop):
+        array.flags.writeable = False
+    return first, rest, ((cols, drop),)
+
+
+def _plan(nrows, ncols, i, step):
+    """_level_plan's arrays, the column subsets step at a time."""
+    binom = _binomials(ncols, nrows)
+    rows = _subsets(nrows, i, np.arange(binom[nrows, i]), binom)
+    rest = _subset_rank(rows[:, 1:], nrows, binom)[:, None]
+    # a copy, so the plan does not hold all of rows
+    return rows[:, 0].copy(), rest, _column_blocks(ncols, i, step, binom)
+
+
+def _column_blocks(ncols, i, step, binom):
+    """(cols, drop) for the i-subsets C of range(ncols), step at a time:
+    each row of cols a subset, and drop[:, j] the rank of C - c_j."""
+    total = binom[ncols, i]
+    for start in range(0, total, step):
+        cols = _subsets(ncols, i, np.arange(start, min(start + step, total)), binom)
         # rank of C - c_j: c_t sits at position t before j and t - 1 after
         tail = ncols - 1 - cols
         before = binom[tail, i - 1 - np.arange(i)]
@@ -258,23 +332,42 @@ def _minors_level(f: Field, signed: np.ndarray, below: np.ndarray, i: int, binom
             - (np.cumsum(before, axis=1) - before)
             - (np.cumsum(after[:, ::-1], axis=1)[:, ::-1] - after)
         )
-        det = f.mul_array(first[0][:, cols[:, 0]], below[rest, drop[:, 0]])
-        for j in range(1, i):
-            term = f.mul_array(first[j % 2][:, cols[:, j]], below[rest, drop[:, j]])
-            det = f.add_array(det, term)
-        if not det.all():
-            return None
-        out[:, start : start + len(cols)] = det
-    return out
+        yield cols, drop
 
 
-def _binomials(n: int) -> np.ndarray:
-    """C(a, b) at [a, b] for 0 <= a, b <= n (0 when b > a)."""
-    table = np.zeros((n + 1, n + 1), dtype=np.int64)
+@functools.lru_cache(maxsize=4)
+def _binomials(n: int, t: int) -> np.ndarray:
+    """C(a, b) at [a, b] for 0 <= a <= n and 0 <= b <= t (0 when b > a),
+    read-only; the last four tables are kept, one per shape of A.  An
+    entry of 2^62 or more is held at 2^62 - 1, so no sum of two overflows
+    and each column stays sorted (_subsets searches it); no level that
+    fits in memory reads one."""
+    table = np.zeros((n + 1, t + 1), dtype=np.int64)
     table[:, 0] = 1
     for a in range(1, n + 1):
-        table[a, 1:] = table[a - 1, 1:] + table[a - 1, :-1]
+        table[a, 1:] = np.minimum(table[a - 1, 1:] + table[a - 1, :-1], (1 << 62) - 1)
+    table.flags.writeable = False
     return table
+
+
+def _subsets(n: int, t: int, ranks: np.ndarray, binom) -> np.ndarray:
+    """The t-subsets of range(n) of the given lexicographic ranks, one
+    sorted row each: the inverse of _subset_rank.  With lo one past
+    element j - 1, C(n - lo, t - j) - C(n - c, t - j) subsets put an
+    element below c at position j, and they come first; so element j is
+    the largest c for which that count is at most the rank left, and the
+    rank then drops by it.  One search per element, for all ranks at
+    once."""
+    out = np.empty((len(ranks), t), dtype=np.intp)
+    lo, rank = 0, ranks.copy()
+    for j in range(t):
+        ahead = binom[n - lo, t - j]
+        # the smallest a = n - c with C(a, t - j) >= ahead - rank
+        a = np.searchsorted(binom[:, t - j], ahead - rank)
+        out[:, j] = n - a
+        rank -= ahead - binom[a, t - j]
+        lo = n - a + 1
+    return out
 
 
 def _subset_rank(S: np.ndarray, n: int, binom) -> np.ndarray:

@@ -39,8 +39,8 @@ def _first_fault(instances, fault):
 
 def gram_is_zero(code) -> bool:
     """Whether G G^T = 0, i.e. the code is self-orthogonal."""
-    G = code.generator
-    return not G.matmul(G.transpose()).entries.any()
+    G = code.generator.entries
+    return not code.field.matmul_array(G, G.T).any()
 
 
 # --- the checks ---

@@ -360,6 +360,30 @@ def test_sum_array_along_an_axis_matches_scalar_sums(p, m):
     assert f.sum_array(A[:, :0], axis=1).tolist() == [[0] * 4] * 3
 
 
+@pytest.mark.parametrize("p, m", [(2, 1), (13, 1), (1031, 1), (2, 6), (2, 11), (3, 2),
+                                  (7, 2), (3, 10)])
+def test_sum_log_products_matches_scalar_ops(p, m):
+    # 70 products take three slot chunks over GF(3^10) (31 at a time);
+    # a zero factor takes the log sentinel
+    f = Field(p, m)
+    rng = np.random.default_rng(f.q)
+    logs = f.log_array(np.arange(f.q))
+    # the sum of two logs, at most 4(q - 1), fits the dtype
+    assert 2 * int(logs.max()) == 4 * (f.q - 1)
+    assert logs.dtype.kind == "u" and np.iinfo(logs.dtype).max >= 4 * (f.q - 1)
+    for terms, shape in ((1, (5,)), (2, (3, 4)), (70, (6, 7))):
+        X, Y = rng.integers(0, f.q, (2, terms, *shape))
+        X[:, 0] = 0
+        # q - 1 has every digit p - 1, so its sums fill the slots to the brim
+        X[:, -1], Y[:, -1] = f.q - 1, 1
+        got = f.sum_log_products((f.log_array(x), f.log_array(y)) for x, y in zip(X, Y))
+        want = [
+            _scalar_sum(f, [f.mul(x, y) for x, y in zip(xs, ys)])
+            for xs, ys in zip(X.reshape(terms, -1).T.tolist(), Y.reshape(terms, -1).T.tolist())
+        ]
+        assert got.shape == shape and got.ravel().tolist() == want, terms
+
+
 @pytest.mark.parametrize("p, m", [(13, 1), (2, 11), (7, 2), (3, 10)])
 def test_matmul_array_matches_scalar_products(p, m):
     # K = 70 inner terms take three slot chunks over GF(3^10); 40 rows

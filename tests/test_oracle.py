@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 import pathlib
 import random
 import tracemalloc
@@ -127,15 +128,17 @@ def _weight_one_code(f, rng, n, k):
             return linear_code(f, [first, *rows])
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 7, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 9, 25, 49])
 def test_walk_matches_scalar_enumeration_at_every_chunk_size(q, monkeypatch):
     """_CHUNK = 1 leaves no table, so every free row is a high row; 3 and
     16 give partial tables beside high rows; at 100 the high-row
-    messages cross chunk boundaries and small codes fit whole."""
+    messages cross chunk boundaries and small codes fit whole.  Over
+    GF(25) and GF(49) the offsets and tables are Zech-table sums, matched
+    word by word against each other."""
     f = Field(*factor_prime_power(q))
     rng = random.Random(q)
     at_bound = set()
-    for k in range(1, 6):
+    for k in range(1, 6 if q < 25 else 4):
         if k < q:
             mds = _random_code(f, rng, rng.randint(k, q), k, grs_like=True)
         else:
@@ -214,9 +217,9 @@ def _levels_computed(monkeypatch):
     seen = []
     real = oracle._minors_level
 
-    def counting(f, signed, below, i, binom):
+    def counting(f, logs, below, i):
         seen.append(i)
-        return real(f, signed, below, i, binom)
+        return real(f, logs, below, i)
 
     monkeypatch.setattr(oracle, "_minors_level", counting)
     return seen
@@ -419,6 +422,127 @@ def test_minors_decide_gf529_24_12():
     for row in rows:
         row[23] = f.mul(f.generator, row[22])
     assert not is_mds(linear_code(f, rows), budget)
+
+
+@pytest.mark.parametrize("n, t", [(1, 1), (5, 2), (9, 4), (12, 12), (20, 6)])
+def test_subsets_unrank_in_lexicographic_order(n, t):
+    binom = oracle._binomials(n, t)
+    want = [list(c) for c in itertools.combinations(range(n), t)]
+    got = oracle._subsets(n, t, np.arange(len(want)), binom)
+    assert got.tolist() == want
+    assert oracle._subset_rank(got, n, binom).tolist() == list(range(len(want)))
+
+
+def test_subsets_of_a_wide_shape_read_held_binomials():
+    # C(181, 90) is past int64: such entries are held at 2^62 - 1, so the
+    # columns _subsets searches stay sorted
+    binom = oracle._binomials(181, 180)
+    assert (np.diff(binom, axis=0) >= 0).all() and binom.max() == (1 << 62) - 1
+    assert binom[181, 179] == math.comb(181, 179)
+    for n in (180, 181):
+        want = [list(c) for c in itertools.combinations(range(n), 180)]
+        assert oracle._subsets(n, 180, np.arange(len(want)), binom).tolist() == want
+
+
+def _blocks_per_level(monkeypatch):
+    """The list of block counts of the levels the minor check builds,
+    filled as the check runs."""
+    counts = []
+    real = oracle._level_plan
+
+    def counting(nrows, ncols, i):
+        first, rest, blocks = real(nrows, ncols, i)
+        blocks = list(blocks)
+        counts.append(len(blocks))
+        return first, rest, blocks
+
+    monkeypatch.setattr(oracle, "_level_plan", counting)
+    return counts
+
+
+@pytest.mark.parametrize("q", [2, 9, 49, 1031])
+def test_minors_in_many_blocks_match_determinant_loop(q, monkeypatch):
+    """At _BLOCK = 1 every column subset is a block of its own, at 7 a
+    few share one, and at 64 small levels fit one block."""
+    p, m = factor_prime_power(q)
+    f = Field(p, m)
+    rng = random.Random(q)
+    counts = _blocks_per_level(monkeypatch)
+    codes = []
+    for trial in range(12):
+        n = rng.randint(3, min(8, q + 1))
+        k = rng.randint(2, n - 1)
+        twin = q > 49 and trial % 3 == 1
+        codes.append(_random_code(f, rng, n, k, grs_like=n <= q and trial % 3 == 0, twin=twin))
+    if q >= 9:
+        # the smallest singular minor of A is 2 or 3 wide
+        codes += [_systematic_code(f, rng, _planted(f, rng, 4, min(q - 4, 5), level))
+                  for level in (2, 3)]
+    verdicts = []
+    for code in codes:
+        expected = _all_minors_nonzero_by_determinant(code)
+        verdicts.append(expected)
+        for block in (1, 7, 64):
+            monkeypatch.setattr(oracle, "_BLOCK", block)
+            counts.clear()
+            assert oracle._all_minors_nonzero(code) == expected, block
+            if block == 1:
+                # one block per column subset of each level (A's longer
+                # side is max(k, n - k))
+                ncols = max(code.k, code.n - code.k)
+                assert counts == [math.comb(ncols, i) for i in range(2, len(counts) + 2)]
+    assert True in verdicts and False in verdicts
+
+
+def test_one_shape_at_two_block_sizes(monkeypatch):
+    """A level that fits one block at _BLOCK = 64 is cached; at 7 the
+    same shape streams in several blocks, so the cached plan is not
+    used, and back at 64 the cached plan is."""
+    f = Field(13)
+    rng = random.Random(35)
+    # A is 3 x 5: level 2 has 3 row and 10 column subsets, level 3 one
+    # row and 10 column subsets
+    code = _systematic_code(f, rng, _cauchy(f, rng, 3, 5))
+    counts = _blocks_per_level(monkeypatch)
+    oracle._cached_plan.cache_clear()
+    for block, expected in ((64, [1, 1]), (7, [10, 10]), (64, [1, 1])):
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        counts.clear()
+        assert oracle._all_minors_nonzero(code)
+        assert counts == expected, block
+    info = oracle._cached_plan.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+    # a zero in the last column subset of level 2 fails in its block
+    A = [row[3:] for row in code.echelon[0].tolist()]
+    A[2][4] = f.mul(A[1][4], f.mul(A[2][3], f.inv(A[1][3])))
+    planted = _systematic_code(f, rng, A)
+    for block in (64, 7, 1):
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        assert not oracle._all_minors_nonzero(planted)
+
+
+def test_plan_cache_holds_its_stated_bound():
+    """The largest plans that fit one block have one row subset, i = nrows
+    rows, and nrows + 1 column subsets, so (nrows + 1)^2 <= _BLOCK; the
+    cache keeps _PLANS of them, each under 0.53 MB."""
+    oracle._cached_plan.cache_clear()
+    oracle._binomials.cache_clear()
+    r = math.isqrt(oracle._BLOCK) - 1
+    shapes = [(i, i + 1, i) for i in range(r, r - oracle._PLANS - 1, -1)]
+    assert oracle._BLOCK // (1 + r) >= r + 1 and oracle._BLOCK // (2 + r) < r + 2
+    tracemalloc.start()
+    try:
+        for shape in shapes:
+            first, rest, blocks = oracle._level_plan(*shape)
+            assert len(blocks) == 1 and not blocks[0][0].flags.writeable
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert oracle._cached_plan.cache_info().currsize == oracle._PLANS
+    # the binomial tables kept beside the plans: four of 182 x 181 int64
+    tables = 4 * (r + 2) * (r + 1) * 8
+    assert held < oracle._PLANS * 0.53e6 + tables
+    oracle._cached_plan.cache_clear()
 
 
 def test_minors_memory_is_bounded():
