@@ -32,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gf
 from .gf import Field
 from .grs import EvaluationSet, GrsSpec, grs
 from .hull import Certificate, LinearCode, certify, check_certificate, linear_code
-from . import linalg
 from .linalg import poly_eval_array
 
 
@@ -120,7 +120,7 @@ def _smallest_root_free(field: Field, degree: int, xs: np.ndarray) -> np.ndarray
     q = field.q
     x = np.arange(q)
     neg = field.sub_array(0, x)
-    rows = max(1, linalg._BLOCK // q)
+    rows = max(1, gf._BLOCK // q)
     for high in itertools.product(range(q), repeat=degree - 2):
         top = poly_eval_array(field, [0, 0, *reversed(high), 1], x)
         for start in range(0, q, rows):

@@ -21,42 +21,55 @@ process for each such key, kept in a small bounded cache, and shared
 read-only by every Field with that key; each Field still checks its
 parameters before it takes them from the cache (the verdict on an
 explicit modulus is kept in a cache of the same size).  Each table is
-one read-only int64 numpy array.  The ops on whole arrays of encodings
+one read-only numpy array.  The ops on whole arrays of encodings
 (mul_array, add_array, sub_array, inv_array, pow_array, sum_array, which
 also sums along one axis, matmul_array, the matrix product, and
 sum_log_products, a sum of products given by the logs of their
 factors), which the linear algebra, the GRS evaluation maps and the
 oracle are built on, index the arrays; the scalar ops (add, mul, inv,
 ...) index memoryviews of the same buffers, which give Python ints
-without a copy.  The array sums skip the Zech table, as the encoding's
-digits add mod p: over GF(2^m), add_array, sub_array, sum_array and the
-sums of matmul_array and sum_log_products are bitwise exclusive or;
-over GF(p^m), p odd, those sums add the entries' spread encodings
-(digit i moved to bit i * (63 // m), a table kept with the others) as
-plain integers, as many at once as the slots hold, and take each slot
-mod p.  The scalar ops keep the Zech
-route, so the tests that check the array ops against them compare two
-routes.  A memoryview does not pickle, so a Field pickles as its key and
-is rebuilt, checks and all.  The array ops trust their inputs; asarray
-is the one check, made once per input array where it enters, and it
-raises FieldError for any entry that is not an element, a bool among
-ints included, as the scalar ops do per element.
+without a copy.
+
+The array sums (sum_array, matmul_array over GF(p^m) and
+sum_log_products) share one sum domain, which skips the Zech table as
+the encoding's digits add mod p.  Over GF(2^m) a value is an encoding,
+added by bitwise exclusive or (as add_array and sub_array add); it
+holds any number of terms and is its own sum.  Otherwise a value is a
+plain integer added by np.add: an element enters as its spread
+encoding, digit i moved to bit i * (63 // m) (over GF(p), the element
+itself), a value holds (2^(63 // m) - 1) // (p - 1) terms before a slot
+could overflow, and it is read back by taking each slot mod p.  A
+product enters as one lookup at the sum of its factors' logs, in exp
+or, over odd GF(p^m), in spread o exp.  Field._sum adds along an axis
+within that bound, and sum_log_products term by term.  The scalar ops
+keep the Zech route, so the tests that check the array ops against
+them compare two routes.
+
+A memoryview does not pickle, so a Field pickles as its key and is
+rebuilt, checks and all.  The array ops trust their inputs; asarray is
+the one check, made once per input array where it enters, and it raises
+FieldError for any entry that is not an element, a bool among ints
+included, as the scalar ops do per element.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 
 import numpy as np
 
 
 MAX_Q = 2**16
-# Fields whose tables the cache keeps; a GF(2^16) entry holds about 4.7 MB.
+# Fields whose tables the cache keeps; a GF(2^16) entry holds about 5.0 MB,
+# and the largest, GF(251^2), about 7.3 MB.
 TABLE_CACHE_SIZE = 16
-# The fewest products matmul_array forms at a time over GF(p^m).
-_PRODUCTS = 1 << 10
+# The fewest entries an array step may hold: a block of matmul_array's
+# products, a step of the polynomial kernels (linalg._block_entries) and
+# of construct's root-free search.
+_BLOCK = 1 << 16
 
 
 class FieldError(ValueError):
@@ -201,10 +214,13 @@ def _find_generator(p: int, m: int, modulus) -> int:
 
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _field_tables(p: int, m: int, modulus: tuple) -> tuple:
-    """(generator, exp, log, zech, log(-1), spread) of GF(p^m) mod
-    modulus: the tables as read-only int64 arrays, with zech and log(-1)
-    None when m = 1 and spread (sum_array's) None unless m > 1 and p is
-    odd.  The caller has checked the key.
+    """(generator, exp, log, zech, log(-1), spread, logs, terms) of
+    GF(p^m) mod modulus: the tables as read-only arrays, with zech and
+    log(-1) None when m = 1 and spread None unless m > 1 and p is odd.
+    logs is log in the smallest unsigned dtype that holds 4(q - 1), the
+    largest sum of two logs, and terms maps such a sum to the product in
+    the sum domain: exp itself, or spread[exp], one int64 per entry of
+    exp.  The caller has checked the key.
 
     With n = q - 1 and Z = log[0] = 2n, exp is two periods of g^i and
     then a zero tail up to index 2Z, so exp[Z + s] = 0 for every s in
@@ -246,22 +262,10 @@ def _field_tables(p: int, m: int, modulus: tuple) -> tuple:
         spread = digits @ (1 << (63 // m) * np.arange(m))
         spread.flags.writeable = False
     exp.flags.writeable = log.flags.writeable = False
-    return g, exp, log, zech, log_minus_one, spread
-
-
-@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _log_product_tables(p: int, m: int, modulus: tuple) -> tuple:
-    """(logs, terms) for sum_log_products, read-only: _field_tables' log
-    in the smallest unsigned dtype that holds 4(q - 1), the largest sum
-    of two logs, and the table that maps such a sum to the term added:
-    exp itself, or over odd GF(p^m) the spread encoding of exp, one
-    int64 per entry of exp (1.9 MB for GF(3^10), the largest such
-    field).  The caller has checked the key."""
-    _, exp, log, _, _, spread = _field_tables(p, m, modulus)
-    logs = log.astype(np.min_scalar_type(4 * (p**m - 1)))
+    logs = log.astype(np.min_scalar_type(4 * n))
     terms = exp if spread is None else spread[exp]
     logs.flags.writeable = terms.flags.writeable = False
-    return logs, terms
+    return g, exp, log, zech, log_minus_one, spread, logs, terms
 
 
 class Field:
@@ -285,17 +289,21 @@ class Field:
             if not _irreducible_modulus(modulus, p):
                 raise FieldError(f"modulus {list(modulus)} is reducible over GF({p})")
             self.modulus = modulus
-        tables = _field_tables(p, m, self.modulus)
-        self.generator, exp, log, zech, self._log_minus_one, self._spread_array = tables
+        (self.generator, exp, log, zech, self._log_minus_one, self._spread_array, self._logs,
+         self._terms) = _field_tables(p, m, self.modulus)
         self._exp_array, self._log_array, self._zech_array = exp, log, zech
         # the scalar ops index the same buffers; an item is a Python int
         self._exp, self._log = memoryview(exp), memoryview(log)
         self._zech = None if zech is None else memoryview(zech)
         self._zero_log = 2 * (self.q - 1)
-        # sum_array's slots for odd p, m > 1: digit i at bit i * width
+        # the sum domain (see the module docstring): its add, the slots
+        # of a plain integer value (digit i at bit i * width), and the
+        # terms a value may hold before it is read back
+        xor = p == 2 and m > 1
+        self._sum_add = np.bitwise_xor if xor else np.add
         self._spread_width = 63 // m
         self._spread_mask = (1 << self._spread_width) - 1
-        self._spread_terms = self._spread_mask // (p - 1)
+        self._held = math.inf if xor else self._spread_mask // (p - 1)
 
     # -- element encoding --
 
@@ -457,56 +465,75 @@ class Field:
         """The logs of a's entries, for sum_log_products, in an unsigned
         dtype that holds the sum of two; the log of 0 is a sentinel that
         takes every product with 0 to 0."""
-        return self._log_products[0][a]
+        return self._logs[a]
 
     def sum_log_products(self, pairs):
         """sum_t x_t y_t for a nonempty iterable of pairs of arrays of
         logs (log_array's) of x_t and y_t, every x_t + y_t of one shape.
-        Each product is one lookup at the sum of the logs, summed in the
-        domain of sum_array: plain integers over GF(p), reduced mod p
-        once; exclusive or over GF(2^m); spread encodings, read from a
-        table composed with exp, over odd GF(p^m), read back once per
-        _spread_terms products."""
-        terms = self._log_products[1]
+        Each product is one lookup at the sum of the logs, added term by
+        term in the sum domain and read back whenever the value holds
+        all it may."""
         pairs = iter(pairs)
         x, y = next(pairs)
-        total = terms[x + y]
-        if self.m > 1 and self.p > 2:
-            held = 1
-            for x, y in pairs:
-                if held == self._spread_terms:  # every slot could overflow
-                    total, held = self._spread_array[self._unspread(total)], 1
-                total += terms[x + y]
-                held += 1
-            return self._unspread(total)
-        add = np.add if self.m == 1 else np.bitwise_xor
+        total, held = self._terms[x + y], 1
         for x, y in pairs:
-            add(total, terms[x + y], out=total)
-        return total % self.p if self.m == 1 else total
-
-    @functools.cached_property
-    def _log_products(self) -> tuple:
-        return _log_product_tables(self.p, self.m, self.modulus)
+            if held == self._held:  # every slot could overflow
+                total, held = self._lift(self._read_back(total)), 1
+            self._sum_add(total, self._terms[x + y], out=total)
+            held += 1
+        return self._read_back(total)
 
     def sum_array(self, a, axis=None):
         """Field sum of all entries of a (an int), or of a along one axis
         (an array)."""
         if axis is None:
             return int(self.sum_array(np.ravel(a), 0))
-        if self.m == 1:
-            return a.sum(axis) % self.p
-        if self.p == 2:
-            return np.bitwise_xor.reduce(a, axis)
         if a.shape[axis] <= 1:  # no sum to take
             return a.sum(axis)
-        # odd p: up to _spread_terms entries at a time add as plain
-        # integers in the slots of their spread encodings; the slot sums
-        # taken mod p are the digits of the field sums of those chunks
-        starts = np.arange(0, a.shape[axis], self._spread_terms)
-        return self.sum_array(self._unspread(np.add.reduceat(self._spread_array[a], starts, axis)), axis)
+        return self._sum(self._lift(a), axis)
 
-    def _unspread(self, s):
-        """The elements whose digits are the slots of s, mod p."""
+    def matmul_array(self, X, M):
+        """X M for a 2-D array M and a vector or 2-D array X of elements:
+        each row x of X gives sum_j x_j M[j].  Over GF(p), one integer
+        product reduced once.  Over GF(p^m), the products of a block of
+        X's rows at a time, at most max(_BLOCK, M.size) of them, each one
+        lookup from the logs of X and of M (M's taken once), and their
+        sums along the inner axis (_sum)."""
+        if self.m == 1:
+            # exact in int64: (p - 1)^2 * len(M) < 2^48 for q <= MAX_Q
+            return X @ M % self.p
+        if X.ndim == 1:
+            return self.matmul_array(X[None], M)[0]
+        # the logs of M^T in C order, so that whatever M's order each
+        # block's products lie rows x columns x inner terms, summed along
+        # their contiguous last axis
+        logMT = np.ascontiguousarray(self._log_array[M.T])
+        step = max(1, _BLOCK // max(M.size, 1))
+        out = np.empty((len(X), M.shape[1]), dtype=np.int64)
+        for start in range(0, len(X), step):
+            products = self._terms[self._log_array[X[start : start + step]][:, None] + logMT]
+            out[start : start + step] = self._sum(products, 2)
+        return out
+
+    def _lift(self, a):
+        """The elements a as values of the sum domain."""
+        return a if self._spread_array is None else self._spread_array[a]
+
+    def _sum(self, s, axis):
+        """The field sums along axis of s, values of the sum domain: runs
+        of at most _held of them are added and read back, and the run
+        sums, lifted again, are summed the same way while more than one
+        run is left."""
+        while s.shape[axis] > self._held:
+            runs = np.arange(0, s.shape[axis], self._held)
+            s = self._lift(self._read_back(self._sum_add.reduceat(s, runs, axis)))
+        return self._read_back(self._sum_add.reduce(s, axis))
+
+    def _read_back(self, s):
+        """The elements that the values s of the sum domain hold: s
+        itself under exclusive or, else the slots of s, each mod p."""
+        if self._sum_add is np.bitwise_xor:
+            return s
         # a digit at a time, in place: two arrays the size of s are live
         out = s & self._spread_mask
         out %= self.p
@@ -516,45 +543,6 @@ class Field:
             digit %= self.p
             digit *= self.p**i
             out += digit
-        return out
-
-    def matmul_array(self, X, M):
-        """X M for a 2-D array M and a vector or 2-D array X of elements:
-        each row x of X gives sum_j x_j M[j].  Over GF(p), one integer
-        product reduced once.  Over GF(p^m), the products of a block of
-        X's rows at a time, at most max(_PRODUCTS, M.size) of them, each
-        one lookup from the logs of X and of M (M's taken once), summed
-        as sum_array sums; the slot sums are read back in blocks of their
-        own, larger where the output rows are short."""
-        if self.m == 1:
-            # exact in int64: (p - 1)^2 * len(M) < 2^48 for q <= MAX_Q
-            return X @ M % self.p
-        if X.ndim == 1:
-            return self.matmul_array(X[None], M)[0]
-        K, N = M.shape
-        if M.size == 0:
-            return np.zeros((len(X), N), dtype=np.int64)
-        logM = self._log_array[M]
-        step = max(1, _PRODUCTS // M.size)
-        blocks = range(0, len(X), step)
-        if self.p == 2:
-            out = np.empty((len(X), N), dtype=np.int64)
-            for start in blocks:
-                products = self._exp_array[self._log_array[X[start : start + step]][:, :, None] + logM]
-                out[start : start + step] = np.bitwise_xor.reduce(products, axis=1)
-            return out
-        starts = np.arange(0, K, self._spread_terms)
-        terms = self._log_products[1]
-        sums = np.empty((len(X), len(starts), N), dtype=np.int64)
-        for start in blocks:
-            # each product's spread encoding, one lookup in the composed table
-            products = terms[self._log_array[X[start : start + step]][:, :, None] + logM]
-            sums[start : start + step] = np.add.reduceat(products, starts, axis=1)
-        # read back as many rows at a time as hold _PRODUCTS digits
-        out = np.empty((len(X), N), dtype=np.int64)
-        step = max(1, _PRODUCTS // (self.m * len(starts) * N))
-        for start in range(0, len(X), step):
-            out[start : start + step] = self.sum_array(self._unspread(sums[start : start + step]), axis=1)
         return out
 
     # -- identity / serialization --

@@ -21,15 +21,14 @@ the points, or the Hankel columns, a block at a time.  P comes from a
 product tree of ceil(log2 n) levels, each a batch of outer products of
 pairs and their skew sums (over GF(p) in plain integers, reduced once
 per level).  On n points (for evaluation: a polynomial of length n, at
-any number of points) every step of these kernels
-holds at most max(_BLOCK, n floor(sqrt(n))) entries, never an n x n
-array: up to a few hundred points that is one step, and past them
-O(sqrt(n)) steps (over GF(p^m), matmul_array splits a step's products
-further).  Each input is checked once, as it is converted
-(Field.asarray): a Matrix is one read-only int64 array, an array the
-field's ops made is wrapped without a second check, and Matrix.rows
-(Python ints) is built only when read, for output.  determinant and the
-polynomial helpers stay scalar.
+any number of points) every step of these kernels holds at most
+max(gf._BLOCK, n floor(sqrt(n))) entries, never an n x n array: up to
+a few hundred points that is one step, and past them O(sqrt(n)) steps.
+Each input is checked once, as it is converted (Field.asarray): a
+Matrix is one read-only int64 array, an array the field's ops made is
+wrapped without a second check, and Matrix.rows (Python ints) is built
+only when read, for output.  determinant and the polynomial helpers
+stay scalar.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from . import gf
 from .gf import Field, FieldError
 
 
@@ -178,13 +178,8 @@ def nullspace(M: Matrix) -> Matrix:
 
 def _null_space_array(f: Field, A: np.ndarray) -> np.ndarray:
     """nullspace of an int64 array of elements, which it overwrites, as
-    an int64 array."""
-    return _null_basis(f, *_rref_array(f, A))
-
-
-def _null_basis(f: Field, R: np.ndarray, rk: int, pivots) -> np.ndarray:
-    """Basis rows of {x : M x^T = 0} from the rref (R, rk, pivots) of M,
-    an int64 array of ncols - rk rows; R is only read."""
+    an int64 array of ncols - rank rows."""
+    R, rk, pivots = _rref_array(f, A)
     free, block = _null_pivot_block(f, R, rk, pivots)
     # row t: 1 at free column free[t], -R[i, free[t]] at pivot column i
     basis = np.zeros((len(free), R.shape[1]), dtype=np.int64)
@@ -295,15 +290,11 @@ def poly_eval_array(f: Field, fx, xs) -> np.ndarray:
     return out.reshape(np.shape(xs))
 
 
-# the fewest entries a step of the polynomial kernels may hold
-_BLOCK = 1 << 16
-
-
 def _block_entries(n: int) -> int:
     """The entries a step of a polynomial kernel on inputs of length n
-    may hold: max(_BLOCK, n floor(sqrt(n))).  So inputs of a few hundred
-    points take one step, and larger ones O(sqrt(n)) steps."""
-    return max(_BLOCK, n * math.isqrt(n))
+    may hold: max(gf._BLOCK, n floor(sqrt(n))).  So inputs of a few
+    hundred points take one step, and larger ones O(sqrt(n)) steps."""
+    return max(gf._BLOCK, n * math.isqrt(n))
 
 
 def _block_rows(width: int, n: int) -> int:

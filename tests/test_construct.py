@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hullcodes import construct, linalg
+from hullcodes import construct, gf
 from hullcodes.construct import (
     ConstructionError,
     SeedCode,
@@ -182,7 +182,7 @@ def test_smallest_root_free_matches_one_candidate_at_a_time(q, degree, monkeypat
     want = _first_root_free(f, degree)
     xs = np.array([3, 0, q - 1, 5, 3])
     for block in (1, 64, 1 << 16):
-        monkeypatch.setattr(linalg, "_BLOCK", block)
+        monkeypatch.setattr(gf, "_BLOCK", block)
         got = construct._smallest_root_free(f, degree, xs)
         assert got.tolist() == want[xs].tolist(), block
 

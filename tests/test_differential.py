@@ -23,7 +23,7 @@ from sympy.polys.domains import GF, ZZ
 from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_neg, gf_rem, gf_sub
 from sympy.polys.matrices import DomainMatrix
 
-from hullcodes import cli, gf, linalg
+from hullcodes import cli, gf
 from hullcodes.construct import make_seed, reduce_hull
 from hullcodes.gf import MAX_Q, Field, is_prime
 from hullcodes.grs import GrsError, GrsSpec, encode, eval_set, generator_matrix, grs
@@ -235,7 +235,7 @@ def test_node_weights_match_a_scalar_product_loop(monkeypatch, p, m):
         xs = rng.sample(range(f.q), n)
         want_P, want_w = _scalar_node_weights(f, xs)
         for block in (1, 64, 1 << 16):
-            monkeypatch.setattr(linalg, "_BLOCK", block)
+            monkeypatch.setattr(gf, "_BLOCK", block)
             P, w = node_weights(f, np.array(xs))
             assert (P.tolist(), w.tolist()) == (want_P, want_w), (n, block)
 
@@ -327,6 +327,14 @@ def _scalar_sum(f, xs):
     return functools.reduce(f.add, xs, 0)
 
 
+def _slot_boundary(f):
+    """N, N + 1 and 2N + 1, N the terms one value of the sum domain may
+    hold before it is read back, where N is small (odd GF(p^m): 31 over
+    GF(3^10), 255 over GF(3^7)); none where it is not."""
+    N = f._held
+    return (N, N + 1, 2 * N + 1) if N < 2**10 else ()
+
+
 @pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2), (13, 1),
                                   (5, 2), (3, 3), (7, 2), (3, 7), (2, 11)])
 def test_array_ops_match_scalar_ops(p, m):
@@ -357,14 +365,18 @@ def test_sum_array_along_an_axis_matches_scalar_sums(p, m):
         for axis in range(3):
             want = np.apply_along_axis(lambda line: _scalar_sum(f, line.tolist()), axis, B)
             assert np.array_equal(f.sum_array(B, axis=axis), want)
+    for terms in _slot_boundary(f):
+        B = np.full((2, terms), f.q - 1)
+        assert f.sum_array(B, axis=1).tolist() == [_scalar_sum(f, [f.q - 1] * terms)] * 2, terms
     assert f.sum_array(A[:, :0], axis=1).tolist() == [[0] * 4] * 3
 
 
 @pytest.mark.parametrize("p, m", [(2, 1), (13, 1), (1031, 1), (2, 6), (2, 11), (3, 2),
-                                  (7, 2), (3, 10)])
+                                  (7, 2), (3, 7), (3, 10)])
 def test_sum_log_products_matches_scalar_ops(p, m):
     # 70 products take three slot chunks over GF(3^10) (31 at a time);
-    # a zero factor takes the log sentinel
+    # a zero factor takes the log sentinel; at the slot boundary every
+    # product is q - 1
     f = Field(p, m)
     rng = np.random.default_rng(f.q)
     logs = f.log_array(np.arange(f.q))
@@ -382,24 +394,51 @@ def test_sum_log_products_matches_scalar_ops(p, m):
             for xs, ys in zip(X.reshape(terms, -1).T.tolist(), Y.reshape(terms, -1).T.tolist())
         ]
         assert got.shape == shape and got.ravel().tolist() == want, terms
+    for terms in _slot_boundary(f):
+        got = f.sum_log_products((f.log_array(np.full(3, f.q - 1)), f.log_array(np.ones(3, dtype=np.int64)))
+                                 for _ in range(terms))
+        assert got.tolist() == [_scalar_sum(f, [f.q - 1] * terms)] * 3, terms
 
 
-@pytest.mark.parametrize("p, m", [(13, 1), (2, 11), (7, 2), (3, 10)])
-def test_matmul_array_matches_scalar_products(p, m):
+@pytest.mark.parametrize("p, m", [(13, 1), (2, 11), (7, 2), (3, 7), (3, 10)])
+def test_matmul_array_matches_scalar_products(monkeypatch, p, m):
     # K = 70 inner terms take three slot chunks over GF(3^10); 40 rows
-    # of a 70 x 20 M take several row blocks
+    # of a 70 x 20 M take a row block each at _BLOCK = 1 and 64
     f = Field(p, m)
     rng = np.random.default_rng(f.q)
     cases = [(rng.integers(0, f.q, (rows, K)), rng.integers(0, f.q, (K, N)))
              for rows, K, N in ((40, 70, 20), (3, 1, 5), (2, 0, 3), (2, 4, 0), (0, 3, 2))]
     # products q - 1 (every digit p - 1) fill the slots to the brim
-    cases.append((np.full((2, 70), f.q - 1), np.ones((70, 3), dtype=np.int64)))
+    for K in (70, *_slot_boundary(f)):
+        cases.append((np.full((2, K), f.q - 1), np.ones((K, 3), dtype=np.int64)))
     for X, M in cases:
         rows, N = len(X), M.shape[1]
         want = [[_scalar_sum(f, [f.mul(a, b) for a, b in zip(row, col)]) for col in M.T.tolist()]
                 for row in X.tolist()]
-        got = f.matmul_array(X, M)
-        assert got.shape == (rows, N) and got.tolist() == want
+        for block in (1, 64, gf._BLOCK):
+            monkeypatch.setattr(gf, "_BLOCK", block)
+            got = f.matmul_array(X, M)
+            assert got.shape == (rows, N) and got.tolist() == want, (X.shape, M.shape, block)
+
+
+def test_a_matmul_array_step_stays_small():
+    # a step holds max(_BLOCK, M.size) products: their indices, the
+    # products and a few arrays the size of the step's output, so the
+    # peak past the 4000 x 60 output is about three such arrays of int64
+    # (1.6 MB), where one step of all 4000 rows would hold 115 MB
+    f = Field(3, 7)
+    rng = np.random.default_rng(7)
+    X, M = rng.integers(0, f.q, (4000, 60)), rng.integers(0, f.q, (60, 60))
+    tracemalloc.start()
+    try:
+        out = f.matmul_array(X, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 4 * 8 * max(gf._BLOCK, M.size), peak
+    rows = [0, 1234, 3999]
+    assert out[rows].tolist() == [[_scalar_sum(f, [f.mul(a, b) for a, b in zip(X[i].tolist(), col)])
+                                   for col in M.T.tolist()] for i in rows]
 
 
 @pytest.mark.parametrize("p, m", [(2, 2), (3, 2), (7, 2), (3, 7)])
@@ -560,13 +599,12 @@ def test_interpolate_batch_matches_row_by_row(p, m):
 
 # blocks from one entry up to the default; 1024 splits the larger inputs
 # into a few steps
-@pytest.mark.parametrize("block", [1, 64, 1024, linalg._BLOCK])
+@pytest.mark.parametrize("block", [1, 64, 1024, gf._BLOCK])
 @pytest.mark.parametrize("p, m", [(1031, 1), (13, 1), (3, 2), (2, 5), (3, 4)])
 def test_poly_eval_array_matches_scalar_horner(monkeypatch, block, p, m):
     # a small block splits the points, and the Vandermonde product over
     # GF(p^m), into many blocks
-    monkeypatch.setattr(linalg, "_BLOCK", block)
-    monkeypatch.setattr(gf, "_PRODUCTS", block)
+    monkeypatch.setattr(gf, "_BLOCK", block)
     f = Field(p, m)
     rng = random.Random(f.q + block)
     points = [rng.randrange(f.q) for _ in range(60)] + [0]
@@ -583,11 +621,10 @@ def test_poly_eval_array_matches_scalar_horner(monkeypatch, block, p, m):
 
 # a step is sized by the polynomial's length, so here by d alone, and
 # the points outnumber the entries a step holds at every block but 2^16
-@pytest.mark.parametrize("block", [1, 64, 1024, linalg._BLOCK])
+@pytest.mark.parametrize("block", [1, 64, 1024, gf._BLOCK])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_poly_eval_array_at_more_points_than_a_step_holds(monkeypatch, block, d):
-    monkeypatch.setattr(linalg, "_BLOCK", block)
-    monkeypatch.setattr(gf, "_PRODUCTS", block)
+    monkeypatch.setattr(gf, "_BLOCK", block)
     f = Field(3, 7)
     rng = random.Random(block + d)
     fx = [rng.randrange(f.q) for _ in range(d - 1)] + [rng.randrange(1, f.q)]
@@ -614,9 +651,9 @@ def test_poly_eval_array_of_low_degree_at_a_whole_large_field_stays_small():
 
 # blocks from one entry up to the default; 1024 splits the larger inputs
 # into a few steps
-@pytest.mark.parametrize("block", [1, 64, 1024, linalg._BLOCK])
+@pytest.mark.parametrize("block", [1, 64, 1024, gf._BLOCK])
 def test_interpolate_batch_matches_a_vandermonde_solve_across_blocks(monkeypatch, block):
-    monkeypatch.setattr(linalg, "_BLOCK", block)
+    monkeypatch.setattr(gf, "_BLOCK", block)
     p, n = 1031, 40
     f = Field(p)
     rng = random.Random(block)
@@ -630,8 +667,7 @@ def test_interpolate_batch_matches_a_vandermonde_solve_across_blocks(monkeypatch
 @pytest.mark.parametrize("block", [1, 64])
 @pytest.mark.parametrize("p, m", [(3, 3), (2, 6)])
 def test_interpolate_batch_across_blocks_over_extension_fields(monkeypatch, block, p, m):
-    monkeypatch.setattr(linalg, "_BLOCK", block)
-    monkeypatch.setattr(gf, "_PRODUCTS", block)
+    monkeypatch.setattr(gf, "_BLOCK", block)
     f = Field(p, m)
     rng = random.Random(f.q + block)
     xs = rng.sample(range(f.q), 25)

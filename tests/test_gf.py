@@ -360,8 +360,9 @@ def test_fields_pickle_and_copy_by_their_key():
 
 
 def test_a_cold_table_entry_holds_one_copy():
-    # exp and zech have 4(q - 1) + 1 entries and log q: about 4.7 MB of
-    # int64 for GF(2^16), where a second copy as tuples of ints held 20 MB
+    # exp and zech have 4(q - 1) + 1 entries of int64, log q of int64 and
+    # logs q of uint32, and terms is exp itself: 4.75 MiB for GF(2^16),
+    # where a second copy as tuples of ints held 20 MB
     modulus = default_modulus(2, 16)
     tracemalloc.start()
     try:
@@ -418,8 +419,9 @@ def test_modulus_verdicts_are_cached_and_bounded():
 def test_cached_tables_equal_fresh_ones():
     for q, p, m in _prime_powers(256):
         f = Field(p, m)
-        g, exp, log, zech, log_minus_one, spread = gf._field_tables.__wrapped__(p, m, f.modulus)
+        g, exp, log, zech, log_minus_one, spread, logs, terms = gf._field_tables.__wrapped__(p, m, f.modulus)
         assert (f.generator, f._log_minus_one) == (g, log_minus_one), q
-        tables = ((f._exp_array, exp), (f._log_array, log), (f._zech_array, zech), (f._spread_array, spread))
+        tables = ((f._exp_array, exp), (f._log_array, log), (f._zech_array, zech), (f._spread_array, spread),
+                  (f._logs, logs), (f._terms, terms))
         for mine, fresh in tables:
             assert (mine is None and fresh is None) or np.array_equal(mine, fresh), q
