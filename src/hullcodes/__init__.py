@@ -8,7 +8,7 @@ every claim.
 
 from .gf import Field, FieldError
 from .linalg import Matrix, interpolate, rank, rref
-from .grs import EvaluationSet, GrsError, GrsSpec, encode, eval_set, generator_matrix, grs
+from .grs import EvaluationSet, GrsError, GrsSpec, encode, eval_set, eval_sets, generator_matrix, grs
 from .hull import (
     Certificate,
     HullError,

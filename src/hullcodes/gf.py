@@ -494,25 +494,30 @@ class Field:
 
     def matmul_array(self, X, M):
         """X M for a 2-D array M and a vector or 2-D array X of elements:
-        each row x of X gives sum_j x_j M[j].  Over GF(p), one integer
-        product reduced once.  Over GF(p^m), the products of a block of
-        X's rows at a time, at most max(_BLOCK, M.size) of them, each one
-        lookup from the logs of X and of M (M's taken once), and their
-        sums along the inner axis (_sum)."""
+        each row x of X gives sum_j x_j M[j].  Or a stack of b such
+        products, X of shape (b, r, k) and M of shape (b, k, c), for the
+        b products X[i] M[i].  Over GF(p), one integer product reduced
+        once.  Over GF(p^m), the products of a block of X's rows at a
+        time (in every member of a stack), at most max(_BLOCK, M.size)
+        of them, each one lookup from the logs of X and of M (M's taken
+        once), and their sums along the inner axis (_sum)."""
         if self.m == 1:
-            # exact in int64: (p - 1)^2 * len(M) < 2^48 for q <= MAX_Q
+            # exact in int64: (p - 1)^2 * k < 2^48 for q <= MAX_Q
             return X @ M % self.p
         if X.ndim == 1:
             return self.matmul_array(X[None], M)[0]
         # the logs of M^T in C order, so that whatever M's order each
         # block's products lie rows x columns x inner terms, summed along
-        # their contiguous last axis
-        logMT = np.ascontiguousarray(self._log_array[M.T])
+        # their contiguous last axis; a stack's get an axis for the rows
+        if M.ndim == 2:
+            logMT = np.ascontiguousarray(self._log_array[M.T])
+        else:
+            logMT = np.ascontiguousarray(self._log_array[M.swapaxes(1, 2)])[:, None]
         step = max(1, _BLOCK // max(M.size, 1))
-        out = np.empty((len(X), M.shape[1]), dtype=np.int64)
-        for start in range(0, len(X), step):
-            products = self._terms[self._log_array[X[start : start + step]][:, None] + logMT]
-            out[start : start + step] = self._sum(products, 2)
+        out = np.empty(X.shape[:-1] + M.shape[-1:], dtype=np.int64)
+        for start in range(0, X.shape[-2], step):
+            products = self._terms[self._log_array[X[..., start : start + step, None, :]] + logMT]
+            out[..., start : start + step, :] = self._sum(products, -1)
         return out
 
     def _lift(self, a):
@@ -534,6 +539,8 @@ class Field:
         itself under exclusive or, else the slots of s, each mod p."""
         if self._sum_add is np.bitwise_xor:
             return s
+        if self.m == 1:  # one 63-bit slot, which the mask leaves as it is
+            return s % self.p
         # a digit at a time, in place: two arrays the size of s are live
         out = s & self._spread_mask
         out %= self.p

@@ -10,7 +10,10 @@ P = prod_j (x - a_j), from a product tree, and the derived quantities
 u_i = prod_{j != i} (a_i - a_j)^(-1) = 1 / P'(a_i) (linalg.node_weights),
 which tie a GRS code to its dual in everything downstream (certificates,
 hull membership, duality); every interpolation over the points reuses
-both.  The tuples a, u, P and a spec's v are the public, hashable
+both.  eval_sets builds many evaluation sets of one field at once: each
+list of points is checked as eval_set checks it, and all their P and u
+come from one batch of node_weights.  eval_set is eval_sets on a batch
+of one.  The tuples a, u, P and a spec's v are the public, hashable
 identity and the serialized form; the array kernels read each as one
 read-only int64 array (a_array, u_array, P_array, v_array).  eval_set
 and grs keep the arrays they checked (Field.asarray) or computed; on a
@@ -80,11 +83,32 @@ class EvaluationSet:
 
 
 def eval_set(field: Field, a) -> EvaluationSet:
-    """Evaluation points plus their u_i values.
+    """Evaluation points plus their u_i values: eval_sets(field, [a])[0].
 
     u_i is the inverse of prod_{j != i} (a_i - a_j); for a single point
     the empty product gives u_1 = 1.
     """
+    return eval_sets(field, [a])[0]
+
+
+def eval_sets(field: Field, point_lists) -> list[EvaluationSet]:
+    """eval_set of each list of points, in order.  Each list is checked
+    as eval_set checks it, and then every set's P and u come from one
+    batch of node_weights, so the sets share its array steps."""
+    checked = [_points(field, a) for a in point_lists]
+    if not checked:
+        return []
+    out = []
+    for (a, xs), (P, u) in zip(checked, node_weights(field, [xs for _, xs in checked])):
+        points = EvaluationSet(field, a, tuple(u.tolist()), tuple(P.tolist()))
+        _keep(points, a_array=xs, u_array=u, P_array=P)
+        out.append(points)
+    return out
+
+
+def _points(field: Field, a) -> tuple[tuple, np.ndarray]:
+    """The points a, nonempty, elements and pairwise distinct, as a
+    tuple of ints and as a checked int64 array."""
     a = tuple(a)
     if not a:
         raise GrsError("empty evaluation set")
@@ -95,10 +119,7 @@ def eval_set(field: Field, a) -> EvaluationSet:
     a = tuple(xs.tolist())
     if len(set(a)) != len(a):
         raise GrsError("evaluation points must be pairwise distinct")
-    P, u = node_weights(field, xs)
-    points = EvaluationSet(field, a, tuple(u.tolist()), tuple(P.tolist()))
-    _keep(points, a_array=xs, u_array=u, P_array=P)
-    return points
+    return a, xs
 
 
 @dataclass(frozen=True)

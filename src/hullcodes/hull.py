@@ -44,6 +44,7 @@ from .linalg import (
     poly_deg,
     poly_eval_array,
     poly_trim,
+    weighted_power_sums,
 )
 from .grs import EvaluationSet, GrsSpec, generator_matrix
 from .oracle import LinearCode, hull_dim_oracle
@@ -203,11 +204,8 @@ def hull_membership(spec: GrsSpec, fx) -> list[int] | None:
 
 
 def verify_power_sums(points: EvaluationSet) -> bool:
-    """sum_i a_i^m u_i is 0 for 0 <= m <= n-2 and 1 for m = n-1."""
-    f = points.field
-    a, terms = points.a_array, points.u_array
-    for m in range(points.n):  # terms = a_i^m u_i: O(n) memory
-        if f.sum_array(terms) != (1 if m == points.n - 1 else 0):
-            return False
-        terms = f.mul_array(terms, a)
-    return True
+    """sum_i a_i^m u_i is 0 for 0 <= m <= n-2 and 1 for m = n-1: the
+    weighted power sums of u at a (linalg.weighted_power_sums), in
+    O(sqrt(n)) array steps."""
+    sums = weighted_power_sums(points.field, points.a_array, points.u_array[None])[0]
+    return sums[-1] == 1 and not sums[:-1].any()

@@ -14,16 +14,22 @@ updates the matrix through the field's exp/log/Zech tables (see gf.py).
 A product is Field.matmul_array: A @ B % p over GF(p), table lookups
 summed a block of rows at a time over GF(p^m).  Elimination stops once
 the rows below the pivots found are zero.  Evaluation is a product with
-the Vandermonde matrix and interpolation one with the Vandermonde and a
-Hankel matrix of the node polynomial P = prod_j (x - x_j); both build
-V's column blocks from its first (baby steps and giant steps) and take
-the points, or the Hankel columns, a block at a time.  P comes from a
-product tree of ceil(log2 n) levels, each a batch of outer products of
-pairs and their skew sums (over GF(p) in plain integers, reduced once
-per level).  On n points (for evaluation: a polynomial of length n, at
-any number of points) every step of these kernels holds at most
-max(gf._BLOCK, n floor(sqrt(n))) entries, never an n x n array: up to
-a few hundred points that is one step, and past them O(sqrt(n)) steps.
+the Vandermonde matrix and interpolation one with the weighted power
+sums C V and a Hankel matrix of the node polynomial P = prod_j (x - x_j);
+both build V's column blocks from its first (baby steps and giant
+steps) and take the points, or the Hankel columns, a block at a time.
+P comes from a product tree of ceil(log2 n) levels, each a batch of
+outer products of pairs and their skew sums (over GF(p) in plain
+integers, reduced once per level).  node_weights takes a batch of point
+sets: their trees run through one pass of levels, the shorter sets
+padded with the constant 1, and every P' is evaluated at its own points
+by one poly_eval_array with a leading batch axis, so a batch makes the
+array steps of one set.  On n points (for evaluation: a polynomial of
+length n, at any number of points) every step of these kernels holds at
+most max(gf._BLOCK, n floor(sqrt(n))) entries (in all the sets of a
+batch, unless one entry per set already holds more), never an n x n
+array: up to a few hundred points that is one step, and past them
+O(sqrt(n)) steps.
 Each input is checked once, as it is converted (Field.asarray): a
 Matrix is one read-only int64 array, an array the field's ops made is
 wrapped without a second check, and Matrix.rows (Python ints) is built
@@ -261,32 +267,42 @@ def poly_coeff(fx, i: int) -> int:
 
 def poly_eval_array(f: Field, fx, xs) -> np.ndarray:
     """fx at every entry of the array xs: V c, with V[i, s] = x_i^s and
-    c the coefficients.
+    c the coefficients.  Given a batch, fx of shape (b, d) and xs of b
+    rows, row i of fx is evaluated at row i of xs.
 
     Column block b of V is diag(x_i^(bB)) times the first block V_B, so
     V c = sum_b x_i^(bB) (V_B c_b), c_b the b-th run of B coefficients:
     one product V_B [c_0 ... c_{nb-1}] and one row sum, with B and nb
     about sqrt(len(fx)) (the baby-step giant-step split of Paterson and
-    Stockmeyer, SIAM J. Comput. 2(1), 1973).  The points are taken a
-    block at a time (_block_rows), sized by the length of fx: so a
-    low-degree polynomial at many points takes several small steps,
-    and one of degree about n at n points the steps of n.  A constant,
-    such as the certificate of a seed on the whole field, takes no
-    powers."""
-    runs, x = f.asarray(fx), np.ravel(xs)
-    d = len(runs)
+    Stockmeyer, SIAM J. Comput. 2(1), 1973).  A batch makes the same
+    calls, each with a leading batch axis.  The points are taken a
+    block at a time (_block_rows, in every member of the batch at once),
+    sized by the length of fx: so a low-degree polynomial at many points
+    takes several small steps, and one of degree about n at n points the
+    steps of n.  A constant, such as the certificate of a seed on the
+    whole field, takes no powers."""
+    runs = f.asarray(fx)
+    runs = runs if runs.ndim == 2 else runs[None]
+    (b, d), x = runs.shape, np.reshape(xs, (len(runs), -1))
     if d <= 1:
-        return np.full(np.shape(xs), runs[0] if d else 0, dtype=np.int64)
+        out = np.zeros(x.shape, dtype=np.int64)
+        out += runs if d else 0
+        return out.reshape(np.shape(xs))
     B, nb = _split(d)
-    # column b is c_b
-    runs = np.concatenate([runs, np.zeros(B * nb - d, dtype=np.int64)]).reshape(nb, B).T
-    exps = np.concatenate([np.arange(B), B * np.arange(nb)])
+    # column j of coeffs[i] is c_j of fx_i
+    coeffs = np.zeros((b, nb * B), dtype=np.int64)
+    coeffs[:, :d] = runs
+    coeffs = coeffs.reshape(b, nb, B).swapaxes(1, 2)
+    exps = np.array([*range(B), *range(0, B * nb, B)])[:, None]
     out = np.empty(x.shape, dtype=np.int64)
-    step = _block_rows(B + nb, d)
-    for start in range(0, len(x), step):
-        powers = _powers(f, x[start : start + step], exps)
-        E = f.matmul_array(powers[:, :B], runs)
-        out[start : start + step] = f.sum_array(f.mul_array(E, powers[:, B:]), axis=1)
+    step = _block_rows(b * (B + nb), d)
+    for start in range(0, x.shape[1], step):
+        # powers[i, j, e] = x[i, j]^e: taken with the points last, so
+        # each array step runs along x, and then laid out by points
+        powers = f.pow_array(x[:, None, start : start + step], exps)
+        powers = np.ascontiguousarray(powers.swapaxes(1, 2))
+        E = f.matmul_array(powers[..., :B], coeffs)
+        out[:, start : start + step] = f.sum_array(f.mul_array(E, powers[..., B:]), axis=-1)
     return out.reshape(np.shape(xs))
 
 
@@ -309,90 +325,146 @@ def _split(d: int) -> tuple[int, int]:
     return B, -(-d // B)
 
 
-def _powers(f: Field, x, exps) -> np.ndarray:
-    """len(x) x len(exps): x_i^e.  Taken as the transpose, so each array
-    step runs along x, not along a row as short as 2 entries, and then
-    laid out by rows."""
-    return np.ascontiguousarray(f.pow_array(x, exps[:, None]).T)
-
-
-def node_weights(f: Field, xs) -> tuple[np.ndarray, np.ndarray]:
-    """(P, w) for distinct nodes xs (an int64 array of elements).
+def node_weights(f: Field, point_sets) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(P, w) for each set of distinct nodes in point_sets, a nonempty
+    list of int64 arrays of elements.
 
     P holds the coefficients of P = prod_j (x - x_j), constant term
-    first (_node_polynomial), and w_i = 1 / prod_{j != i} (x_i - x_j),
-    which is 1 / P'(x_i), one poly_eval_array.
+    first, and w_i = 1 / prod_{j != i} (x_i - x_j), which is 1 / P'(x_i).
+    The sets are padded to the longest, n nodes: every set's tree runs
+    in one pass of levels (_node_polynomials), and every P' is evaluated
+    at its own nodes by one poly_eval_array with a batch axis, where the
+    values past a set's nodes are dropped.  So a batch costs about as
+    many array steps as one set, and as much array work as its count
+    times n.
     """
-    n = len(xs)
-    P = _node_polynomial(f, xs)
+    sizes = [len(nodes) for nodes in point_sets]
+    n = max(sizes)
+    xs = np.zeros((len(sizes), n), dtype=np.int64)
+    for i, nodes in enumerate(point_sets):
+        xs[i, : sizes[i]] = nodes
+    P = _node_polynomials(f, xs, sizes)
     # P' = sum_j j P_j x^(j-1); the integer j is the element j % p
-    dP = f.mul_array(np.arange(1, n + 1) % f.p, P[1:])
-    return P, f.inv_array(poly_eval_array(f, dP, xs))
+    values = poly_eval_array(f, f.mul_array(np.arange(1, n + 1) % f.p, P[:, 1:]), xs)
+    for i, k in enumerate(sizes):
+        if k < n:
+            values[i, k:] = 1  # past the set's nodes, where no weight is taken
+    w = f.inv_array(values)
+    return [(P[i, : k + 1], w[i, :k]) for i, k in enumerate(sizes)]
 
 
-def _node_polynomial(f: Field, xs) -> np.ndarray:
-    """The n + 1 coefficients of prod_j (x - x_j), by a product tree
-    (the subproduct tree of von zur Gathen and Gerhard, Modern Computer
-    Algebra, 3rd ed., 2013, Sec. 10.1): each level multiplies its
-    polynomials in pairs, an odd last one times the constant 1, so there
-    are ceil(log2 n) levels.  The first is the closed form
-    (x + c)(x + d) = cd + (c + d) x + x^2 with c, d the negated nodes;
-    the others are _tree_level."""
-    n, h = len(xs), len(xs) // 2
-    neg = f.sub_array(0, xs)
-    c, d = neg[0 : 2 * h : 2], neg[1 : 2 * h : 2]
-    # rows of width w = 3, then w zeros; an odd last node gives x - x_n
-    rows = np.zeros((h + n % 2, 6), dtype=np.int64)
-    rows[:h, 0] = f.mul_array(c, d)
-    rows[:h, 1] = f.add_array(c, d)
-    rows[:h, 2] = 1
-    if n % 2:
-        rows[h, :2] = neg[-1], 1
+def _node_polynomials(f: Field, xs: np.ndarray, sizes: list) -> np.ndarray:
+    """Row i holds the coefficients of prod_j (x - x_j) over the first
+    sizes[i] nodes of row i of xs, then zeros: b x (n + 1) for xs of
+    shape (b, n).
+
+    Each set's product tree (the subproduct tree of von zur Gathen and
+    Gerhard, Modern Computer Algebra, 3rd ed., 2013, Sec. 10.1) starts
+    from the factors x - x_j, and each level multiplies its polynomials
+    in pairs, so n nodes take ceil(log2 n) levels: the first is the
+    closed form _linear_pairs, the others _tree_level.  A shorter set
+    is padded with the constant 1 to n factors, so at each level every
+    set holds as many rows, and a level whose count of rows is odd gives
+    each set one more constant 1, the pad.  So all the sets run through
+    each level at once, and no pair spans two sets."""
+    n = xs.shape[1]
+    rows = _linear_pairs(f, f.sub_array(0, xs), sizes)
     w, limit = 3, _block_entries(n)
-    while len(rows) > 1:
+    while rows.shape[1] > 1:
         rows, w = _tree_level(f, rows, w, limit), 2 * w - 1
-    return rows[0, : n + 1].copy()
+    return rows[:, 0, : n + 1]
+
+
+def _linear_pairs(f: Field, neg: np.ndarray, sizes: list) -> np.ndarray:
+    """The first level of _node_polynomials, in closed form: for each
+    row c of neg, the first sizes[i] entries of row i the negated nodes,
+    the products (x + c_2j)(x + c_2j+1) = c_2j c_2j+1 + (c_2j + c_2j+1) x
+    + x^2, an odd last node's x + c_k, and the constant 1 past them, in
+    ceil(n / 2) rows of width 6 per set, and the pad (_padded)."""
+    (b, n), h = neg.shape, neg.shape[1] // 2
+    c, d = neg[:, 0 : 2 * h : 2], neg[:, 1 : 2 * h : 2]
+    out = _padded(b, n - h, 6)
+    out[:, :h, 0] = f.mul_array(c, d)
+    out[:, :h, 1] = f.add_array(c, d)
+    out[:, :h, 2] = 1
+    for i, k in enumerate(sizes):
+        if k % 2:
+            out[i, k // 2, :3] = neg[i, k - 1], 1, 0
+        if k < n:  # past a shorter set's nodes, the constant 1
+            out[i, (k + 1) // 2 : n - h, :3] = 1, 0, 0
+    return out
+
+
+def _padded(b: int, count: int, width: int) -> np.ndarray:
+    """Zeros for b sets of count rows of the given width, and one more
+    row per set, the constant 1, when count is odd and above 1: the pad
+    that gives every set of the next level an even count of rows."""
+    pad = count > 1 and count % 2
+    out = np.zeros((b, count + pad, width), dtype=np.int64)
+    if pad:
+        out[:, count, 0] = 1
+    return out
 
 
 def _tree_level(f: Field, rows: np.ndarray, w: int, limit: int) -> np.ndarray:
-    """The products of rows 2i and 2i + 1, an odd last row times the
-    constant 1.  A row holds a polynomial of degree below w and then
-    at least w zeros; so do the rows returned, of width 2w - 1.
+    """For each set of rows (b sets of an even count, rows[i]), the
+    products of its rows 2j and 2j + 1, and the pad (_padded).  A row
+    holds a polynomial of degree below w and then at least w zeros; so
+    do the rows returned, of width 2w - 1.
 
     The products of a pair are the outer product of its rows, and the
     product polynomial its skew sums: coefficient s sums the entries
     (t, s - t).  With the second row's first r zeros, row t of a block
     of r rows of that outer product, read flat in rows of w + r - 1
     entries, is shifted right by t, so the skew sums are column sums.
-    A step takes a block of pairs and r rows of their outer products,
-    at most limit entries unless one pair's row holds more.  Over GF(p)
-    the products and sums are plain integers, reduced mod p once, at the
-    end (delayed reduction, as in _rref_array): each output entry sums
-    at most w < 2^17 products below 2^32."""
+    A step takes a block of pairs of every set and r rows of their outer
+    products, at most limit entries unless one pair per set holds more.
+    Over GF(p) the products and sums are plain integers, reduced mod p
+    once, at the end (delayed reduction, as in _rref_array): each output
+    entry sums at most w < 2^17 products below 2^32."""
     prime = f.m == 1
     mul, add = (np.multiply, np.add) if prime else (f.mul_array, f.add_array)
-    pairs, odd = divmod(len(rows), 2)
-    r = min(w, max(1, limit // (2 * w)))
-    step = max(1, limit // (r * (w + r)))
-    out = np.zeros((pairs + odd, 4 * w - 2), dtype=np.int64)
-    if odd:
-        out[pairs, :w] = rows[-1, :w]
-    A, B = rows[0 : 2 * pairs : 2, :w], rows[1 : 2 * pairs : 2, None, : w + r]
-    products = out[:pairs, : 2 * w - 1]
+    b, pairs = len(rows), rows.shape[1] // 2
+    r = min(w, max(1, limit // (2 * w * b)))
+    step = max(1, limit // (b * r * (w + r)))
+    out = _padded(b, pairs, 4 * w - 2)
+    A, B = rows[:, 0::2, :w], rows[:, 1::2, None, : w + r]
+    products = out[:, :pairs, : 2 * w - 1]
     for start in range(0, pairs, step):
         for t in range(0, w, r):
-            part = A[start : start + step, t : t + r]
-            m, rr = part.shape
-            outer = mul(part[:, :, None], B[start : start + step])
-            skew = outer.reshape(m, -1)[:, : rr * (w + r - 1)].reshape(m, rr, w + r - 1)
+            part = A[:, start : start + step, t : t + r]
+            m, rr = part.shape[1:]
+            outer = mul(part[..., None], B[:, start : start + step])
+            skew = outer.reshape(b, m, -1)[..., : rr * (w + r - 1)].reshape(b, m, rr, w + r - 1)
             # coefficients t .. t + w + r - 2 of the block's products,
             # all 0 past 2w - 2
-            block = products[start : start + step, t : t + w + r - 1]
-            sums = (skew.sum(axis=1) if prime else f.sum_array(skew, axis=1))[:, : block.shape[1]]
+            block = products[:, start : start + step, t : t + w + r - 1]
+            sums = (skew.sum(axis=2) if prime else f.sum_array(skew, axis=2))[..., : block.shape[-1]]
             block[...] = sums if t == 0 else add(block, sums)
     if prime:
         out %= f.p
     return out
+
+
+def weighted_power_sums(f: Field, xs, C) -> np.ndarray:
+    """C V: row r holds sum_i C[r, i] x_i^s for s < n = len(xs), with
+    V[i, s] = x_i^s as in poly_eval_array.
+
+    C V takes V's column blocks from its first, as poly_eval_array does:
+    CV[r, b, t] = sum_i C[r, i] x_i^(bB) x_i^t, a block of nodes at a
+    time (_block_rows), and the blocks add up.  So it makes O(sqrt(n))
+    array steps, not n."""
+    rows, n = C.shape
+    B, nb = _split(n)
+    exps = np.array([*range(B), *range(0, B * nb, B)])[:, None]
+    step = _block_rows(B + nb + rows * (nb + 1), n)
+    for start in range(0, n, step):
+        # powers[e, i] = x_i^e, as in poly_eval_array
+        powers = f.pow_array(xs[start : start + step], exps)
+        scaled = f.mul_array(C[:, None, start : start + step], powers[B:])
+        terms = f.matmul_array(scaled.reshape(rows * nb, powers.shape[1]), powers[:B].T)
+        CV = terms if start == 0 else f.add_array(CV, terms)
+    return CV.reshape(rows, nb * B)[:, :n]
 
 
 def interpolate_batch(f: Field, xs, Y, P, w) -> np.ndarray:
@@ -402,26 +474,12 @@ def interpolate_batch(f: Field, xs, Y, P, w) -> np.ndarray:
     46(3), 2004).
 
     P(x) / (x - x_i) = sum_j x^j sum_s x_i^s P_(j+1+s), so the rows are
-    (C V) Hk with C = Y w, V[i, s] = x_i^s as in poly_eval_array and the
-    Hankel matrix Hk[s, j] = P_(j+1+s) (0 past P's top).  C V takes V's
-    column blocks from its first, as poly_eval_array does, a block of
-    nodes at a time (_block_rows), and adds up the blocks; Hk is read as
+    (C V) Hk with C = Y w, C V the weighted power sums and the Hankel
+    matrix Hk[s, j] = P_(j+1+s) (0 past P's top).  Hk is read as
     windows of P, B columns at a time, with the terms that vanish past
     P's top left out."""
     rows, n = Y.shape
-    B, nb = _split(n)
-    # CV[r, b, t] = sum_i C[r, i] x_i^(bB) x_i^t, C = Y w, summed over
-    # node blocks
-    CV = np.zeros((rows, nb, B), dtype=np.int64)
-    exps = np.concatenate([np.arange(B), B * np.arange(nb)])
-    step = _block_rows(B + nb + rows * (nb + 1), n)
-    for start in range(0, n, step):
-        powers = _powers(f, xs[start : start + step], exps)
-        C = f.mul_array(Y[:, start : start + step], w[start : start + step])
-        scaled = f.mul_array(C[:, None], powers[:, B:].T)
-        terms = f.matmul_array(scaled.reshape(rows * nb, len(powers)), powers[:, :B])
-        CV = f.add_array(CV, terms.reshape(CV.shape))
-    CV = CV.reshape(rows, nb * B)[:, :n]
+    CV = weighted_power_sums(f, xs, f.mul_array(Y, w))
     # window row j is P_(j+1) .. P_(j+n), zero past P's top: column j of
     # Hk.  Its columns are taken a block at a time, and from column
     # start on the terms s >= n - start vanish
@@ -446,4 +504,4 @@ def interpolate(f: Field, points) -> list[int]:
         raise LinalgError("no interpolation points")
     xs = f.asarray(xs)
     ys = f.asarray([y for _, y in points])
-    return poly_trim(interpolate_batch(f, xs, ys[None], *node_weights(f, xs))[0].tolist())
+    return poly_trim(interpolate_batch(f, xs, ys[None], *node_weights(f, [xs])[0])[0].tolist())

@@ -52,6 +52,11 @@ offsets; each offset o meets every word t of the table.  The table is a
 subspace, so the words o + t have the weights n - #{i : t_i = o_i}: one
 comparison, no field addition, per word.  So every array of the walk
 has at most _CHUNK rows, and the tables together fewer than 2 _CHUNK.
+The ternary census enumerates the same projective messages for all 130
+of its codes at once: one product of the 4 messages with the stacked
+generators gives every code's minimum distance (_min_distances), after
+one check of the codeword budget, and hull_dim_oracle counts the hulls
+of the MDS ones.
 """
 
 from __future__ import annotations
@@ -139,13 +144,18 @@ _PLANS = 64
 def min_distance(code: LinearCode, budget: OracleBudget = DEFAULT_BUDGET) -> int:
     """Exact minimum distance by exhaustive enumeration.  Every call
     checks the budget; the enumeration runs once per code."""
-    q, k = code.field.q, code.k
+    _check_codewords(code.field.q, code.k, budget)
+    return code._min_distance
+
+
+def _check_codewords(q: int, k: int, budget: OracleBudget) -> None:
+    """BudgetError unless the q^k codewords of a code of dimension k fit
+    the budget."""
     if q**k > budget.max_codewords:
         raise BudgetError(
             f"enumerating q^k = {q}^{k} codewords exceeds the budget of "
             f"{budget.max_codewords}"
         )
-    return code._min_distance
 
 
 def _enumerated_min_distance(code: LinearCode) -> int:
@@ -397,28 +407,47 @@ def ternary_4_2_census(budget: OracleBudget = DEFAULT_BUDGET):
 
     Enumerates every 2-dimensional subspace of GF(3)^4 via canonical
     RREF matrices (there are 130), keeps those with minimum distance 3,
-    and tallies their hull dimensions by hull_dim_oracle.  The histogram
-    has no codes with hull dimension 1.
+    and tallies their hull dimensions by hull_dim_oracle.  The distances
+    of all 130 codes come from one product (_min_distances), after one
+    check of the codeword budget.  The histogram has no codes with hull
+    dimension 1.
     """
     f = Field(3)
+    generators = _ternary_4_2_generators()
+    _check_codewords(f.q, generators.shape[1], budget)
+    if len(generators) != 130:  # the Gaussian binomial [4 choose 2]_3
+        raise RuntimeError(f"census enumerated {len(generators)} subspaces, expected 130")
     histogram = {0: 0, 1: 0, 2: 0}
-    total = 0
-    mds_total = 0
+    mds = generators[_min_distances(f, generators) == 3]
+    for G in mds:
+        histogram[hull_dim_oracle(LinearCode(f, Matrix(f, G)))] += 1
+    return {"subspaces": len(generators), "mds": len(mds), "hull_histogram": histogram}
+
+
+def _ternary_4_2_generators() -> np.ndarray:
+    """The canonical RREF generator of every 2-dimensional subspace of
+    GF(3)^4, one block of them per pair of pivot columns: (count, 2, 4)."""
+    blocks = []
     for p1, p2 in itertools.combinations(range(4), 2):
+        # the entries right of each pivot that are not in a pivot column
         slots = [(0, c) for c in range(p1 + 1, 4) if c != p2]
         slots += [(1, c) for c in range(p2 + 1, 4)]
-        for entries in itertools.product(range(3), repeat=len(slots)):
-            rows = [[0] * 4 for _ in range(2)]
-            rows[0][p1] = 1
-            rows[1][p2] = 1
-            for (r, c), val in zip(slots, entries):
-                rows[r][c] = val
-            total += 1
-            code = LinearCode(f, Matrix(f, rows))
-            if min_distance(code, budget) != 3:
-                continue
-            mds_total += 1
-            histogram[hull_dim_oracle(code)] += 1
-    if total != 130:  # the Gaussian binomial [4 choose 2]_3
-        raise RuntimeError(f"census enumerated {total} subspaces, expected 130")
-    return {"subspaces": total, "mds": mds_total, "hull_histogram": histogram}
+        block = np.zeros((3 ** len(slots), 2, 4), dtype=np.int64)
+        block[:, 0, p1] = block[:, 1, p2] = 1
+        values = np.array(list(itertools.product(range(3), repeat=len(slots))), dtype=np.int64)
+        for j, (r, c) in enumerate(slots):
+            block[:, r, c] = values[:, j]
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
+def _min_distances(f: Field, generators: np.ndarray) -> np.ndarray:
+    """The minimum distance of the code of each full-rank k x n
+    generator in the stack (b, k, n): the least weight of m G over the
+    (q^k - 1)/(q - 1) projective messages m (first nonzero digit 1),
+    which reach every nonzero weight, as in _enumerated_min_distance;
+    one product for the whole stack."""
+    b, k, _ = generators.shape
+    messages = [m for m in itertools.product(range(f.q), repeat=k) if next(filter(None, m), 0) == 1]
+    stack = np.broadcast_to(np.array(messages, dtype=np.int64), (b, len(messages), k))
+    return np.count_nonzero(f.matmul_array(stack, generators), axis=-1).min(axis=-1)

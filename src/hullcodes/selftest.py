@@ -5,6 +5,11 @@ how many instances it looked at and a description of the first one that
 breaks the invariant, or None.  The acceptance tests call the same
 checks on their own instances, so every invariant has one
 implementation.  SUITES fixes the instances `hullcodes selftest` runs.
+The power-sums and certificates suites draw each field's instances
+first, in the order of drawing them one at a time, and build that
+field's evaluation sets with one eval_sets call.  A check still stops
+at its first fault, so the random stream differs from drawing one
+instance at a time only after a suite fails.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import random
 
 from .construct import choose_alpha, ternary_codes
 from .gf import Field, factor_prime_power
-from .grs import eval_set, generator_matrix, grs
+from .grs import eval_set, eval_sets, generator_matrix, grs
 from .hull import (
     HullError,
     certify,
@@ -133,9 +138,9 @@ def field_of_order(q: int) -> Field:
     return Field(*factor_prime_power(q))
 
 
-def random_points(rng: random.Random, field: Field, n_max: int):
-    """An evaluation set of 2 to min(q, n_max) random distinct points."""
-    return eval_set(field, rng.sample(range(field.q), rng.randint(2, min(field.q, n_max))))
+def random_point_list(rng: random.Random, field: Field, n_max: int) -> list:
+    """2 to min(q, n_max) random distinct elements."""
+    return rng.sample(range(field.q), rng.randint(2, min(field.q, n_max)))
 
 
 def random_code(rng: random.Random, field: Field, n_min: int, n_max: int):
@@ -164,7 +169,12 @@ def subgroup_points(field: Field, n: int):
 
 def _power_sums_suite(rng, budget):
     fields = [field_of_order(q) for q in (5, 7, 9, 13, 25, 27, 49)]
-    yield power_sums(random_points(rng, f, 10) for f in fields for _ in range(5))
+
+    def drawn():
+        for f in fields:
+            yield from eval_sets(f, [random_point_list(rng, f, 10) for _ in range(5)])
+
+    yield power_sums(drawn())
 
 
 def _duality_suite(rng, budget):
@@ -186,11 +196,14 @@ def _certificates_suite(rng, budget):
 
     def drawn():
         for f in fields:
+            draws = []
             for _ in range(20):
                 n = rng.randint(4, min(f.q, 9))
                 m = rng.randint(1, n // 2)
                 a = rng.sample(range(f.q), n)
-                yield grs(eval_set(f, a), [rng.randint(1, f.q - 1) for _ in range(n)], m)
+                draws.append((a, [rng.randint(1, f.q - 1) for _ in range(n)], m))
+            for points, (_, v, m) in zip(eval_sets(f, [a for a, _, _ in draws]), draws):
+                yield grs(points, v, m)
 
     def planted():  # the full field with v = 1 has u_i = -1
         for f in fields:

@@ -45,7 +45,7 @@ from hullcodes.selftest import (
     hull_formulas,
     power_sums,
     random_code,
-    random_points,
+    random_point_list,
     subgroup_points,
     ternary_table,
 )
@@ -160,7 +160,8 @@ def test_criterion_4_egrs_reduction_grid():
 def test_criterion_5_power_sum_identity():
     rng = random.Random(20260823)
     fields = [Field(p, m) for p, m in ((5, 1), (7, 1), (3, 2), (13, 1), (5, 2), (3, 3), (7, 2))]
-    checked, bad = power_sums(random_points(rng, fields[i % len(fields)], 12) for i in range(200))
+    drawn = (fields[i % len(fields)] for i in range(200))
+    checked, bad = power_sums(eval_set(f, random_point_list(rng, f, 12)) for f in drawn)
     assert (checked, bad) == (200, None)
     print(f"\n[criterion 5] PASS: power-sum identity exact on {checked} "
           f"random evaluation sets over GF(5..49)")

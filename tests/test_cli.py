@@ -249,6 +249,15 @@ def test_census(capsys):
     assert out["subspaces"] == 130
 
 
+def test_census_honours_the_codeword_budget(capsys):
+    # the census checks the budget once, with min_distance's message
+    assert main("census --max-codewords 5".split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: enumerating q^k = 3^2 codewords exceeds the budget of 5\n"
+    assert main("census --max-codewords 9".split()) == 0
+
+
 def test_selftest_passes(capsys):
     rc = main(["selftest"])
     assert rc == 0

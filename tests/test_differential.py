@@ -8,6 +8,7 @@ to q = 49 and by sampling in GF(3^7) and GF(2^11).
 """
 
 import contextlib
+import dataclasses
 import functools
 import gc
 import io
@@ -27,7 +28,7 @@ from hullcodes import cli, gf
 from hullcodes.construct import make_seed, reduce_hull
 from hullcodes.gf import MAX_Q, Field, is_prime
 from hullcodes.grs import GrsError, GrsSpec, encode, eval_set, generator_matrix, grs
-from hullcodes.hull import HullError, hull_membership
+from hullcodes.hull import HullError, hull_membership, verify_power_sums
 from hullcodes.linalg import (
     Matrix,
     interpolate,
@@ -38,6 +39,7 @@ from hullcodes.linalg import (
     poly_trim,
     rank,
     rref,
+    weighted_power_sums,
 )
 
 PRIMES = (2, 3, 13, 73, 1031)
@@ -227,17 +229,29 @@ def _scalar_node_weights(f, xs):
 @pytest.mark.parametrize("p, m", [(13, 1), (1031, 1), (65521, 1), (3, 2), (2, 5), (3, 4)])
 def test_node_weights_match_a_scalar_product_loop(monkeypatch, p, m):
     # the product tree's levels split into blocks of pairs and of rows
-    # of their outer products at the smaller _BLOCK values
+    # of their outer products at the smaller _BLOCK values.  Each set is
+    # taken alone and in batches that mix sets of 1, 2, odd and even
+    # sizes and the whole field, so the shorter sets are padded to the
+    # longest and the odd row counts of every level within each set
     f = Field(p, m)
     rng = random.Random(f.q)
     sizes = {1, 2, 3, f.q} | {2**j + e for j in range(2, 8) for e in (-1, 1)}
-    for n in sorted(x for x in sizes if x <= min(f.q, 129)):
-        xs = rng.sample(range(f.q), n)
-        want_P, want_w = _scalar_node_weights(f, xs)
-        for block in (1, 64, 1 << 16):
-            monkeypatch.setattr(gf, "_BLOCK", block)
-            P, w = node_weights(f, np.array(xs))
-            assert (P.tolist(), w.tolist()) == (want_P, want_w), (n, block)
+    point_sets = [rng.sample(range(f.q), n) for n in sorted(x for x in sizes if x <= min(f.q, 129))]
+    want = [_scalar_node_weights(f, xs) for xs in point_sets]
+    shuffled = rng.sample(range(len(point_sets)), len(point_sets))
+    batches = [[i] for i in range(len(point_sets))] + [
+        list(range(len(point_sets))),
+        shuffled,
+        [0, 1] * 2 + [len(point_sets) - 1],
+        [i for i, xs in enumerate(point_sets) if len(xs) % 2],
+    ]
+    for block in (1, 64, 1 << 16):
+        monkeypatch.setattr(gf, "_BLOCK", block)
+        for batch in batches:
+            got = node_weights(f, [np.array(point_sets[i]) for i in batch])
+            assert len(got) == len(batch)
+            for i, (P, w) in zip(batch, got):
+                assert (P.tolist(), w.tolist()) == want[i], (len(point_sets[i]), batch, block)
 
 
 def test_eval_set_memory_at_a_long_length():
@@ -419,6 +433,12 @@ def test_matmul_array_matches_scalar_products(monkeypatch, p, m):
             monkeypatch.setattr(gf, "_BLOCK", block)
             got = f.matmul_array(X, M)
             assert got.shape == (rows, N) and got.tolist() == want, (X.shape, M.shape, block)
+    # a stack of products, member by member as the single products above
+    Xs, Ms = rng.integers(0, f.q, (3, 7, 5)), rng.integers(0, f.q, (3, 5, 4))
+    want = [f.matmul_array(X, M).tolist() for X, M in zip(Xs, Ms)]
+    for block in (1, 64, gf._BLOCK):
+        monkeypatch.setattr(gf, "_BLOCK", block)
+        assert f.matmul_array(Xs, Ms).tolist() == want, block
 
 
 def test_a_matmul_array_step_stays_small():
@@ -591,7 +611,7 @@ def test_interpolate_batch_matches_row_by_row(p, m):
         Y = [[rng.randrange(f.q) for _ in range(n)] for _ in range(rows)]
         nodes = f.asarray(xs)
         Y_array = np.array(Y, dtype=np.int64).reshape(rows, n)
-        out = interpolate_batch(f, nodes, Y_array, *node_weights(f, nodes))
+        out = interpolate_batch(f, nodes, Y_array, *node_weights(f, [nodes])[0])
         assert out.shape == (rows, n)
         for coeffs, ys in zip(out.tolist(), Y):
             assert poly_trim(coeffs) == interpolate(f, zip(xs, ys))
@@ -617,6 +637,11 @@ def test_poly_eval_array_matches_scalar_horner(monkeypatch, block, p, m):
         scalar = poly_eval_array(f, fx, np.int64(points[7]))
         assert scalar.shape == () and int(scalar) == want[7]
         assert poly_eval_array(f, fx, np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
+        # a batch: row i of the coefficients at row i of the points
+        batch = np.array([[rng.randrange(f.q) for _ in range(d)] for _ in range(4)]).reshape(4, d)
+        at = np.array([rng.sample(points, 15) for _ in range(4)])
+        each = [[poly_eval(f, row, x) for x in xs] for row, xs in zip(batch.tolist(), at.tolist())]
+        assert poly_eval_array(f, batch, at).tolist() == each
 
 
 # a step is sized by the polynomial's length, so here by d alone, and
@@ -660,7 +685,7 @@ def test_interpolate_batch_matches_a_vandermonde_solve_across_blocks(monkeypatch
     xs = rng.sample(range(p), n)
     Y = [[rng.randrange(p) for _ in range(n)] for _ in range(3)]
     nodes = f.asarray(xs)
-    out = interpolate_batch(f, nodes, np.array(Y), *node_weights(f, nodes))
+    out = interpolate_batch(f, nodes, np.array(Y), *node_weights(f, [nodes])[0])
     assert [poly_trim(row) for row in out.tolist()] == [_vandermonde_solve(p, xs, ys) for ys in Y]
 
 
@@ -673,9 +698,30 @@ def test_interpolate_batch_across_blocks_over_extension_fields(monkeypatch, bloc
     xs = rng.sample(range(f.q), 25)
     Y = [[rng.randrange(f.q) for _ in xs] for _ in range(2)]
     nodes = f.asarray(xs)
-    out = interpolate_batch(f, nodes, np.array(Y), *node_weights(f, nodes))
+    out = interpolate_batch(f, nodes, np.array(Y), *node_weights(f, [nodes])[0])
     for row, ys in zip(out.tolist(), Y):
         assert [poly_eval(f, row, x) for x in xs] == ys
+
+
+@pytest.mark.parametrize("block", [1, 64, gf._BLOCK])
+@pytest.mark.parametrize("p, m", [(1031, 1), (3, 4), (2, 7)])
+def test_weighted_power_sums_match_scalar_sums(monkeypatch, block, p, m):
+    # at the smaller blocks the nodes take many steps; verify_power_sums
+    # reads the same sums of u, and a u_i changed anywhere fails it
+    monkeypatch.setattr(gf, "_BLOCK", block)
+    f = Field(p, m)
+    rng = random.Random(f.q + block)
+    xs = rng.sample(range(f.q), 70)
+    C = [[rng.randrange(f.q) for _ in xs] for _ in range(2)]
+    got = weighted_power_sums(f, np.array(xs), np.array(C))
+    assert got.tolist() == [[_scalar_sum(f, [f.mul(c, f.pow(x, s)) for c, x in zip(row, xs)])
+                             for s in range(len(xs))] for row in C]
+    points = eval_set(f, xs)
+    assert verify_power_sums(points)
+    for i in (0, 69):
+        u = list(points.u)
+        u[i] = f.add(u[i], 1)
+        assert not verify_power_sums(dataclasses.replace(points, u=tuple(u)))
 
 
 def _witness_map_by_interpolation(spec):

@@ -738,6 +738,20 @@ def test_census_counts_with_the_referee(monkeypatch):
     assert len(calls) == 8
 
 
+def test_census_distances_are_those_of_min_distance():
+    # the census takes all 130 distances from one product; the codeword
+    # walk of min_distance, code by code, must give the same ones
+    f = Field(3)
+    generators = oracle._ternary_4_2_generators()
+    assert generators.shape == (130, 2, 4)
+    # 130 distinct canonical echelon forms, so 130 distinct subspaces
+    assert len({G.tobytes() for G in generators}) == 130
+    assert all(rank(Matrix(f, G)) == 2 for G in generators)
+    distances = oracle._min_distances(f, generators)
+    assert distances.tolist() == [min_distance(LinearCode(f, Matrix(f, G))) for G in generators]
+    assert sorted(set(distances.tolist())) == [1, 2, 3]
+
+
 def test_ternary_census():
     result = ternary_4_2_census()
     assert result["subspaces"] == 130

@@ -6,14 +6,28 @@ CLI must exit 1, so the acceptance criteria that call the same checks
 cannot pass vacuously.
 """
 
+import dataclasses
+
 import pytest
 
 from hullcodes import oracle, selftest
 from hullcodes.cli import main
+from hullcodes.grs import eval_sets
+
+
+def _later_members_scaled(field, point_lists):
+    """eval_sets, with every u_i of each set after the first doubled: a
+    batch whose first member is right, so only a check of the later
+    members can fail."""
+    first, *rest = eval_sets(field, point_lists)
+    return [first] + [dataclasses.replace(points, u=tuple(field.mul(2, u) for u in points.u))
+                      for points in rest]
+
 
 # (suite, "module.function" to replace, replacement)
 MUTANTS = [
     ("power-sums", "selftest.verify_power_sums", lambda points: False),
+    ("power-sums", "selftest.eval_sets", _later_members_scaled),
     ("duality", "selftest.dual_generator", lambda G: G),
     ("duality", "selftest.row_space_equal", lambda A, B: True),
     ("oracle-equivalence", "selftest.hull_dim_oracle", lambda code: oracle.hull_dim_oracle(code) + 1),
