@@ -6,15 +6,19 @@ constant term first, is encoded as sum(c_i * p**i).  Thus enc(0) = 0,
 enc(1) = 1, and for prime fields the encoding is just the residue.
 
 All arithmetic lives on the Field object and runs on one set of O(q)
-tables against a fixed primitive element g, the smallest one: exp, log
-and, for m > 1, Zech logarithms.  exp holds two periods of the
-antilog table followed by a zero tail, and log[0] points at the start
-of that tail, so exp[log a + log b] is a * b with no branch for zero.
-The Zech table makes an extension-field sum one more lookup:
-a + b = exp[log a + zech[log b - log a + Z]], Z = log 0 (Huber, IEEE
-Trans. Inf. Theory 36(3), 1990; the layouts follow GF-Complete, Plank,
-Greenan and Miller, FAST 2013).  Prime fields add with % p.  Fields
-above MAX_Q elements are refused before any table is built.
+tables against a fixed generator g: exp, log and, for m > 1, Zech
+logarithms.  g is the smallest nonzero element whose powers
+x^1 .. x^(q-2) never return to 1, found by the tables' own doubling
+(_powers): each candidate's powers are built as the exp table is, and
+the first candidate to reach q - 1 of them gives the tables.  exp
+holds two periods of the antilog table followed by a zero tail, and
+log[0] points at the start of that tail, so exp[log a + log b] is
+a * b with no branch for zero.  The Zech table makes an extension-field
+sum one more lookup: a + b = exp[log a + zech[log b - log a + Z]],
+Z = log 0 (Huber, IEEE Trans. Inf. Theory 36(3), 1990; the layouts
+follow GF-Complete, Plank, Greenan and Miller, FAST 2013).  Prime fields
+add with % p.  Fields above MAX_Q elements are refused before any table
+is built.
 
 The tables depend only on (p, m, modulus).  They are built once per
 process for each such key, kept in a small bounded cache, and shared
@@ -181,35 +185,22 @@ def _times_matrix(c, p: int, modulus) -> np.ndarray:
     return np.stack(rows)
 
 
-def _find_generator(p: int, m: int, modulus) -> int:
-    """The smallest primitive element: the first x with x^(n/f) != 1 for
-    every prime f dividing n = q - 1.
-
-    A prime field takes modular powers.  An extension field reads the
-    digits of x^e off row 0 of _times_matrix(x)^e, built by
-    square-and-multiply on that row for all exponents at once.
-    """
-    q = p**m
-    n = q - 1
-    if n == 1:
-        return 1
-    exps = [n // f for f in prime_factors(n)]
-    if m == 1:
-        return next(x for x in range(2, q) if all(pow(x, e, p) != 1 for e in exps))
-    one = np.eye(m, dtype=np.int64)[0]
-    # odd[j]: the exponents with bit j set
-    odd = [np.array([e >> j & 1 for e in exps], dtype=bool) for j in range(max(exps).bit_length())]
-    # a prime-subfield element has order dividing p - 1 < n, so an
-    # extension field's search starts at x = p
-    for x in range(p, q):
-        square = _times_matrix([x // p**i % p for i in range(m)], p, modulus)
-        rows = np.tile(one, (len(exps), 1))  # row i: the digits of x^(low bits of exps[i])
-        for bit in odd:
-            rows[bit] = rows[bit] @ square % p
-            square = square @ square % p
-        if not (rows == one).all(axis=1).any():
-            return x
-    raise FieldError("no primitive element found")  # pragma: no cover
+def _powers(x: int, p: int, modulus, digits, period) -> bool:
+    """Whether none of x^1 .. x^(n-1) is 1, n = len(period), writing the
+    digits and encodings of x^0 .. x^(n-1) to digits and period, whose
+    first entries already hold x^0 = 1.  The digits of x^(k..2k-1) are
+    those of x^(0..k-1) times the matrix of x^k: log2(n) array steps,
+    stopped at the first whose new powers hold 1."""
+    n, m = digits.shape
+    weights = p ** np.arange(m)
+    k, xk = 1, _times_matrix([x // p**j % p for j in range(m)], p, modulus)
+    while k < n:
+        digits[k : 2 * k] = digits[: min(k, n - k)] @ xk % p
+        period[k : 2 * k] = digits[k : 2 * k] @ weights
+        if (period[k : 2 * k] == 1).any():
+            return False
+        k, xk = 2 * k, xk @ xk % p
+    return True
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -222,6 +213,12 @@ def _field_tables(p: int, m: int, modulus: tuple) -> tuple:
     the sum domain: exp itself, or spread[exp], one int64 per entry of
     exp.  The caller has checked the key.
 
+    The generator g is the smallest nonzero element whose powers
+    g^1 .. g^(q-2) never return to 1.  Each candidate's powers are built
+    by the doubling of _powers, which drops it at the first step that
+    finds a power 1, and the powers of the first candidate to reach
+    q - 1 of them give the tables.
+
     With n = q - 1 and Z = log[0] = 2n, exp is two periods of g^i and
     then a zero tail up to index 2Z, so exp[Z + s] = 0 for every s in
     0..Z.  zech[log b - log a + Z] is the s with a + b = exp[log a + s]:
@@ -229,19 +226,15 @@ def _field_tables(p: int, m: int, modulus: tuple) -> tuple:
     1 + g^d = 0); log b - Z when a = 0; and 0 when b = 0.  When both
     are 0 the index is Z and any entry gives exp[Z + s] = 0.
     """
-    g = _find_generator(p, m, modulus)
     q = p**m
     n = q - 1
     Z = 2 * n
-    # digits of g^(k..2k-1) = digits of g^(0..k-1) times the matrix of
-    # g^k: log2(n) array steps
     digits = np.zeros((n, m), dtype=np.int64)
     digits[0, 0] = 1
-    k, gk = 1, _times_matrix([g // p**j % p for j in range(m)], p, modulus)
-    while k < n:
-        digits[k : 2 * k] = digits[: min(k, n - k)] @ gk % p
-        k, gk = 2 * k, gk @ gk % p
-    period = digits @ p ** np.arange(m)
+    period = np.ones(n, dtype=np.int64)
+    # a prime-subfield element has order dividing p - 1 < n, so an
+    # extension field's search starts at p
+    g = next(x for x in range(1 if m == 1 else p, q) if _powers(x, p, modulus, digits, period))
     exp = np.concatenate([period, period, np.zeros(Z + 1, dtype=np.int64)])
     log = np.empty(q, dtype=np.int64)
     log[0] = Z

@@ -207,20 +207,6 @@ def _null_pivot_block(f: Field, R: np.ndarray, rk: int, pivots) -> tuple[np.ndar
     return free, f.sub_array(0, R[:rk].take(free, axis=1)).T
 
 
-def dual_generator(G: Matrix) -> Matrix:
-    """Full-row-rank generator of the Euclidean dual of the row space of G."""
-    H = nullspace(G)
-    if H.nrows != G.ncols - G.nrows:
-        raise LinalgError("generator matrix is not full row rank")
-    return H
-
-
-def row_space_equal(A: Matrix, B: Matrix) -> bool:
-    """Row spaces compared via their canonical RREFs."""
-    (RA, ra, _), (RB, rb, _) = rref(A), rref(B)
-    return np.array_equal(RA.entries[:ra], RB.entries[:rb])
-
-
 def determinant(M: Matrix) -> int:
     """Scalar Gaussian elimination.  No route of the package calls it:
     it is the tests' reference, and it stays here because

@@ -27,7 +27,7 @@ from .hull import (
     linear_code,
     verify_power_sums,
 )
-from .linalg import dual_generator, row_space_equal
+from .linalg import rank
 from .oracle import DEFAULT_BUDGET, OracleBudget, hull_dim_oracle, min_distance
 
 
@@ -63,15 +63,17 @@ def power_sums(point_sets):
 
 def duality(points, v, ms, extended=False, perturb=True):
     """The dual of GRS_m(points, v) is GRS_{N-m}(points, v) for each m in
-    ms, N the code length; with perturb, scaling v_0 by an alpha with
-    alpha^2 != 1 breaks this at the last m.  One instance per m, plus
-    one for the perturbation."""
+    ms, N the code length: their generators G and H have G H^T = 0, so
+    the second code lies in the dual of the first, and rank G + rank H
+    = N, so it fills that dual.  With perturb, scaling v_0 by an alpha
+    with alpha^2 != 1 breaks this at the last m.  One instance per m,
+    plus one for the perturbation."""
     field, N = points.field, points.n + extended
     kind = "extended GRS" if extended else "GRS"
 
     def holds(v, m):
-        dual = dual_generator(generator_matrix(grs(points, v, m, extended)))
-        return row_space_equal(dual, generator_matrix(grs(points, v, N - m, extended)))
+        G, H = (generator_matrix(grs(points, v, k, extended)) for k in (m, N - m))
+        return not field.matmul_array(G.entries, H.entries.T).any() and rank(G) + rank(H) == N
 
     def fault(m):
         if not holds(v, m):

@@ -301,12 +301,20 @@ def _scalar_generator(p, m, modulus):
 
 
 def test_generator_search_matches_scalar_reference():
+    def search(p, m, modulus):
+        return gf._field_tables.__wrapped__(p, m, modulus)[0]
+
     for q, p, m in _prime_powers(1024):
         modulus = default_modulus(p, m)
-        assert gf._find_generator(p, m, modulus) == _scalar_generator(p, m, modulus), q
+        assert search(p, m, modulus) == _scalar_generator(p, m, modulus), q
     # a second modulus of each of a few extension fields
     for p, m, modulus in ((7, 2, (3, 1, 1)), (2, 4, (1, 0, 0, 1, 1)), (3, 3, (1, 2, 0, 1))):
-        assert gf._find_generator(p, m, modulus) == _scalar_generator(p, m, modulus)
+        assert search(p, m, modulus) == _scalar_generator(p, m, modulus)
+    # the large fields the suite and CI build, and two whose searches
+    # reject many candidates: 38 for GF(37^3), 36 for GF(63361)
+    for p, m in ((2, 13), (3, 7), (3, 10), (2, 16), (4099, 1), (65521, 1), (37, 3), (63361, 1)):
+        modulus = default_modulus(p, m)
+        assert search(p, m, modulus) == _scalar_generator(p, m, modulus), (p, m)
 
 
 # --- the tables shared between fields with one key ---

@@ -9,12 +9,10 @@ from hullcodes.linalg import (
     LinalgError,
     Matrix,
     determinant,
-    dual_generator,
     interpolate,
     nullspace,
     poly_deg,
     rank,
-    row_space_equal,
     rref,
 )
 
@@ -50,24 +48,6 @@ def test_nullspace_annihilates():
         for row in N.rows:
             prod = M.matmul(Matrix(F13, [row], ncols=nc).transpose())
             assert all(x == 0 for r in prod.rows for x in r)
-
-
-def test_dual_generator_orthogonality():
-    G = Matrix(F13, [[1, 1, 1, 1, 1], [0, 1, 2, 3, 4]])
-    H = dual_generator(G)
-    assert H.nrows == 3
-    prod = G.matmul(H.transpose())
-    assert all(x == 0 for r in prod.rows for x in r)
-    with pytest.raises(LinalgError):
-        dual_generator(Matrix(F13, [[1, 2], [2, 4]]))
-
-
-def test_row_space_equal():
-    A = Matrix(F5, [[1, 2, 3], [0, 1, 1]])
-    B = Matrix(F5, [[2, 4, 1], [1, 3, 4]])  # row ops of A
-    C = Matrix(F5, [[1, 0, 0], [0, 1, 0]])
-    assert row_space_equal(A, B)
-    assert not row_space_equal(A, C)
 
 
 def test_determinant():
