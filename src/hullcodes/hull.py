@@ -3,10 +3,12 @@
 The hull of a code C with generator G is C intersect C-dual.  Since G
 has full row rank, a codeword x*G lies in the hull iff x*(G*G^T) = 0,
 so dim Hull = k - rank(Gram), and a hull basis is N G for N a null
-basis of Gram (HullReport builds it only when read).  Every report is
-cross-checked against the referee oracle.hull_dim_oracle, which
-computes n - rank([G; H]) with H a dual generator.  LinearCode is the
-referees' plain code type, re-exported here.
+basis of Gram.  hull_report eliminates the Gram matrix once and keeps
+its echelon form; HullReport builds N from it, and N G, only when read.
+Every report is cross-checked against the referee
+oracle.hull_dim_oracle, which computes n - rank([G; H]) with H a dual
+generator.  LinearCode is the referees' plain code type, re-exported
+here.
 
 Self-orthogonality of (extended) GRS codes is decided by a certificate
 polynomial: the unique interpolant of the values v_i^2 / u_i.  The code
@@ -39,7 +41,8 @@ import numpy as np
 from .gf import Field
 from .linalg import (
     Matrix,
-    _null_space_array,
+    _null_basis,
+    _rref_array,
     poly_coeff,
     poly_deg,
     poly_eval_array,
@@ -78,8 +81,17 @@ class HullReport:
     gram_rank: int
     classification: str
     oracle_agrees: bool
-    coefficients: Matrix  # a null basis of the Gram matrix
+    # (R, rank, pivots): the rref of the Gram matrix, R a Matrix
+    gram_echelon: tuple
     generator: Matrix
+
+    @cached_property
+    def coefficients(self) -> Matrix:
+        """A null basis of the Gram matrix, built on first read from its
+        echelon form: only hull_basis reads it."""
+        f = self.generator.field
+        R, rk, pivots = self.gram_echelon
+        return Matrix._wrap(f, _null_basis(f, R.entries, rk, pivots))
 
     @cached_property
     def hull_basis(self) -> Matrix:
@@ -114,14 +126,14 @@ def hull_report(code: LinearCode) -> HullReport:
     f, G = code.field, code.generator
     # G^T as a C-ordered copy: numpy's integer product reads it faster
     gram = f.matmul_array(G.entries, G.entries.T.copy())
-    coeff = Matrix._wrap(f, _null_space_array(f, gram))
-    hull_dim = coeff.nrows
+    R, rk, pivots = _rref_array(f, gram)
+    hull_dim = code.k - rk
     return HullReport(
         hull_dim=hull_dim,
-        gram_rank=code.k - hull_dim,
+        gram_rank=rk,
         classification=classify(code.n, code.k, hull_dim),
         oracle_agrees=hull_dim_oracle(code) == hull_dim,
-        coefficients=coeff,
+        gram_echelon=(Matrix._wrap(f, R), rk, pivots),
         generator=G,
     )
 
@@ -203,9 +215,24 @@ def hull_membership(spec: GrsSpec, fx) -> list[int] | None:
     return None
 
 
-def verify_power_sums(points: EvaluationSet) -> bool:
-    """sum_i a_i^m u_i is 0 for 0 <= m <= n-2 and 1 for m = n-1: the
-    weighted power sums of u at a (linalg.weighted_power_sums), in
-    O(sqrt(n)) array steps."""
-    sums = weighted_power_sums(points.field, points.a_array, points.u_array[None])[0]
-    return sums[-1] == 1 and not sums[:-1].any()
+def verify_power_sums(point_sets: list[EvaluationSet]) -> list[bool]:
+    """For each evaluation set of a non-empty list, all of one field:
+    whether sum_i a_i^m u_i is 0 for 0 <= m <= n-2 and 1 for m = n-1.
+
+    The sums come from one linalg.weighted_power_sums product, in
+    O(sqrt(N)) array steps for N points in all: its nodes are every
+    set's points in turn, and row i of its block-diagonal weights holds
+    set i's u on set i's points and 0 elsewhere, so row i of the product
+    holds set i's power sums.  One set is a batch of one."""
+    f = point_sets[0].field
+    if any(points.field != f for points in point_sets):
+        raise HullError("verify_power_sums takes evaluation sets of one field")
+    n = np.array([points.n for points in point_sets])
+    xs = np.concatenate([points.a_array for points in point_sets])
+    C = np.zeros((len(n), len(xs)), dtype=np.int64)
+    for row, points, end in zip(C, point_sets, np.cumsum(n)):
+        row[end - points.n : end] = points.u_array
+    sums = weighted_power_sums(f, xs, C)
+    # row i holds set i's sums at m < n_i: 0, but 1 at m = n_i - 1
+    m, n = np.arange(len(xs)), n[:, None]
+    return ((sums == (m == n - 1)) | (m >= n)).all(axis=1).tolist()

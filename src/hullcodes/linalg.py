@@ -185,7 +185,12 @@ def nullspace(M: Matrix) -> Matrix:
 def _null_space_array(f: Field, A: np.ndarray) -> np.ndarray:
     """nullspace of an int64 array of elements, which it overwrites, as
     an int64 array of ncols - rank rows."""
-    R, rk, pivots = _rref_array(f, A)
+    return _null_basis(f, *_rref_array(f, A))
+
+
+def _null_basis(f: Field, R: np.ndarray, rk: int, pivots) -> np.ndarray:
+    """The null basis of M from its rref (R, rk, pivots), as in
+    _null_space_array; R is only read."""
     free, block = _null_pivot_block(f, R, rk, pivots)
     # row t: 1 at free column free[t], -R[i, free[t]] at pivot column i
     basis = np.zeros((len(free), R.shape[1]), dtype=np.int64)

@@ -45,13 +45,19 @@ projective representative per 1-dimensional message subspace (first
 nonzero message digit normalized to 1), which reaches all nonzero
 weights with (q^k - 1)/(q - 1) codewords.  It keeps span tables, as
 minimum-distance searches do (Grassl, 2006): the words of
-span(G[k - s:]) for each s whose q^s words fit in _CHUNK, each level
-built from the one below.  A lead row whose free rows one table covers
-makes one offset, and above the largest table the high free rows give
-offsets; each offset o meets every word t of the table.  The table is a
-subspace, so the words o + t have the weights n - #{i : t_i = o_i}: one
-comparison, no field addition, per word.  So every array of the walk
-has at most _CHUNK rows, and the tables together fewer than 2 _CHUNK.
+span(G[k - s:]) for each s whose q^s words fit in _TABLE, each level
+built from the one below.  A table is stored word-last, (n, q^s), so
+counting a word's matches adds whole rows of the table, not the n
+entries of a short last axis, which numpy reduces slowly.  A lead row
+whose free rows one table covers makes one offset, and above the
+largest table the high free rows give offsets; each offset o meets
+every word t of the table.  The table is a subspace, so the words
+o + t have the weights n - #{i : t_i = o_i}: one comparison, no field
+addition, per word.  The offsets come _CHUNK // q^s at a time, so a
+step compares at most _CHUNK words (n bools each), and the tables
+together hold fewer than 2 _TABLE words of n int64.  _TABLE is well
+below _CHUNK: a larger table costs more to build (and its temporaries
+are allocated fresh) than the walk saves by taking fewer offsets.
 The ternary census enumerates the same projective messages for all 130
 of its codes at once: one product of the 4 messages with the stacked
 generators gives every code's minimum distance (_min_distances), after
@@ -129,9 +135,14 @@ class OracleBudget:
 
 DEFAULT_BUDGET = OracleBudget()
 
-# words per array of the codeword walk: the largest span table, and the
-# offsets times the table a step adds; bounds the (words, n) int64 arrays
+# words per array of the codeword walk: the offsets of a step times the
+# table they meet; bounds the (words, n) arrays a step holds
 _CHUNK = 1 << 12
+
+# words of the largest span table of the walk (at most _CHUNK; chosen
+# by timing the walk's inputs in the benchmark's workloads, see the
+# module docstring)
+_TABLE = 1 << 10
 
 # minors per block of a level; bounds the arrays a level step holds
 # beside the two levels
@@ -163,15 +174,18 @@ def _enumerated_min_distance(code: LinearCode) -> int:
     q = f.q
     k, n = code.k, code.n
     G = code.generator.entries
-    # tables[s] is span(G[k - s:]), q^s words: the next row's q multiples
-    # added to the level below (level 0, the zero word, is left implicit)
+    # tables[s] is span(G[k - s:]) word-last, (n, q^s): the next row's q
+    # multiples added to the level below (level 0, the zero word, is left
+    # implicit)
     tables = [None]
-    scalars = np.arange(q)[:, None]
-    while len(tables) < k and q ** len(tables) <= _CHUNK:
-        multiples = f.mul_array(scalars, G[k - len(tables)])
+    scalars = np.arange(q)
+    while len(tables) < k and q ** len(tables) <= min(_TABLE, _CHUNK):
+        multiples = f.mul_array(G[k - len(tables)][:, None], scalars)
         if len(tables) > 1:
-            multiples = f.add_array(multiples[:, None], tables[-1]).reshape(-1, n)
+            multiples = f.add_array(multiples[:, :, None], tables[-1][:, None]).reshape(n, -1)
         tables.append(multiples)
+    # a count of matching coordinates is at most n
+    count = np.min_scalar_type(n)
     best = n
     for j in range(k):
         # messages with digits 0..j-1 zero and digit j equal to 1: the
@@ -190,8 +204,9 @@ def _enumerated_min_distance(code: LinearCode) -> int:
                 # o + t has weight n - #{i : t_i = -o_i}; a table is a
                 # subspace, so as t runs over it so does -t, and the words
                 # o + t have the weights n - #{i : t_i = o_i}: a comparison
-                # in place of an addition
-                matches = np.count_nonzero(tables[s] == offsets[..., None, :], axis=-1)
+                # in place of an addition, counted over the coordinate
+                # axis, which adds whole rows of words
+                matches = (tables[s] == offsets[..., None]).sum(axis=-2, dtype=count)
                 best = min(best, n - int(matches.max()))
             else:
                 best = min(best, int(np.count_nonzero(offsets, axis=-1).min()))

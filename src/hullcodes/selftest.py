@@ -7,13 +7,15 @@ checks on their own instances, so every invariant has one
 implementation.  SUITES fixes the instances `hullcodes selftest` runs.
 The power-sums and certificates suites draw each field's instances
 first, in the order of drawing them one at a time, and build that
-field's evaluation sets with one eval_sets call.  A check still stops
-at its first fault, so the random stream differs from drawing one
-instance at a time only after a suite fails.
+field's evaluation sets with one eval_sets call; the power-sums check
+takes them a field at a time too.  A check still stops at its first
+fault, so the random stream differs from drawing one instance at a time
+only after a suite fails.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .construct import choose_alpha, ternary_codes
@@ -52,13 +54,21 @@ def gram_is_zero(code) -> bool:
 
 
 def power_sums(point_sets):
-    """sum_i a_i^m u_i is 0 for m < n - 1 and 1 for m = n - 1."""
+    """sum_i a_i^m u_i is 0 for m < n - 1 and 1 for m = n - 1.  Each run
+    of consecutive sets of one field is checked by one
+    verify_power_sums call."""
 
-    def fault(pts):
-        if not verify_power_sums(pts):
+    def verdicts():
+        for _, run in itertools.groupby(point_sets, key=lambda pts: pts.field):
+            run = list(run)
+            yield from zip(run, verify_power_sums(run))
+
+    def fault(verdict):
+        pts, ok = verdict
+        if not ok:
             return f"power sums fail for q={pts.field.q}, a={list(pts.a)}"
 
-    return _first_fault(point_sets, fault)
+    return _first_fault(verdicts(), fault)
 
 
 def duality(points, v, ms, extended=False, perturb=True):

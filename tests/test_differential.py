@@ -24,7 +24,7 @@ from sympy.polys.domains import GF, ZZ
 from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_neg, gf_rem, gf_sub
 from sympy.polys.matrices import DomainMatrix
 
-from hullcodes import cli, gf
+from hullcodes import cli, gf, selftest
 from hullcodes.construct import make_seed, reduce_hull
 from hullcodes.gf import MAX_Q, Field, is_prime
 from hullcodes.grs import GrsError, GrsSpec, encode, eval_set, generator_matrix, grs
@@ -717,11 +717,38 @@ def test_weighted_power_sums_match_scalar_sums(monkeypatch, block, p, m):
     assert got.tolist() == [[_scalar_sum(f, [f.mul(c, f.pow(x, s)) for c, x in zip(row, xs)])
                              for s in range(len(xs))] for row in C]
     points = eval_set(f, xs)
-    assert verify_power_sums(points)
+    assert verify_power_sums([points]) == [True]
     for i in (0, 69):
         u = list(points.u)
         u[i] = f.add(u[i], 1)
-        assert not verify_power_sums(dataclasses.replace(points, u=tuple(u)))
+        assert verify_power_sums([dataclasses.replace(points, u=tuple(u))]) == [False]
+
+
+@pytest.mark.parametrize("p, m", [(13, 1), (3, 2), (2, 4)])
+def test_power_sums_of_a_batch_are_each_sets_own(p, m):
+    """verify_power_sums over sets of 1 to q points, about half with one
+    u_i changed, gives each set's verdict from the scalar sums, and the
+    power-sums check reports the first set that fails."""
+    f = Field(p, m)
+    rng = random.Random(f.q)
+    sets, expected = [], []
+    for n in (1, 2, f.q, *(rng.randint(1, f.q) for _ in range(6))):
+        points = eval_set(f, rng.sample(range(f.q), n))
+        if rng.random() < 0.5:
+            u = list(points.u)
+            i = rng.randrange(n)
+            u[i] = f.add(u[i], rng.randrange(1, f.q))
+            points = dataclasses.replace(points, u=tuple(u))
+        sums = [_scalar_sum(f, [f.mul(u, f.pow(a, s)) for a, u in zip(points.a, points.u)])
+                for s in range(n)]
+        sets.append(points)
+        expected.append(sums == [0] * (n - 1) + [1])
+    assert verify_power_sums(sets) == expected == [verify_power_sums([s])[0] for s in sets]
+    assert True in expected and False in expected
+    first = expected.index(False)
+    assert selftest.power_sums(sets) == (first + 1, f"power sums fail for q={f.q}, a={list(sets[first].a)}")
+    with pytest.raises(HullError):
+        verify_power_sums([sets[0], eval_set(Field(5), [1, 2])])
 
 
 def _witness_map_by_interpolation(spec):

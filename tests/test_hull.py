@@ -20,7 +20,7 @@ from hullcodes.hull import (
     hull_report,
     linear_code,
 )
-from hullcodes.linalg import Matrix, poly_deg
+from hullcodes.linalg import Matrix, nullspace, poly_deg
 from hullcodes.oracle import hull_dim_oracle
 from hullcodes.selftest import gram_is_zero, random_code
 
@@ -86,6 +86,36 @@ def test_hull_basis_lies_in_both_code_and_dual():
             # basis row is orthogonal to every generator row
             prods = G.matmul(Matrix(F13, [row], ncols=code.n).transpose())
             assert all(x == 0 for r in prods.rows for x in r)
+
+
+@pytest.mark.parametrize("p, m", [(13, 1), (3, 2), (2, 3)])
+def test_coefficients_are_the_gram_null_space_built_on_first_read(p, m):
+    """report.coefficients is linalg.nullspace of G G^T, built from the
+    kept echelon form only when read: at Gram rank 0 (the whole field
+    with v = 1, self-orthogonal), at a partial rank (that code and one
+    more row: its Gram matrix is 0 but for the last row and column) and
+    at full rank (an LCD code)."""
+    f = Field(p, m)
+    rng = random.Random(f.q)
+    seed = code_from_grs(grs(eval_set(f, range(f.q)), [1] * f.q, f.q // 2))
+    rows = [list(r) for r in seed.generator.rows]
+    while True:
+        extra = linear_code(f, rows + [[rng.randrange(f.q) for _ in range(f.q)]])
+        if extra.k - hull_dim_oracle(extra) in (1, 2):
+            break
+    while True:
+        lcd = random_code(rng, f, 4, 6)
+        if lcd is not None and hull_dim_oracle(lcd) == 0 and lcd.k > 1:
+            break
+    ranks = []
+    for code in (seed, extra, lcd):
+        report = hull_report(code)
+        assert "coefficients" not in vars(report)
+        G = code.generator
+        assert report.coefficients == nullspace(G.matmul(G.transpose()))
+        assert report.coefficients.nrows == report.hull_dim == code.k - report.gram_rank
+        ranks.append(report.gram_rank)
+    assert ranks[0] == 0 < ranks[1] < extra.k and ranks[2] == lcd.k
 
 
 def test_linear_code_rejects_rank_deficiency():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from sympy import Matrix as SympyMatrix
 
-from hullcodes import linalg, oracle
+from hullcodes import hull, linalg, oracle
 from hullcodes.construct import make_seed, reduce_hull_grs, ternary_codes
 from hullcodes.gf import Field, factor_prime_power
 from hullcodes.grs import encode, eval_set, grs
@@ -128,16 +128,24 @@ def _weight_one_code(f, rng, n, k):
             return linear_code(f, [first, *rows])
 
 
+# [n, k] shapes of the construct and selftest walks, walked at every
+# table bound but only at chunks that keep their offset loops short
+WALK_SHAPES = {7: (8, 6), 49: (14, 3)}
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 7, 9, 25, 49])
 def test_walk_matches_scalar_enumeration_at_every_chunk_size(q, monkeypatch):
     """_CHUNK = 1 leaves no table, so every free row is a high row; 3 and
     16 give partial tables beside high rows; at 100 the high-row
-    messages cross chunk boundaries and small codes fit whole.  Over
-    GF(25) and GF(49) the offsets and tables are Zech-table sums, matched
-    word by word against each other."""
+    messages cross chunk boundaries and small codes fit whole.  The
+    table bound is set apart from it: at 1 no table is kept, at q one
+    table of q words, and below q^2 no second level.  Over GF(25) and
+    GF(49) the offsets and tables are Zech-table sums, matched word by
+    word against each other."""
     f = Field(*factor_prime_power(q))
     rng = random.Random(q)
     at_bound = set()
+    cases = []
     for k in range(1, 6 if q < 25 else 4):
         if k < q:
             mds = _random_code(f, rng, rng.randint(k, q), k, grs_like=True)
@@ -149,13 +157,43 @@ def test_walk_matches_scalar_enumeration_at_every_chunk_size(q, monkeypatch):
             _random_code(f, rng, k + 3, k, grs_like=False),
             _weight_one_code(f, rng, k + 3, k),
         ]
-        for code in codes:
-            expected = _scalar_min_distance(code)
-            at_bound.add(expected == code.n - code.k + 1)
-            for chunk in (1, 3, 16, 100):
+        cases += [(code, (1, 3, 16, 100)) for code in codes]
+    if q in WALK_SHAPES:
+        n, k = WALK_SHAPES[q]
+        cases.append((_random_code(f, rng, n, k, grs_like=n <= q), (100, oracle._CHUNK)))
+    for code, chunks in cases:
+        expected = _scalar_min_distance(code)
+        at_bound.add(expected == code.n - code.k + 1)
+        for chunk in chunks:
+            # tables are bounded by min(_TABLE, _CHUNK): one bound of each
+            # class, the largest, so a bound past the chunk is tried too
+            bounds = {min(t, chunk): t for t in sorted({1, q, q * q - 1, oracle._TABLE})}
+            for table in bounds.values():
                 monkeypatch.setattr(oracle, "_CHUNK", chunk)
-                assert oracle._enumerated_min_distance(code) == expected, (k, chunk)
+                monkeypatch.setattr(oracle, "_TABLE", table)
+                assert oracle._enumerated_min_distance(code) == expected, (code.k, chunk, table)
     assert at_bound == {True, False}
+
+
+@pytest.mark.parametrize("q", sorted(WALK_SHAPES))
+def test_walk_memory_is_bounded_by_its_tables_and_one_step(q):
+    """The walk holds its span tables, fewer than 2 _TABLE words of n
+    int64, and builds the largest from the level below with temporaries
+    of a few times its size; a step compares at most _CHUNK words as n
+    bools.  So at the construct and selftest shapes, whose largest
+    tables hold 343 and 49 words, it peaks below 3 _TABLE int64 words
+    plus _CHUNK bool words."""
+    f = Field(*factor_prime_power(q))
+    n, k = WALK_SHAPES[q]
+    code = _random_code(f, random.Random(q), n, k, grs_like=n <= q)
+    oracle._enumerated_min_distance(code)  # the field's tables, built once
+    tracemalloc.start()
+    try:
+        oracle._enumerated_min_distance(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (3 * oracle._TABLE * 8 + oracle._CHUNK) * n
 
 
 def test_min_distance_budget():
@@ -677,6 +715,7 @@ def test_a_code_runs_each_referee_once(monkeypatch):
 
     monkeypatch.setattr(linalg, "_rref_array", counting_rref)
     monkeypatch.setattr(oracle, "_rref_array", counting_rref)
+    monkeypatch.setattr(hull, "_rref_array", counting_rref)
     monkeypatch.setattr(oracle, "_enumerated_min_distance", counting_enumerate)
     f = Field(3, 2)
     rows = [[1, 0, 0, 1, 2, 3], [0, 1, 0, 4, 5, 6], [0, 0, 1, 7, 8, 2]]
