@@ -41,11 +41,14 @@ added by bitwise exclusive or (as add_array and sub_array add); it
 holds any number of terms and is its own sum.  Otherwise a value is a
 plain integer added by np.add: an element enters as its spread
 encoding, digit i moved to bit i * (63 // m) (over GF(p), the element
-itself), a value holds (2^(63 // m) - 1) // (p - 1) terms before a slot
-could overflow, and it is read back by taking each slot mod p.  A
-product enters as one lookup at the sum of its factors' logs, in exp
-or, over odd GF(p^m), in spread o exp.  Field._sum adds along an axis
-within that bound, and sum_log_products term by term.  The scalar ops
+itself), and a value is read back by taking each slot mod p.  A product
+enters as Field._product gives it: over GF(p) the plain integer
+product, at most (p - 1)^2, and otherwise one lookup at the sum of its
+factors' logs, in exp or, over odd GF(p^m), in spread o exp, each slot
+at most p - 1.  A value holds _held such terms before a slot could
+overflow: (2^63 - 1) // (p - 1)^2 over GF(p), (2^(63 // m) - 1) //
+(p - 1) over odd GF(p^m).  Field._sum adds along an axis within that
+bound, and sum_log_products term by term.  The scalar ops
 keep the Zech route, so the tests that check the array ops against
 them compare two routes.
 
@@ -291,12 +294,13 @@ class Field:
         self._zero_log = 2 * (self.q - 1)
         # the sum domain (see the module docstring): its add, the slots
         # of a plain integer value (digit i at bit i * width), and the
-        # terms a value may hold before it is read back
+        # products (_product) a value may hold before it is read back,
+        # each at most (p - 1)^2 over GF(p) and p - 1 per slot otherwise
         xor = p == 2 and m > 1
         self._sum_add = np.bitwise_xor if xor else np.add
         self._spread_width = 63 // m
         self._spread_mask = (1 << self._spread_width) - 1
-        self._held = math.inf if xor else self._spread_mask // (p - 1)
+        self._held = math.inf if xor else self._spread_mask // (p - 1) ** (2 if m == 1 else 1)
 
     # -- element encoding --
 
@@ -512,6 +516,15 @@ class Field:
             products = self._terms[self._log_array[X[..., start : start + step, None, :]] + logMT]
             out[..., start : start + step, :] = self._sum(products, -1)
         return out
+
+    def _product(self, x, y):
+        """The products of the elements x and y, broadcast, as values of
+        the sum domain: the plain integer product over GF(p), else one
+        _terms lookup at the sum of their logs, as mul_array takes."""
+        if self.m == 1:
+            return x * y
+        log = self._log_array
+        return self._terms[log[x] + log[y]]
 
     def _lift(self, a):
         """The elements a as values of the sum domain."""

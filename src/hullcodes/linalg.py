@@ -19,17 +19,18 @@ sums C V and a Hankel matrix of the node polynomial P = prod_j (x - x_j);
 both build V's column blocks from its first (baby steps and giant
 steps) and take the points, or the Hankel columns, a block at a time.
 P comes from a product tree of ceil(log2 n) levels, each a batch of
-outer products of pairs and their skew sums (over GF(p) in plain
-integers, reduced once per level).  node_weights takes a batch of point
-sets: their trees run through one pass of levels, the shorter sets
-padded with the constant 1, and every P' is evaluated at its own points
-by one poly_eval_array with a leading batch axis, so a batch makes the
-array steps of one set.  On n points (for evaluation: a polynomial of
-length n, at any number of points) every step of these kernels holds at
-most max(gf._BLOCK, n floor(sqrt(n))) entries (in all the sets of a
-batch, unless one entry per set already holds more), never an n x n
-array: up to a few hundred points that is one step, and past them
-O(sqrt(n)) steps.
+outer products of pairs and their skew sums, by one rule for every
+field and level: the products enter the field's sum domain
+(Field._product) and are summed there.  node_weights takes a batch of
+point sets: their trees run through one pass of levels, the shorter
+sets padded with the constant 1, and every P' is evaluated at its own
+points by one poly_eval_array with a leading batch axis, so a batch
+makes the array steps of one set.  On n points (for evaluation: a
+polynomial of length n, at any number of points) every step of these
+kernels holds at most max(gf._BLOCK, n floor(sqrt(n))) entries (in all
+the sets of a batch, unless one entry per set already holds more),
+never an n x n array: up to a few hundred points that is one step, and
+past them O(sqrt(n)) steps.
 Each input is checked once, as it is converted (Field.asarray): a
 Matrix is one read-only int64 array, an array the field's ops made is
 wrapped without a second check, and Matrix.rows (Python ints) is built
@@ -60,8 +61,6 @@ class Matrix:
     def __init__(self, field: Field, rows, ncols: int | None = None):
         if not isinstance(rows, np.ndarray):
             rows = [tuple(r) for r in rows]
-            if any(len(r) != len(rows[0]) for r in rows):
-                raise LinalgError("ragged rows")
             if not rows and ncols is None:
                 raise LinalgError("empty matrix needs an explicit column count")
             rows = rows or np.zeros((0, ncols), dtype=np.int64)
@@ -179,18 +178,12 @@ def rank(M: Matrix) -> int:
 
 def nullspace(M: Matrix) -> Matrix:
     """Basis rows of {x : M x^T = 0}; row count = ncols - rank."""
-    return Matrix._wrap(M.field, _null_space_array(M.field, M.array()))
-
-
-def _null_space_array(f: Field, A: np.ndarray) -> np.ndarray:
-    """nullspace of an int64 array of elements, which it overwrites, as
-    an int64 array of ncols - rank rows."""
-    return _null_basis(f, *_rref_array(f, A))
+    return Matrix._wrap(M.field, _null_basis(M.field, *_rref_array(M.field, M.array())))
 
 
 def _null_basis(f: Field, R: np.ndarray, rk: int, pivots) -> np.ndarray:
-    """The null basis of M from its rref (R, rk, pivots), as in
-    _null_space_array; R is only read."""
+    """The null basis of M from its rref (R, rk, pivots), an int64 array
+    of ncols - rk rows; R is only read."""
     free, block = _null_pivot_block(f, R, rk, pivots)
     # row t: 1 at free column free[t], -R[i, free[t]] at pivot column i
     basis = np.zeros((len(free), R.shape[1]), dtype=np.int64)
@@ -331,59 +324,40 @@ def node_weights(f: Field, point_sets) -> list[tuple[np.ndarray, np.ndarray]]:
     """
     sizes = [len(nodes) for nodes in point_sets]
     n = max(sizes)
-    xs = np.zeros((len(sizes), n), dtype=np.int64)
-    for i, nodes in enumerate(point_sets):
-        xs[i, : sizes[i]] = nodes
-    P = _node_polynomials(f, xs, sizes)
+    # live[i, j]: whether row i of the padded batch holds a node at j
+    live = np.arange(n) < np.array(sizes)[:, None]
+    xs = np.zeros(live.shape, dtype=np.int64)
+    xs[live] = np.concatenate(point_sets)
+    P = _node_polynomials(f, xs, live)
     # P' = sum_j j P_j x^(j-1); the integer j is the element j % p
     values = poly_eval_array(f, f.mul_array(np.arange(1, n + 1) % f.p, P[:, 1:]), xs)
-    for i, k in enumerate(sizes):
-        if k < n:
-            values[i, k:] = 1  # past the set's nodes, where no weight is taken
+    values[~live] = 1  # past a set's nodes, where no weight is taken
     w = f.inv_array(values)
     return [(P[i, : k + 1], w[i, :k]) for i, k in enumerate(sizes)]
 
 
-def _node_polynomials(f: Field, xs: np.ndarray, sizes: list) -> np.ndarray:
-    """Row i holds the coefficients of prod_j (x - x_j) over the first
-    sizes[i] nodes of row i of xs, then zeros: b x (n + 1) for xs of
-    shape (b, n).
+def _node_polynomials(f: Field, xs: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Row i holds the coefficients of prod_j (x - x_j) over the nodes of
+    row i of xs, the entries where row i of live is True (a prefix of
+    the row), then zeros: b x (n + 1) for xs of shape (b, n).
 
     Each set's product tree (the subproduct tree of von zur Gathen and
     Gerhard, Modern Computer Algebra, 3rd ed., 2013, Sec. 10.1) starts
-    from the factors x - x_j, and each level multiplies its polynomials
-    in pairs, so n nodes take ceil(log2 n) levels: the first is the
-    closed form _linear_pairs, the others _tree_level.  A shorter set
-    is padded with the constant 1 to n factors, so at each level every
-    set holds as many rows, and a level whose count of rows is odd gives
-    each set one more constant 1, the pad.  So all the sets run through
-    each level at once, and no pair spans two sets."""
-    n = xs.shape[1]
-    rows = _linear_pairs(f, f.sub_array(0, xs), sizes)
-    w, limit = 3, _block_entries(n)
+    from the factors x - x_j, rows of width 4 holding a polynomial of
+    degree below w = 2, and each level (_tree_level) multiplies its
+    polynomials in pairs, so n nodes take ceil(log2 n) levels.  A
+    shorter set is padded with the constant 1 to n factors, so at each
+    level every set holds as many rows, and a level whose count of rows
+    is odd gives each set one more constant 1, the pad.  So all the
+    sets run through each level at once, and no pair spans two sets."""
+    b, n = xs.shape
+    rows = _padded(b, n, 4)
+    rows[:, :n, 0] = np.where(live, f.sub_array(0, xs), 1)
+    rows[:, :n, 1] = live
+    w, limit = 2, _block_entries(n)
     while rows.shape[1] > 1:
         rows, w = _tree_level(f, rows, w, limit), 2 * w - 1
     return rows[:, 0, : n + 1]
-
-
-def _linear_pairs(f: Field, neg: np.ndarray, sizes: list) -> np.ndarray:
-    """The first level of _node_polynomials, in closed form: for each
-    row c of neg, the first sizes[i] entries of row i the negated nodes,
-    the products (x + c_2j)(x + c_2j+1) = c_2j c_2j+1 + (c_2j + c_2j+1) x
-    + x^2, an odd last node's x + c_k, and the constant 1 past them, in
-    ceil(n / 2) rows of width 6 per set, and the pad (_padded)."""
-    (b, n), h = neg.shape, neg.shape[1] // 2
-    c, d = neg[:, 0 : 2 * h : 2], neg[:, 1 : 2 * h : 2]
-    out = _padded(b, n - h, 6)
-    out[:, :h, 0] = f.mul_array(c, d)
-    out[:, :h, 1] = f.add_array(c, d)
-    out[:, :h, 2] = 1
-    for i, k in enumerate(sizes):
-        if k % 2:
-            out[i, k // 2, :3] = neg[i, k - 1], 1, 0
-        if k < n:  # past a shorter set's nodes, the constant 1
-            out[i, (k + 1) // 2 : n - h, :3] = 1, 0, 0
-    return out
 
 
 def _padded(b: int, count: int, width: int) -> np.ndarray:
@@ -410,11 +384,9 @@ def _tree_level(f: Field, rows: np.ndarray, w: int, limit: int) -> np.ndarray:
     entries, is shifted right by t, so the skew sums are column sums.
     A step takes a block of pairs of every set and r rows of their outer
     products, at most limit entries unless one pair per set holds more.
-    Over GF(p) the products and sums are plain integers, reduced mod p
-    once, at the end (delayed reduction, as in _rref_array): each output
-    entry sums at most w < 2^17 products below 2^32."""
-    prime = f.m == 1
-    mul, add = (np.multiply, np.add) if prime else (f.mul_array, f.add_array)
+    The outer products are values of the field's sum domain
+    (Field._product), and their column sums are taken there
+    (Field._sum)."""
     b, pairs = len(rows), rows.shape[1] // 2
     r = min(w, max(1, limit // (2 * w * b)))
     step = max(1, limit // (b * r * (w + r)))
@@ -425,15 +397,13 @@ def _tree_level(f: Field, rows: np.ndarray, w: int, limit: int) -> np.ndarray:
         for t in range(0, w, r):
             part = A[:, start : start + step, t : t + r]
             m, rr = part.shape[1:]
-            outer = mul(part[..., None], B[:, start : start + step])
+            outer = f._product(part[..., None], B[:, start : start + step])
             skew = outer.reshape(b, m, -1)[..., : rr * (w + r - 1)].reshape(b, m, rr, w + r - 1)
             # coefficients t .. t + w + r - 2 of the block's products,
             # all 0 past 2w - 2
             block = products[:, start : start + step, t : t + w + r - 1]
-            sums = (skew.sum(axis=2) if prime else f.sum_array(skew, axis=2))[..., : block.shape[-1]]
-            block[...] = sums if t == 0 else add(block, sums)
-    if prime:
-        out %= f.p
+            sums = f._sum(skew, 2)[..., : block.shape[-1]]
+            block[...] = sums if t == 0 else f.add_array(block, sums)
     return out
 
 

@@ -13,6 +13,7 @@ import functools
 import gc
 import io
 import itertools
+import math
 import pathlib
 import random
 import tracemalloc
@@ -41,16 +42,9 @@ from hullcodes.linalg import (
     rref,
     weighted_power_sums,
 )
+from scalar_reference import poly_eval
 
 PRIMES = (2, 3, 13, 73, 1031)
-
-
-def poly_eval(f, fx, x):
-    """fx at x by scalar Horner steps: the reference for the array routes."""
-    acc = 0
-    for c in reversed(fx):
-        acc = f.add(f.mul(acc, x), c)
-    return acc
 
 
 def _dm(rows, shape, p):
@@ -368,6 +362,36 @@ def test_array_ops_match_scalar_ops(p, m):
         assert f.sum_array(chunk) == _scalar_sum(f, chunk.tolist())
 
 
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (13, 1), (65521, 1), (3, 2), (5, 2), (7, 2),
+                                  (3, 7), (2, 2), (2, 3), (2, 11)])
+def test_product_enters_the_sum_domain_within_held(p, m):
+    # a product as _product gives it reads back as mul_array's, on all
+    # pairs up to q = 49 and on random pairs above, also broadcast as the
+    # product tree takes it; and _held such products add in one value
+    # with no slot past its bound
+    f = Field(p, m)
+    if f.q <= 49:
+        a, b = (x.ravel() for x in np.meshgrid(np.arange(f.q), np.arange(f.q)))
+    else:
+        rng = np.random.default_rng(f.q)
+        a, b = rng.integers(0, f.q, 20000), rng.integers(0, f.q, 20000)
+    assert np.array_equal(f._read_back(f._product(a, b)), f.mul_array(a, b))
+    x, y = np.resize(a, (6, 1, 1)), np.resize(b, (1, 5, 7))
+    assert np.array_equal(f._read_back(f._product(x, y)), f.mul_array(x, y))
+    if p == 2 and m > 1:  # exclusive or adds any number of terms
+        assert f._held == math.inf
+    elif m == 1:  # one slot, a product up to (p - 1)^2
+        assert int(f._product(p - 1, p - 1)) == (p - 1) ** 2
+        assert f._held * (p - 1) ** 2 <= 2**63 - 1 < (f._held + 1) * (p - 1) ** 2
+    else:  # m slots, each digit of a product up to p - 1
+        assert f._held * (p - 1) <= 2 ** (63 // m) - 1 < (f._held + 1) * (p - 1)
+        # q - 1 has every digit p - 1: its sums fill the slots to the brim
+        top = f._product(f.q - 1, 1)
+        for count in _slot_boundary(f):
+            want = f.mul(f.scalar(count), f.q - 1)
+            assert f._sum(np.full(count, top), 0) == want, count
+
+
 @pytest.mark.parametrize("p, m", [(13, 1), (2, 11), (3, 2), (7, 2), (3, 7), (3, 10)])
 def test_sum_array_along_an_axis_matches_scalar_sums(p, m):
     # GF(3^10) spreads its 10 digits 6 bits apart, so at most 31 entries
@@ -500,13 +524,6 @@ def test_extension_field_linear_algebra(p, m):
 # --- the per-spec evaluation map against scalar references ---
 
 
-def _scalar_eval(f, fx, x):
-    acc = 0
-    for c in reversed(fx):
-        acc = f.add(f.mul(acc, x), c)
-    return acc
-
-
 def _scalar_generator(spec):
     f, k = spec.field, spec.k
     rows = [[f.mul(v, f.pow(a, j)) for a, v in zip(spec.points.a, spec.v)] for j in range(k)]
@@ -518,7 +535,7 @@ def _scalar_generator(spec):
 
 def _scalar_encode(spec, fx):
     f = spec.field
-    word = [f.mul(v, _scalar_eval(f, fx, a)) for a, v in zip(spec.points.a, spec.v)]
+    word = [f.mul(v, poly_eval(f, fx, a)) for a, v in zip(spec.points.a, spec.v)]
     if spec.extended:
         word.append(fx[spec.k - 1] if len(fx) >= spec.k else 0)
     return word
@@ -586,7 +603,7 @@ def test_evaluation_map_matches_scalar_reference(spec, l):
         assert (witness is not None) == in_hull, msg
         members += in_hull
         # the witness is the interpolant of v_i^2 f(a_i) / u_i
-        values = [f.mul(f.mul(f.mul(v, v), _scalar_eval(f, fx, a)), f.inv(u))
+        values = [f.mul(f.mul(f.mul(v, v), poly_eval(f, fx, a)), f.inv(u))
                   for a, v, u in zip(spec.points.a, spec.v, spec.points.u)]
         assert witness in (None, _lagrange(f, spec.points.a, values))
         # a message shorter than k reads the same maps
@@ -789,7 +806,7 @@ def test_witness_map_memory_is_linear_in_n():
     # row j interpolates v_i^2 a_i^j / u_i (here v_i = 1)
     xs = list(range(0, 2000, 97))
     g = L[1].tolist()
-    assert [_scalar_eval(f, g, x) for x in xs] == [f.mul(x, f.inv(spec.points.u[x])) for x in xs]
+    assert [poly_eval(f, g, x) for x in xs] == [f.mul(x, f.inv(spec.points.u[x])) for x in xs]
 
 
 def test_witness_map_is_built_once_per_spec_and_dies_with_it(monkeypatch):

@@ -23,16 +23,9 @@ from hullcodes.hull import (
 from hullcodes.linalg import Matrix, nullspace, poly_deg
 from hullcodes.oracle import hull_dim_oracle
 from hullcodes.selftest import gram_is_zero, random_code
+from scalar_reference import poly_eval
 
 F13 = Field(13)
-
-
-def poly_eval(f, fx, x):
-    """fx at x by scalar Horner steps: the reference for the array routes."""
-    acc = 0
-    for c in reversed(fx):
-        acc = f.add(f.mul(acc, x), c)
-    return acc
 
 
 def test_classify_precedence():

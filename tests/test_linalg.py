@@ -15,17 +15,10 @@ from hullcodes.linalg import (
     rank,
     rref,
 )
+from scalar_reference import poly_eval
 
 F5 = Field(5)
 F13 = Field(13)
-
-
-def poly_eval(f, fx, x):
-    """fx at x by scalar Horner steps: the reference for the array routes."""
-    acc = 0
-    for c in reversed(fx):
-        acc = f.add(f.mul(acc, x), c)
-    return acc
 
 
 def test_rref_and_rank():
