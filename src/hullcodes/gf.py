@@ -48,7 +48,8 @@ factors' logs, in exp or, over odd GF(p^m), in spread o exp, each slot
 at most p - 1.  A value holds _held such terms before a slot could
 overflow: (2^63 - 1) // (p - 1)^2 over GF(p), (2^(63 // m) - 1) //
 (p - 1) over odd GF(p^m).  Field._sum adds along an axis within that
-bound, and sum_log_products term by term.  The scalar ops
+bound; sum_log_products sums its products along the first axis by it.
+The scalar ops
 keep the Zech route, so the tests that check the array ops against
 them compare two routes.
 
@@ -464,21 +465,13 @@ class Field:
         takes every product with 0 to 0."""
         return self._logs[a]
 
-    def sum_log_products(self, pairs):
-        """sum_t x_t y_t for a nonempty iterable of pairs of arrays of
-        logs (log_array's) of x_t and y_t, every x_t + y_t of one shape.
-        Each product is one lookup at the sum of the logs, added term by
-        term in the sum domain and read back whenever the value holds
-        all it may."""
-        pairs = iter(pairs)
-        x, y = next(pairs)
-        total, held = self._terms[x + y], 1
-        for x, y in pairs:
-            if held == self._held:  # every slot could overflow
-                total, held = self._lift(self._read_back(total)), 1
-            self._sum_add(total, self._terms[x + y], out=total)
-            held += 1
-        return self._read_back(total)
+    def sum_log_products(self, x, y):
+        """sum_t x[t] y[t], the field sums along axis 0 of the products
+        whose factors' logs (log_array's) x and y hold, broadcast: each
+        product is one lookup at the sum of the logs, and the products
+        are summed by _sum.  The logs are added as intp, the lookup's
+        own index type, which is faster than a lookup at a small dtype."""
+        return self._sum(self._terms[np.add(x, y, dtype=np.intp)], 0)
 
     def sum_array(self, a, axis=None):
         """Field sum of all entries of a (an int), or of a along one axis

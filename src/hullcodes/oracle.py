@@ -33,13 +33,14 @@ Roth and Seroussi, IEEE Trans. Inf. Theory 31(6), 1985).  It builds
 the i x i minors of A level by level, each from the level below by a
 Laplace expansion, and stops at the first level that holds a zero, so a
 zero entry of A ends it at level 1.  Beside the two levels it holds, a
-step works on blocks of at most _BLOCK minors.  A level's index arrays
-(its row subsets and, per block, its column subsets and the rank of
-each with one column dropped) depend on the shape alone: a level that
-fits one block takes them from a bounded cache of plans, and a larger
-one streams its blocks.  The logs of A and of the level below are taken
-once per level, so each Laplace term is one table lookup at a sum of
-logs, and a block is summed and reduced once (Field.sum_log_products).
+step works on blocks of at most _BLOCK Laplace terms (i per minor).  A
+block gathers both factors of all its terms at once through two flat
+index arrays, one into the logs of (A, -A) and one into the logs of the
+level below, so it is two takes, one table lookup at the sum of the
+logs and one field sum along the term axis (Field.sum_log_products).
+The index arrays depend on the shape alone: a level that fits one block
+takes them from a bounded cache of plans, and a larger one builds its
+blocks as it goes.
 Enumeration covers one
 projective representative per 1-dimensional message subspace (first
 nonzero message digit normalized to 1), which reaches all nonzero
@@ -261,8 +262,8 @@ def _minor_levels(f: Field, A: np.ndarray):
         yield None
         return
     yield A
-    # logs[j % 2] holds the logs of (-1)^j A, the signs of the Laplace
-    # expansion
+    # the logs of (A, -A): term j of the Laplace expansion reads the
+    # sign j % 2
     logs = f.log_array(np.stack([A, f.sub_array(0, A)]))
     below = A
     for i in range(2, len(A) + 1):
@@ -274,43 +275,42 @@ def _minor_levels(f: Field, A: np.ndarray):
 
 def _minors_level(f: Field, logs: np.ndarray, below: np.ndarray, i: int):
     """Every i x i minor of A from the (i - 1) x (i - 1) minors below, or
-    None at the first block that holds a zero; logs[j % 2] holds the
-    logs of (-1)^j A.
+    None at the first block that holds a zero; logs holds the logs of
+    (A, -A).
 
     Laplace expansion along the first row r of the row subset R:
-    det[R, C] = sum_j (-1)^j A[r, c_j] det[R - r, C - c_j].  The logs of
-    both factors are taken once per level, so each term is one lookup
-    at their sum, and a block is summed and reduced once
-    (Field.sum_log_products).  The column subsets come in the blocks of
-    _level_plan, so every array the step holds beside the two levels
-    has at most _BLOCK entries."""
+    det[R, C] = sum_j (-1)^j A[r, c_j] det[R - r, C - c_j].  A block of
+    _level_plan gathers both factors of all its terms at once from the
+    logs of (A, -A) and of the level below, so a block is two takes, one
+    lookup at their sum and one field sum along the term axis
+    (Field.sum_log_products)."""
     _, nrows, ncols = logs.shape
-    first, rest, blocks = _level_plan(nrows, ncols, i)
-    logs = logs[:, first]
     below = f.log_array(below)
     # the smallest dtype that holds every element
-    out = np.empty((len(first), math.comb(ncols, i)), dtype=np.min_scalar_type(f.q - 1))
+    out = np.empty((math.comb(nrows, i), math.comb(ncols, i)), dtype=np.min_scalar_type(f.q - 1))
     start = 0
-    for cols, drop in blocks:
-        det = f.sum_log_products(
-            (logs[j % 2][:, cols[:, j]], below[rest, drop[:, j]]) for j in range(i)
-        )
+    for ix, iy in _level_plan(nrows, ncols, i):
+        det = f.sum_log_products(logs.take(ix), below.take(iy))
         if not det.all():
             return None
-        out[:, start : start + len(cols)] = det
-        start += len(cols)
+        if len(det) != len(out):  # (column subset, row subset)
+            det = det.T
+        out[:, start : start + det.shape[1]] = det
+        start += det.shape[1]
     return out
 
 
 def _level_plan(nrows, ncols, i):
-    """(first, rest, blocks), the index arrays of level i of the minors
-    of an nrows x ncols matrix: the first row of each row subset R, the
-    rank of R minus that row (a column), and the column subsets in
-    blocks of _BLOCK // (C(nrows, i) + i), each block (cols, drop) with
-    drop[:, j] the rank of C - c_j.  They depend on the shape alone, so
-    a level that fits one block takes them from a bounded cache
-    (_cached_plan); a larger one streams its blocks."""
-    step = max(1, _BLOCK // (math.comb(nrows, i) + i))
+    """The blocks (ix, iy) of level i of the minors of an nrows x ncols
+    matrix, each a run of the column subsets C: ix[j, R, C] indexes the
+    raveled logs of (A, -A) at sign j % 2, the first row r of R and c_j,
+    and iy[j, R, C] the raveled level below at the ranks of R - r and of
+    C - c_j (a streamed block may be laid out [j, C, R], see _plan).  A
+    block holds at most _BLOCK terms (i per minor) unless one column
+    subset's i C(nrows, i) terms exceed it.  The arrays depend on
+    the shape alone, so a level that fits one block takes them from a
+    bounded cache (_cached_plan); a larger one streams its blocks."""
+    step = max(1, _BLOCK // (i * math.comb(nrows, i)))
     if math.comb(ncols, i) <= step:
         return _cached_plan(nrows, ncols, i, _BLOCK)
     return _plan(nrows, ncols, i, step)
@@ -319,27 +319,36 @@ def _level_plan(nrows, ncols, i):
 @functools.lru_cache(maxsize=_PLANS)
 def _cached_plan(nrows, ncols, i, block):
     """_level_plan of a level that fits one block of the given size,
-    read-only.  It holds index arrays, never results: first and rest
-    hold C(nrows, i) entries each and cols and drop C(ncols, i) i, where
-    C(ncols, i) (C(nrows, i) + i) <= block and C(nrows, i) <= C(ncols, i).
-    So a plan has fewer than 2 block + 2 sqrt(block) intp entries, at
-    most 0.53 MB at _BLOCK = 2^15, and the cache, which keeps _PLANS, at
-    most 34 MB; the 42 levels of a pass of the benchmark's family_sweep
-    take 0.18 MB."""
-    first, rest, blocks = _plan(nrows, ncols, i, block)
-    cols, drop = next(blocks)
-    for array in (first, rest, cols, drop):
-        array.flags.writeable = False
-    return first, rest, ((cols, drop),)
+    read-only.  It holds index arrays, never results: ix and iy hold
+    i C(nrows, i) C(ncols, i) <= block intp entries each.  So a plan
+    takes at most 0.53 MB at _BLOCK = 2^15, and the cache, which keeps
+    _PLANS, at most 34 MB; the 42 levels of a pass of the benchmark's
+    family_sweep take 0.79 MB."""
+    ((ix, iy),) = _plan(nrows, ncols, i, block)
+    ix.flags.writeable = iy.flags.writeable = False
+    return ((ix, iy),)
 
 
 def _plan(nrows, ncols, i, step):
-    """_level_plan's arrays, the column subsets step at a time."""
+    """_level_plan's blocks, the column subsets step at a time.  A block
+    whose column subsets are fewer than the row subsets is laid out
+    (term, column subset, row subset) instead, so that building it adds
+    along its longer axis."""
     binom = _binomials(ncols, nrows)
     rows = _subsets(nrows, i, np.arange(binom[nrows, i]), binom)
-    rest = _subset_rank(rows[:, 1:], nrows, binom)[:, None]
-    # a copy, so the plan does not hold all of rows
-    return rows[:, 0].copy(), rest, _column_blocks(ncols, i, step, binom)
+    # the row parts of the indices, (i, rows) and (rows,): (A, -A)[j % 2, r]
+    # and the rank of R - r
+    x_rows = ((np.arange(i) % 2 * nrows)[:, None] + rows[:, 0]) * ncols
+    y_rows = _subset_rank(rows[:, 1:], nrows, binom) * binom[ncols, i - 1]
+    # the column subsets are unranked _BLOCK // i at a time, not a block
+    # at a time, so a level of many rows does not repeat the searches
+    for cols, drop in _column_blocks(ncols, i, max(step, _BLOCK // i), binom):
+        for start in range(0, len(cols), step):
+            x_cols, y_cols = cols[start : start + step].T, drop[start : start + step].T
+            if step < len(rows):
+                yield x_rows[:, None] + x_cols[..., None], y_rows + y_cols[..., None]
+            else:
+                yield x_rows[..., None] + x_cols[:, None], y_rows[:, None] + y_cols[:, None]
 
 
 def _column_blocks(ncols, i, step, binom):
@@ -382,7 +391,14 @@ def _subsets(n: int, t: int, ranks: np.ndarray, binom) -> np.ndarray:
     element below c at position j, and they come first; so element j is
     the largest c for which that count is at most the rank left, and the
     rank then drops by it.  One search per element, for all ranks at
-    once."""
+    once.  Complementing reverses lexicographic order, so a subset of
+    more than n / 2 elements is the complement of the (n - t)-subset of
+    rank C(n, t) - 1 - r, which takes fewer searches."""
+    if 2 * t > n:
+        rest = _subsets(n, n - t, binom[n, t] - 1 - ranks, binom)
+        keep = np.ones((len(ranks), n), dtype=bool)
+        keep[np.arange(len(ranks))[:, None], rest] = False
+        return np.nonzero(keep)[1].reshape(len(ranks), t)
     out = np.empty((len(ranks), t), dtype=np.intp)
     lo, rank = 0, ranks.copy()
     for j in range(t):

@@ -426,16 +426,40 @@ def test_sum_log_products_matches_scalar_ops(p, m):
         X[:, 0] = 0
         # q - 1 has every digit p - 1, so its sums fill the slots to the brim
         X[:, -1], Y[:, -1] = f.q - 1, 1
-        got = f.sum_log_products((f.log_array(x), f.log_array(y)) for x, y in zip(X, Y))
+        got = f.sum_log_products(f.log_array(X), f.log_array(Y))
         want = [
             _scalar_sum(f, [f.mul(x, y) for x, y in zip(xs, ys)])
             for xs, ys in zip(X.reshape(terms, -1).T.tolist(), Y.reshape(terms, -1).T.tolist())
         ]
         assert got.shape == shape and got.ravel().tolist() == want, terms
     for terms in _slot_boundary(f):
-        got = f.sum_log_products((f.log_array(np.full(3, f.q - 1)), f.log_array(np.ones(3, dtype=np.int64)))
-                                 for _ in range(terms))
+        got = f.sum_log_products(f.log_array(np.full((terms, 3), f.q - 1)),
+                                 f.log_array(np.ones((terms, 3), dtype=np.int64)))
         assert got.tolist() == [_scalar_sum(f, [f.q - 1] * terms)] * 3, terms
+
+
+@pytest.mark.parametrize("p, m", [(13, 1), (65521, 1), (7, 2), (3, 5), (2, 4)])
+def test_sum_log_products_is_a_sum_of_array_products(monkeypatch, p, m):
+    # stacks of 1, 2 and 7 terms, zeros among the factors, summed along
+    # the first axis as mul_array and add_array sum them; again with
+    # _held at 2 and 3, so that _sum reads back between runs of two
+    # (7 terms take three rounds) and of three (runs of 3, 3 and 1).  A
+    # held of 1 would leave _sum no two values to add: every field up to
+    # MAX_Q holds at least 31
+    f = Field(p, m)
+    rng = np.random.default_rng(f.q + 1)
+    cases = []
+    for terms in (1, 2, 7):
+        X, Y = rng.integers(0, f.q, (2, terms, 4, 5))
+        X[0, 0], Y[-1, :, 1] = 0, 0
+        want = f.mul_array(X[0], Y[0])
+        for x, y in zip(X[1:], Y[1:]):
+            want = f.add_array(want, f.mul_array(x, y))
+        cases.append((f.log_array(X), f.log_array(Y), want))
+    for held in (f._held, 2, 3):
+        monkeypatch.setattr(f, "_held", held)
+        for x, y, want in cases:
+            assert np.array_equal(f.sum_log_products(x, y), want), (held, len(x))
 
 
 @pytest.mark.parametrize("p, m", [(13, 1), (2, 11), (7, 2), (3, 7), (3, 10)])

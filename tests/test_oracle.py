@@ -489,10 +489,9 @@ def _blocks_per_level(monkeypatch):
     real = oracle._level_plan
 
     def counting(nrows, ncols, i):
-        first, rest, blocks = real(nrows, ncols, i)
-        blocks = list(blocks)
+        blocks = list(real(nrows, ncols, i))
         counts.append(len(blocks))
-        return first, rest, blocks
+        return blocks
 
     monkeypatch.setattr(oracle, "_level_plan", counting)
     return counts
@@ -538,12 +537,15 @@ def test_one_shape_at_two_block_sizes(monkeypatch):
     used, and back at 64 the cached plan is."""
     f = Field(13)
     rng = random.Random(35)
-    # A is 3 x 5: level 2 has 3 row and 10 column subsets, level 3 one
-    # row and 10 column subsets
+    # A is 3 x 5: level 2 has 3 row and 10 column subsets, 2 x 3 = 6
+    # terms per column subset, and level 3 one row and 10 column subsets,
+    # 3 terms each.  A block holds at most _BLOCK terms: at 64 each level
+    # is one block (60 and 30 terms); at 7 level 2 takes one column
+    # subset per block (10 blocks) and level 3 two (5 blocks)
     code = _systematic_code(f, rng, _cauchy(f, rng, 3, 5))
     counts = _blocks_per_level(monkeypatch)
     oracle._cached_plan.cache_clear()
-    for block, expected in ((64, [1, 1]), (7, [10, 10]), (64, [1, 1])):
+    for block, expected in ((64, [1, 1]), (7, [10, 5]), (64, [1, 1])):
         monkeypatch.setattr(oracle, "_BLOCK", block)
         counts.clear()
         assert oracle._all_minors_nonzero(code)
@@ -561,18 +563,18 @@ def test_one_shape_at_two_block_sizes(monkeypatch):
 
 def test_plan_cache_holds_its_stated_bound():
     """The largest plans that fit one block have one row subset, i = nrows
-    rows, and nrows + 1 column subsets, so (nrows + 1)^2 <= _BLOCK; the
-    cache keeps _PLANS of them, each under 0.53 MB."""
+    rows, and nrows + 1 column subsets, so nrows (nrows + 1) terms <=
+    _BLOCK; the cache keeps _PLANS of them, each under 0.53 MB."""
     oracle._cached_plan.cache_clear()
     oracle._binomials.cache_clear()
     r = math.isqrt(oracle._BLOCK) - 1
     shapes = [(i, i + 1, i) for i in range(r, r - oracle._PLANS - 1, -1)]
-    assert oracle._BLOCK // (1 + r) >= r + 1 and oracle._BLOCK // (2 + r) < r + 2
+    assert oracle._BLOCK // r >= r + 1 and oracle._BLOCK // (r + 1) < r + 2
     tracemalloc.start()
     try:
         for shape in shapes:
-            first, rest, blocks = oracle._level_plan(*shape)
-            assert len(blocks) == 1 and not blocks[0][0].flags.writeable
+            blocks = oracle._level_plan(*shape)
+            assert len(blocks) == 1 and not any(a.flags.writeable for a in blocks[0])
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
