@@ -262,8 +262,8 @@ def _minor_levels(f: Field, A: np.ndarray):
         yield None
         return
     yield A
-    # the logs of (A, -A): term j of the Laplace expansion reads the
-    # sign j % 2
+    # logs[j % 2] holds the logs of (-1)^j A, the signs of the Laplace
+    # expansion
     logs = f.log_array(np.stack([A, f.sub_array(0, A)]))
     below = A
     for i in range(2, len(A) + 1):
@@ -275,8 +275,8 @@ def _minor_levels(f: Field, A: np.ndarray):
 
 def _minors_level(f: Field, logs: np.ndarray, below: np.ndarray, i: int):
     """Every i x i minor of A from the (i - 1) x (i - 1) minors below, or
-    None at the first block that holds a zero; logs holds the logs of
-    (A, -A).
+    None at the first block that holds a zero; logs[j % 2] holds the
+    logs of (-1)^j A.
 
     Laplace expansion along the first row r of the row subset R:
     det[R, C] = sum_j (-1)^j A[r, c_j] det[R - r, C - c_j].  A block of
