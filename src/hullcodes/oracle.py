@@ -293,8 +293,6 @@ def _minors_level(f: Field, logs: np.ndarray, below: np.ndarray, i: int):
         det = f.sum_log_products(logs.take(ix), below.take(iy))
         if not det.all():
             return None
-        if len(det) != len(out):  # (column subset, row subset)
-            det = det.T
         out[:, start : start + det.shape[1]] = det
         start += det.shape[1]
     return out
@@ -305,10 +303,9 @@ def _level_plan(nrows, ncols, i):
     matrix, each a run of the column subsets C: ix[j, R, C] indexes the
     raveled logs of (A, -A) at sign j % 2, the first row r of R and c_j,
     and iy[j, R, C] the raveled level below at the ranks of R - r and of
-    C - c_j (a streamed block may be laid out [j, C, R], see _plan).  A
-    block holds at most _BLOCK terms (i per minor) unless one column
-    subset's i C(nrows, i) terms exceed it.  The arrays depend on
-    the shape alone, so a level that fits one block takes them from a
+    C - c_j.  A block holds at most _BLOCK terms (i per minor) unless
+    one column subset's i C(nrows, i) terms exceed it.  The arrays depend
+    on the shape alone, so a level that fits one block takes them from a
     bounded cache (_cached_plan); a larger one streams its blocks."""
     step = max(1, _BLOCK // (i * math.comb(nrows, i)))
     if math.comb(ncols, i) <= step:
@@ -330,10 +327,7 @@ def _cached_plan(nrows, ncols, i, block):
 
 
 def _plan(nrows, ncols, i, step):
-    """_level_plan's blocks, the column subsets step at a time.  A block
-    whose column subsets are fewer than the row subsets is laid out
-    (term, column subset, row subset) instead, so that building it adds
-    along its longer axis."""
+    """_level_plan's blocks, the column subsets step at a time."""
     binom = _binomials(ncols, nrows)
     rows = _subsets(nrows, i, np.arange(binom[nrows, i]), binom)
     # the row parts of the indices, (i, rows) and (rows,): (A, -A)[j % 2, r]
@@ -345,10 +339,7 @@ def _plan(nrows, ncols, i, step):
     for cols, drop in _column_blocks(ncols, i, max(step, _BLOCK // i), binom):
         for start in range(0, len(cols), step):
             x_cols, y_cols = cols[start : start + step].T, drop[start : start + step].T
-            if step < len(rows):
-                yield x_rows[:, None] + x_cols[..., None], y_rows + y_cols[..., None]
-            else:
-                yield x_rows[..., None] + x_cols[:, None], y_rows[:, None] + y_cols[:, None]
+            yield x_rows[..., None] + x_cols[:, None], y_rows[:, None] + y_cols[:, None]
 
 
 def _column_blocks(ncols, i, step, binom):
