@@ -33,8 +33,8 @@ Roth and Seroussi, IEEE Trans. Inf. Theory 31(6), 1985).  It builds
 the i x i minors of A level by level, each from the level below by a
 Laplace expansion, and stops at the first level that holds a zero, so a
 zero entry of A ends it at level 1.  Beside the two levels it holds, a
-step works on blocks of at most _BLOCK Laplace terms (i per minor).  A
-block gathers both factors of all its terms at once through two flat
+step works on blocks of at most _BLOCK Laplace terms (i per minor), or
+of one column subset's terms where they are more.  A block gathers both factors of all its terms at once through two flat
 index arrays, one into the logs of (A, -A) and one into the logs of the
 level below, so it is two takes, one table lookup at the sum of the
 logs and one field sum along the term axis (Field.sum_log_products).
