@@ -26,22 +26,22 @@ read-only by every Field with that key; each Field still checks its
 parameters before it takes them from the cache (the verdict on an
 explicit modulus is kept in a cache of the same size).  Each table is
 one read-only numpy array.  The ops on whole arrays of encodings
-(mul_array, add_array, sub_array, inv_array, pow_array, sum_array, which
-also sums along one axis, matmul_array, the matrix product, and
-sum_log_products, a sum of products given by the logs of their
-factors), which the linear algebra, the GRS evaluation maps and the
-oracle are built on, index the arrays; the scalar ops (add, mul, inv,
-...) index memoryviews of the same buffers, which give Python ints
-without a copy.
+(mul_array, add_array, sub_array, inv_array, pow_array, matmul_array,
+the matrix product, and sum_log_products, a sum of products given by
+the logs of their factors), which the linear algebra, the GRS
+evaluation maps and the oracle are built on, index the arrays; the
+scalar ops (add, mul, inv, ...) index memoryviews of the same buffers,
+which give Python ints without a copy.
 
-The array sums (sum_array, matmul_array over GF(p^m) and
-sum_log_products) share one sum domain, which skips the Zech table as
-the encoding's digits add mod p.  Over GF(2^m) a value is an encoding,
-added by bitwise exclusive or (as add_array and sub_array add); it
-holds any number of terms and is its own sum.  Otherwise a value is a
-plain integer added by np.add: an element enters as its spread
-encoding, digit i moved to bit i * (63 // m) (over GF(p), the element
-itself), and a value is read back by taking each slot mod p.  A product
+The array sums (matmul_array over GF(p^m), sum_log_products and the
+sums linalg takes of Field._product's products) share one sum domain,
+which skips the Zech table as the encoding's digits add mod p.  Over
+GF(2^m) a value is an encoding, added by bitwise exclusive or (as
+add_array and sub_array add); it holds any number of terms and is its
+own sum.  Otherwise a value is a plain integer added by np.add: an
+element enters as its spread encoding, digit i moved to bit
+i * (63 // m) (over GF(p), the element itself), and a value is read
+back by taking each slot mod p.  A product
 enters as Field._product gives it: over GF(p) the plain integer
 product, at most (p - 1)^2, and otherwise one lookup at the sum of its
 factors' logs, in exp or, over odd GF(p^m), in spread o exp, each slot
@@ -317,8 +317,13 @@ class Field:
         return out
 
     def from_coeffs(self, cs) -> int:
+        """The element with coefficients cs, constant term first, at most m
+        of them (coeffs' inverse)."""
+        cs = list(cs)
+        if len(cs) > self.m:
+            raise FieldError(f"{len(cs)} coefficients do not give an element of GF({self.q})")
         enc = 0
-        for c in reversed(list(cs)):
+        for c in reversed(cs):
             enc = enc * self.p + operator.index(c) % self.p
         return enc
 
@@ -462,8 +467,9 @@ class Field:
     def log_array(self, a):
         """The logs of a's entries, for sum_log_products, in an unsigned
         dtype that holds the sum of two; the log of 0 is a sentinel that
-        takes every product with 0 to 0."""
-        return self._logs[a]
+        takes every product with 0 to 0.  The lookup is a take, which is
+        faster than indexing at the small dtype of a level's entries."""
+        return self._logs.take(a)
 
     def sum_log_products(self, x, y):
         """sum_t x[t] y[t], the field sums along axis 0 of the products
@@ -472,15 +478,6 @@ class Field:
         are summed by _sum.  The logs are added as intp, the lookup's
         own index type, which is faster than a lookup at a small dtype."""
         return self._sum(self._terms[np.add(x, y, dtype=np.intp)], 0)
-
-    def sum_array(self, a, axis=None):
-        """Field sum of all entries of a (an int), or of a along one axis
-        (an array)."""
-        if axis is None:
-            return int(self.sum_array(np.ravel(a), 0))
-        if a.shape[axis] <= 1:  # no sum to take
-            return a.sum(axis)
-        return self._sum(self._lift(a), axis)
 
     def matmul_array(self, X, M):
         """X M for a 2-D array M and a vector or 2-D array X of elements:

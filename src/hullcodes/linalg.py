@@ -286,7 +286,7 @@ def poly_eval_array(f: Field, fx, xs) -> np.ndarray:
         powers = f.pow_array(x[:, None, start : start + step], exps)
         powers = np.ascontiguousarray(powers.swapaxes(1, 2))
         E = f.matmul_array(powers[..., :B], coeffs)
-        out[:, start : start + step] = f.sum_array(f.mul_array(E, powers[..., B:]), axis=-1)
+        out[:, start : start + step] = f._sum(f._product(E, powers[..., B:]), -1)
     return out.reshape(np.shape(xs))
 
 

@@ -44,21 +44,24 @@ blocks as it goes.
 Enumeration covers one
 projective representative per 1-dimensional message subspace (first
 nonzero message digit normalized to 1), which reaches all nonzero
-weights with (q^k - 1)/(q - 1) codewords.  It keeps span tables, as
+weights with (q^k - 1)/(q - 1) codewords.  It keeps one span table, as
 minimum-distance searches do (Grassl, 2006): the words of
-span(G[k - s:]) for each s whose q^s words fit in _TABLE, each level
-built from the one below.  A table is stored word-last, (n, q^s), so
-counting a word's matches adds whole rows of the table, not the n
-entries of a short last axis, which numpy reduces slowly.  A lead row
-whose free rows one table covers makes one offset, and above the
-largest table the high free rows give offsets; each offset o meets
-every word t of the table.  The table is a subspace, so the words
-o + t have the weights n - #{i : t_i = o_i}: one comparison, no field
-addition, per word.  The offsets come _CHUNK // q^s at a time, so a
-step compares at most _CHUNK words (n bools each), and the tables
-together hold fewer than 2 _TABLE words of n int64.  _TABLE is well
-below _CHUNK: a larger table costs more to build (and its temporaries
-are allocated fresh) than the walk saves by taking fewer offsets.
+span(G[k - top:]) for the largest top < k whose q^top words fit in
+_TABLE, built a row at a time, each row's q multiples added to the
+table so far as the outer index.  So for every s <= top the words of
+span(G[k - s:]) are the table's first q^s, and its first word is the
+zero word.  The table is stored word-last, (n, q^top), so counting a
+word's matches adds whole rows of the table, not the n entries of a
+short last axis, which numpy reduces slowly.  A lead row whose s free
+rows the table covers makes one offset, and above the table the high
+free rows give offsets; each offset o meets every word t of the prefix
+span(G[k - s:]).  That is a subspace, so the words o + t have the
+weights n - #{i : t_i = o_i}: one comparison, no field addition, per
+word.  The offsets come _CHUNK // q^s at a time, so a step compares at
+most _CHUNK words (n bools each), and the table holds at most _TABLE
+words of n int64.  _TABLE is well below _CHUNK: a larger table costs
+more to build (and its temporaries are allocated fresh) than the walk
+saves by taking fewer offsets.
 The ternary census enumerates the same projective messages for all 130
 of its codes at once: one product of the 4 messages with the stacked
 generators gives every code's minimum distance (_min_distances), after
@@ -140,9 +143,8 @@ DEFAULT_BUDGET = OracleBudget()
 # table they meet; bounds the (words, n) arrays a step holds
 _CHUNK = 1 << 12
 
-# words of the largest span table of the walk (at most _CHUNK; chosen
-# by timing the walk's inputs in the benchmark's workloads, see the
-# module docstring)
+# words of the walk's span table (at most _CHUNK; chosen by timing the
+# walk's inputs in the benchmark's workloads, see the module docstring)
 _TABLE = 1 << 10
 
 # minors per block of a level; bounds the arrays a level step holds
@@ -175,23 +177,24 @@ def _enumerated_min_distance(code: LinearCode) -> int:
     q = f.q
     k, n = code.k, code.n
     G = code.generator.entries
-    # tables[s] is span(G[k - s:]) word-last, (n, q^s): the next row's q
-    # multiples added to the level below (level 0, the zero word, is left
-    # implicit)
-    tables = [None]
+    # table is span(G[k - top:]) word-last, (n, q^top): each next row's q
+    # multiples, as the outer index, added to the table so far, so
+    # span(G[k - s:]) is its prefix of q^s words for every s <= top, and
+    # its first word is the zero word
+    table = np.zeros((n, 1), dtype=np.int64)
+    top = 0
     scalars = np.arange(q)
-    while len(tables) < k and q ** len(tables) <= min(_TABLE, _CHUNK):
-        multiples = f.mul_array(G[k - len(tables)][:, None], scalars)
-        if len(tables) > 1:
-            multiples = f.add_array(multiples[:, :, None], tables[-1][:, None]).reshape(n, -1)
-        tables.append(multiples)
+    while top + 1 < k and q ** (top + 1) <= min(_TABLE, _CHUNK):
+        multiples = f.mul_array(G[k - 1 - top][:, None], scalars)
+        table = f.add_array(multiples[:, :, None], table[:, None]).reshape(n, -1) if top else multiples
+        top += 1
     # a count of matching coordinates is at most n
     count = np.min_scalar_type(n)
     best = n
     for j in range(k):
         # messages with digits 0..j-1 zero and digit j equal to 1: the
-        # low free rows come from a table, the high ones from an offset
-        s = min(k - 1 - j, len(tables) - 1)
+        # low free rows come from the table, the high ones from an offset
+        s = min(k - 1 - j, top)
         high = G[j + 1 : k - s]
         total = q ** len(high)
         step = _CHUNK // q**s
@@ -201,16 +204,13 @@ def _enumerated_min_distance(code: LinearCode) -> int:
             for row in high:
                 rem, digit = np.divmod(rem, q)
                 offsets = f.add_array(offsets, f.mul_array(digit[:, None], row))
-            if s:
-                # o + t has weight n - #{i : t_i = -o_i}; a table is a
-                # subspace, so as t runs over it so does -t, and the words
-                # o + t have the weights n - #{i : t_i = o_i}: a comparison
-                # in place of an addition, counted over the coordinate
-                # axis, which adds whole rows of words
-                matches = (tables[s] == offsets[..., None]).sum(axis=-2, dtype=count)
-                best = min(best, n - int(matches.max()))
-            else:
-                best = min(best, int(np.count_nonzero(offsets, axis=-1).min()))
+            # o + t has weight n - #{i : t_i = -o_i}; the table's prefix is
+            # a subspace, so as t runs over it so does -t, and the words
+            # o + t have the weights n - #{i : t_i = o_i}: a comparison
+            # in place of an addition, counted over the coordinate axis,
+            # which adds whole rows of words
+            matches = (table[:, : q**s] == offsets[..., None]).sum(axis=-2, dtype=count)
+            best = min(best, n - int(matches.max()))
             if best == 1:
                 return 1
     return best

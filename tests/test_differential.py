@@ -359,7 +359,7 @@ def test_array_ops_match_scalar_ops(p, m):
     nonzero = a[a != 0]
     assert f.inv_array(nonzero).tolist() == [f.inv(x) for x in nonzero.tolist()]
     for chunk in np.array_split(a, 7):
-        assert f.sum_array(chunk) == _scalar_sum(f, chunk.tolist())
+        assert f._sum(f._lift(chunk), 0) == _scalar_sum(f, chunk.tolist())
 
 
 @pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (13, 1), (65521, 1), (3, 2), (5, 2), (7, 2),
@@ -394,19 +394,20 @@ def test_product_enters_the_sum_domain_within_held(p, m):
 
 @pytest.mark.parametrize("p, m", [(13, 1), (2, 11), (3, 2), (7, 2), (3, 7), (3, 10)])
 def test_sum_array_along_an_axis_matches_scalar_sums(p, m):
-    # GF(3^10) spreads its 10 digits 6 bits apart, so at most 31 entries
-    # add at once: an axis of 300 takes ten chunks
+    # elements lifted into the sum domain and summed by _sum; GF(3^10)
+    # spreads its 10 digits 6 bits apart, so at most 31 entries add at
+    # once: an axis of 300 takes ten chunks
     f = Field(p, m)
     A = np.random.default_rng(f.q).integers(0, f.q, (3, 300, 4))
     # q - 1 has every digit p - 1, so its sums fill the slots to the brim
     for B in (A, np.full((3, 300, 4), f.q - 1)):
         for axis in range(3):
             want = np.apply_along_axis(lambda line: _scalar_sum(f, line.tolist()), axis, B)
-            assert np.array_equal(f.sum_array(B, axis=axis), want)
+            assert np.array_equal(f._sum(f._lift(B), axis), want)
     for terms in _slot_boundary(f):
         B = np.full((2, terms), f.q - 1)
-        assert f.sum_array(B, axis=1).tolist() == [_scalar_sum(f, [f.q - 1] * terms)] * 2, terms
-    assert f.sum_array(A[:, :0], axis=1).tolist() == [[0] * 4] * 3
+        assert f._sum(f._lift(B), 1).tolist() == [_scalar_sum(f, [f.q - 1] * terms)] * 2, terms
+    assert f._sum(f._lift(A[:, :0]), 1).tolist() == [[0] * 4] * 3
 
 
 @pytest.mark.parametrize("p, m", [(2, 1), (13, 1), (1031, 1), (2, 6), (2, 11), (3, 2),

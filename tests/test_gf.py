@@ -100,6 +100,14 @@ def test_encoding_helpers_return_ints_for_numpy_integers():
         f.from_coeffs([1.5])
 
 
+def test_from_coeffs_refuses_more_than_m_coefficients():
+    f = Field(3, 2)
+    assert f.from_coeffs([1, 1]) == 4 and f.from_coeffs([2]) == 2
+    for cs in ([1, 1, 1], [0, 0, 0], np.array([1, 0, 2, 1])):
+        with pytest.raises(FieldError):
+            f.from_coeffs(cs)
+
+
 def test_is_square_counts():
     for q, p, m in ((13, 13, 1), (27, 3, 3), (49, 7, 2)):
         f = Field(p, m)

@@ -177,12 +177,11 @@ def test_walk_matches_scalar_enumeration_at_every_chunk_size(q, monkeypatch):
 
 @pytest.mark.parametrize("q", sorted(WALK_SHAPES))
 def test_walk_memory_is_bounded_by_its_tables_and_one_step(q):
-    """The walk holds its span tables, fewer than 2 _TABLE words of n
-    int64, and builds the largest from the level below with temporaries
-    of a few times its size; a step compares at most _CHUNK words as n
-    bools.  So at the construct and selftest shapes, whose largest
-    tables hold 343 and 49 words, it peaks below 3 _TABLE int64 words
-    plus _CHUNK bool words."""
+    """The walk holds one span table, at most _TABLE words of n int64,
+    and builds it a row at a time with temporaries of a few times its
+    size; a step compares at most _CHUNK words as n bools.  So at the
+    construct and selftest shapes, whose tables hold 343 and 49 words,
+    it peaks below 3 _TABLE int64 words plus _CHUNK bool words."""
     f = Field(*factor_prime_power(q))
     n, k = WALK_SHAPES[q]
     code = _random_code(f, random.Random(q), n, k, grs_like=n <= q)
