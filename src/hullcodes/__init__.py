@@ -15,8 +15,6 @@ from .hull import (
     HullReport,
     LinearCode,
     certify,
-    certify_egrs_self_orthogonal,
-    certify_grs_self_orthogonal,
     code_from_grs,
     hull_membership,
     hull_report,
@@ -30,9 +28,6 @@ from .construct import (
     choose_b,
     make_seed,
     reduce_hull,
-    reduce_hull_egrs,
-    reduce_hull_egrs_from_grs,
-    reduce_hull_grs,
     ternary_codes,
 )
 from .families import FamilyError, FamilyParams, FamilySeed, build_family, construct_from_family, family_grid

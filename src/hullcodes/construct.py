@@ -213,33 +213,16 @@ def reduce_hull(
     return grs(points, v.tolist(), k, extended=spec.extended or extend)
 
 
-def reduce_hull_grs(seed: SeedCode, k: int, l: int, alpha: int | None = None) -> GrsSpec:
-    """reduce_hull for a non-extended seed: an [n, k] code."""
-    if seed.spec.extended:
-        raise ConstructionError("reduce_hull_grs needs a non-extended seed")
-    return reduce_hull(seed, k, l, alpha=alpha)
-
-
-def reduce_hull_egrs(
-    seed: SeedCode,
-    k: int,
-    l: int,
-    alpha: int | None = None,
-    b: int | None = None,
-) -> GrsSpec:
-    """reduce_hull for an extended seed: an [n+1, k] code."""
-    if not seed.spec.extended:
-        raise ConstructionError("reduce_hull_egrs needs an extended seed")
-    return reduce_hull(seed, k, l, alpha=alpha, b=b)
+# other names of reduce_hull, kept because perfbench/workloads.py calls
+# them and perfbench/tracing.py's SPANS names them
+reduce_hull_grs = reduce_hull_egrs = reduce_hull
 
 
 def reduce_hull_egrs_from_grs(
     seed: SeedCode, k: int, l: int, alpha: int | None = None
 ) -> GrsSpec:
-    """reduce_hull with extend on a non-extended seed: an [n+1, k] code
-    with 0 <= l <= k-1."""
-    if seed.spec.extended:
-        raise ConstructionError("reduce_hull_egrs_from_grs needs a non-extended seed")
+    """reduce_hull with extend, kept because perfbench/tracing.py's SPANS
+    names it."""
     return reduce_hull(seed, k, l, extend=True, alpha=alpha)
 
 

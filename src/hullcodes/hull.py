@@ -155,31 +155,16 @@ def _degree_rule(spec: GrsSpec, lam) -> bool:
     return poly_deg(lam) == top and poly_coeff(lam, top) == spec.field.neg(1)
 
 
-def _certify(spec: GrsSpec) -> Certificate | None:
+def certify(spec: GrsSpec) -> Certificate | None:
+    """Certificate that spec's code (dimension spec.k, extended or not)
+    is self-orthogonal, or None."""
     lam = poly_trim(spec.dual_interpolant().tolist())
     return Certificate(tuple(lam)) if _degree_rule(spec, lam) else None
 
 
-def certify_grs_self_orthogonal(spec: GrsSpec) -> Certificate | None:
-    """Certificate that GRS_m(a, v) is self-orthogonal, or None."""
-    if spec.extended:
-        raise HullError("certify_grs_self_orthogonal needs a non-extended spec")
-    return _certify(spec)
-
-
-def certify_egrs_self_orthogonal(spec: GrsSpec) -> Certificate | None:
-    """Certificate that GRS_m(a, v, oo) is self-orthogonal, or None."""
-    if not spec.extended:
-        raise HullError("certify_egrs_self_orthogonal needs an extended spec")
-    return _certify(spec)
-
-
-def certify(spec: GrsSpec) -> Certificate | None:
-    """Certificate that spec's code (dimension spec.k, extended or not)
-    is self-orthogonal, or None."""
-    if spec.extended:
-        return certify_egrs_self_orthogonal(spec)
-    return certify_grs_self_orthogonal(spec)
+# other names of certify, kept because perfbench/tracing.py's SPANS names
+# them
+certify_grs_self_orthogonal = certify_egrs_self_orthogonal = certify
 
 
 def check_certificate(cert: Certificate, spec: GrsSpec) -> bool:

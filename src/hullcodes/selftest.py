@@ -246,12 +246,14 @@ SUITES = [
 
 def run(seed: int, budget: OracleBudget) -> tuple[int, str]:
     """Run every suite in order: (0 if all pass, else 1; one line per
-    suite and a summary line).  The suites share one random stream
-    seeded with seed."""
+    suite and a summary line).  A suite fails at its first check that
+    finds a fault or examined no instance.  The suites share one random
+    stream seeded with seed."""
     rng = random.Random(seed)
     lines, failures = [], 0
     for name, detail, suite in SUITES:
-        bad = next((bad for _, bad in suite(rng, budget) if bad), None)
+        bad = next((bad or "examined no instance"
+                    for examined, bad in suite(rng, budget) if bad or not examined), None)
         lines.append(f"{'ok' if bad is None else 'FAIL'}  {name}: {bad or detail}")
         failures += bad is not None
     lines.append(f"{failures} suite(s) failed" if failures else "all selftest suites passed")

@@ -51,6 +51,9 @@ def test_construct_rejects_bad_family(capsys):
 def test_construct_missing_target(capsys):
     rc = main("construct --family twisted_pair --q 7 --t 3".split())
     assert rc == 2
+    rc = main("construct --k 2 --l 1".split())  # no mode
+    assert rc == 2
+    assert "construct needs --family, --seed-json or --ternary" in capsys.readouterr().err
 
 
 def test_verify_round_trip(tmp_path, capsys):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hullcodes import construct, gf
+from hullcodes import construct, gf, hull
 from hullcodes.construct import (
     ConstructionError,
     SeedCode,
@@ -13,9 +13,6 @@ from hullcodes.construct import (
     choose_b,
     make_seed,
     reduce_hull,
-    reduce_hull_egrs,
-    reduce_hull_egrs_from_grs,
-    reduce_hull_grs,
     ternary_codes,
 )
 from hullcodes.gf import Field, FieldError
@@ -99,7 +96,7 @@ def test_reduce_hull_revalidates_the_seed_certificate():
 
 def test_reduce_grs_identity_at_l_equals_k():
     seed = _full_field_seed(13, 6)
-    spec = reduce_hull_grs(seed, 6, 6)
+    spec = reduce_hull(seed, 6, 6)
     assert spec.v == seed.spec.v  # s = 0: nothing scaled
     report = hull_report(code_from_grs(spec))
     assert report.hull_dim == 6
@@ -108,10 +105,10 @@ def test_reduce_grs_identity_at_l_equals_k():
 
 def test_reduce_grs_spec_examples():
     seed = _full_field_seed(13, 6)
-    spec = reduce_hull_grs(seed, 4, 2)
+    spec = reduce_hull(seed, 4, 2)
     assert hull_report(code_from_grs(spec)).hull_dim == 2
     assert is_mds(code_from_grs(spec))
-    spec = reduce_hull_grs(seed, 3, 0)
+    spec = reduce_hull(seed, 3, 0)
     report = hull_report(code_from_grs(spec))
     assert report.hull_dim == 0 and report.classification == "LCD"
 
@@ -119,19 +116,26 @@ def test_reduce_grs_spec_examples():
 def test_reduce_grs_alpha_invariance():
     seed = _full_field_seed(13, 6)
     for alpha in (2, 3, 5, 11):
-        spec = reduce_hull_grs(seed, 5, 2, alpha=alpha)
+        spec = reduce_hull(seed, 5, 2, alpha=alpha)
         assert hull_report(code_from_grs(spec)).hull_dim == 2
 
 
 def test_reduce_grs_range_checks():
     seed = _full_field_seed(13, 6)
     with pytest.raises(ConstructionError):
-        reduce_hull_grs(seed, 7, 0)  # k > m
+        reduce_hull(seed, 7, 0)  # k > m
     with pytest.raises(ConstructionError):
-        reduce_hull_grs(seed, 3, 4)  # l > k
-    ext = _full_field_seed(13, 7, extended=True)
-    with pytest.raises(ConstructionError):
-        reduce_hull_grs(ext, 3, 1)  # wrong seed kind
+        reduce_hull(seed, 3, 4)  # l > k
+
+
+def test_the_perfbench_names_are_the_one_route():
+    # perfbench calls and traces these names; each is reduce_hull or
+    # certify itself, or one forwarding call
+    assert construct.reduce_hull_grs is construct.reduce_hull_egrs is construct.reduce_hull
+    assert hull.certify_grs_self_orthogonal is hull.certify_egrs_self_orthogonal is hull.certify
+    seed = _full_field_seed(13, 6)
+    for k, l in ((1, 0), (4, 2), (6, 5)):
+        assert construct.reduce_hull_egrs_from_grs(seed, k, l) == reduce_hull(seed, k, l, extend=True)
 
 
 def test_reduce_egrs_with_twist_polynomial():
@@ -144,7 +148,7 @@ def test_reduce_egrs_with_twist_polynomial():
     seed = make_seed(grs(pts, v, 3, extended=True))
     for k in range(1, 4):
         for l in range(0, k + 1):
-            spec = reduce_hull_egrs(seed, k, l)
+            spec = reduce_hull(seed, k, l)
             report = hull_report(code_from_grs(spec))
             assert report.hull_dim == l, (k, l)
             assert is_mds(code_from_grs(spec), OracleBudget(max_minor_k=6))
@@ -158,9 +162,9 @@ def test_reduce_egrs_full_field_fallbacks():
         for l in range(0, k + 1):
             if (k, l) == (6, 6):
                 with pytest.raises(ConstructionError):
-                    reduce_hull_egrs(seed, k, l)
+                    reduce_hull(seed, k, l)
                 continue
-            spec = reduce_hull_egrs(seed, k, l)
+            spec = reduce_hull(seed, k, l)
             assert hull_report(code_from_grs(spec)).hull_dim == l, (k, l)
 
 
@@ -208,18 +212,18 @@ def test_smallest_root_free_at_a_large_field_stays_small(q, degree):
 def test_reduce_egrs_explicit_b_at_full_field_fails():
     seed = _full_field_seed(13, 7, extended=True)
     with pytest.raises(ConstructionError):
-        reduce_hull_egrs(seed, 5, 2, b=3)  # 3 is an evaluation point
+        reduce_hull(seed, 5, 2, b=3)  # 3 is an evaluation point
 
 
 def test_extend_from_grs_seed():
     seed = _full_field_seed(13, 6)
     for k in range(1, 7):
         for l in range(0, k):
-            spec = reduce_hull_egrs_from_grs(seed, k, l)
+            spec = reduce_hull(seed, k, l, extend=True)
             assert spec.extended and spec.length == 14
             assert hull_report(code_from_grs(spec)).hull_dim == l, (k, l)
     with pytest.raises(ConstructionError):
-        reduce_hull_egrs_from_grs(seed, 4, 4)  # l = k unreachable
+        reduce_hull(seed, 4, 4, extend=True)  # l = k unreachable
 
 
 def test_reduce_hull_rejects_b_without_twist():
@@ -246,7 +250,7 @@ def test_reduction_rejects_small_fields():
     # GRS_1 with v = (1,1,1): u_i = -1 = 2, v_i^2 = 1 = 2*2 -> lambda = 2
     seed = make_seed(grs(pts, [1, 1, 1], 1))
     with pytest.raises(ConstructionError):
-        reduce_hull_grs(seed, 1, 0)
+        reduce_hull(seed, 1, 0)
 
 
 def test_ternary_codes_golden():

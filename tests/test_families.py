@@ -144,6 +144,13 @@ def test_odd_cosets_rejects_even_n_and_odd_mu():
         build_family(FamilyParams("odd_cosets", "i", r=5, m=3, t=1, mu=(1,)))
 
 
+def test_even_cosets_rejects_an_even_r_and_a_short_mu():
+    with pytest.raises(FamilyError, match="base field size r must be odd"):
+        build_family(FamilyParams("even_cosets", "i", r=4, m=3, t=1))
+    with pytest.raises(FamilyError, match="need exactly 4 coset exponents, got 2"):
+        build_family(FamilyParams("even_cosets", "i", r=7, m=3, t=4, mu=(0, 1)))
+
+
 def test_additive_variants():
     fs1 = build_family(FamilyParams("additive", "i", p=3, s=1, e=1))
     assert fs1.code_length == 9 and fs1.seed.m == 4

@@ -56,6 +56,10 @@ def test_prime_field_arithmetic():
         f.inv(0)
     with pytest.raises(FieldError):
         f.mul(13, 1)
+    with pytest.raises(FieldError, match="negative power of zero"):
+        Field(7).pow(0, -1)
+    with pytest.raises(FieldError, match="inversion of zero"):
+        f.inv_array(np.array([3, 0, 1]))
 
 
 def test_generator_is_canonical():

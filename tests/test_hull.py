@@ -11,8 +11,7 @@ from hullcodes.grs import encode, eval_set, grs
 from hullcodes.hull import (
     Certificate,
     HullError,
-    certify_egrs_self_orthogonal,
-    certify_grs_self_orthogonal,
+    certify,
     check_certificate,
     classify,
     code_from_grs,
@@ -120,7 +119,7 @@ def test_certificate_full_field_seed():
     # v_i = 1 on all of GF(13): u_i = -1, so lambda = -1 (constant)
     pts = eval_set(F13, range(13))
     spec = grs(pts, [1] * 13, 6)
-    cert = certify_grs_self_orthogonal(spec)
+    cert = certify(spec)
     assert cert is not None
     assert list(cert.lam) == [12]
     assert check_certificate(cert, spec)
@@ -131,7 +130,7 @@ def test_certificate_full_field_seed():
 def test_certificate_rejects_non_self_orthogonal():
     pts = eval_set(F13, [1, 2, 3, 4, 5, 6])
     spec = grs(pts, [1] * 6, 3)
-    cert = certify_grs_self_orthogonal(spec)
+    cert = certify(spec)
     code = code_from_grs(spec)
     assert (cert is not None) == gram_is_zero(code)
 
@@ -140,18 +139,18 @@ def test_egrs_certificate_boundary():
     # extended self-dual: 2m = n + 1 forces lambda = -1 exactly
     pts = eval_set(F13, range(13))
     spec = grs(pts, [1] * 13, 7, extended=True)
-    cert = certify_egrs_self_orthogonal(spec)
+    cert = certify(spec)
     assert cert is not None and list(cert.lam) == [12]
     # a multiplier with the wrong square breaks it
     bad = [2] + [1] * 12  # 4 != -u_1 = 1
-    assert certify_egrs_self_orthogonal(grs(pts, bad, 7, extended=True)) is None
+    assert certify(grs(pts, bad, 7, extended=True)) is None
 
 
 def test_egrs_certificate_leading_coefficient_check():
     # non-extended self-orthogonal seed does not certify as extended
     pts = eval_set(F13, range(13))
     spec = grs(pts, [1] * 13, 6, extended=True)
-    cert = certify_egrs_self_orthogonal(spec)
+    cert = certify(spec)
     # lambda = -1 has degree 0 != n - 2m + 1 = 2
     assert cert is None
 
@@ -161,7 +160,7 @@ def test_check_certificate_rejects_bad_certificates():
     ones, twos = [1] * 13, [2] * 13
     # the extended self-dual seed: lambda = -1, of degree n - 2m + 1 = 0
     spec = grs(pts, ones, 7, extended=True)
-    cert = certify_egrs_self_orthogonal(spec)
+    cert = certify(spec)
     assert check_certificate(cert, spec)
     # the same lambda as a GRS_7 certificate needs degree <= n - 2m = -1
     assert not check_certificate(cert, grs(pts, ones, 7))
@@ -176,15 +175,10 @@ def test_check_certificate_rejects_bad_certificates():
 
 def test_certificate_m_range_checks():
     # above n/2 (extended: (n+1)/2) the degree bound is negative, so no
-    # lambda meets it, and a spec of the other kind is refused
+    # lambda meets it
     pts = eval_set(F13, [1, 2, 3, 4])
-    spec = grs(pts, [1] * 4, 2)
-    assert certify_grs_self_orthogonal(grs(pts, [1] * 4, 3)) is None
-    assert certify_egrs_self_orthogonal(grs(pts, [1] * 4, 4, extended=True)) is None
-    with pytest.raises(HullError, match="needs an extended spec"):
-        certify_egrs_self_orthogonal(spec)
-    with pytest.raises(HullError, match="needs a non-extended spec"):
-        certify_grs_self_orthogonal(grs(pts, [1] * 4, 2, extended=True))
+    assert certify(grs(pts, [1] * 4, 3)) is None
+    assert certify(grs(pts, [1] * 4, 4, extended=True)) is None
 
 
 def test_hull_membership_witness():
@@ -206,12 +200,12 @@ def test_hull_membership_witness():
 
 def test_hull_membership_agrees_with_hull_basis():
     # a generic code: check witness existence matches actual membership
-    from hullcodes.construct import make_seed, reduce_hull_grs
+    from hullcodes.construct import make_seed, reduce_hull
     import itertools
 
     pts = eval_set(Field(7), range(7))
     seed = make_seed(grs(pts, [1] * 7, 3))
-    spec = reduce_hull_grs(seed, 3, 1)
+    spec = reduce_hull(seed, 3, 1)
     code = code_from_grs(spec)
     report = hull_report(code)
     assert report.hull_dim == 1

@@ -101,6 +101,8 @@ def test_malformed_entries_are_rejected():
     for entries in ([[[1]]], [[1, 2], [3, [4]]], np.array([1, 2])):
         with pytest.raises(LinalgError):
             Matrix(F5, entries)
+    with pytest.raises(LinalgError, match="dimension mismatch"):
+        Matrix(F5, [[1, 2]]).matmul(Matrix(F5, [[1, 2]]))
 
 
 def test_entries_outside_the_field_are_rejected():

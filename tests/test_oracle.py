@@ -10,7 +10,7 @@ import pytest
 from sympy import Matrix as SympyMatrix
 
 from hullcodes import hull, linalg, oracle
-from hullcodes.construct import make_seed, reduce_hull_grs, ternary_codes
+from hullcodes.construct import make_seed, reduce_hull, ternary_codes
 from hullcodes.gf import Field, factor_prime_power
 from hullcodes.grs import encode, eval_set, grs
 from hullcodes.hull import code_from_grs, hull_membership, hull_report, linear_code
@@ -212,7 +212,7 @@ def test_min_distance_budget():
 def test_is_mds_enumeration_and_minors():
     f = Field(13)
     seed = make_seed(grs(eval_set(f, range(13)), [1] * 13, 6))
-    spec = reduce_hull_grs(seed, 3, 1)
+    spec = reduce_hull(seed, 3, 1)
     code = code_from_grs(spec)
     assert is_mds(code)  # q^3 affordable
     # minor route: forbid enumeration
@@ -603,7 +603,7 @@ def test_hull_dim_oracle_self_dual_and_lcd():
     sd = code_from_grs(grs(pts, [1] * 13, 7, extended=True))
     assert hull_dim_oracle(sd) == 7
     seed = make_seed(grs(pts, [1] * 13, 6))
-    lcd = code_from_grs(reduce_hull_grs(seed, 4, 0))
+    lcd = code_from_grs(reduce_hull(seed, 4, 0))
     assert hull_dim_oracle(lcd) == 0
 
 

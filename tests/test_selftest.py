@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hullcodes import oracle, selftest
+from hullcodes import hull, oracle, selftest
 from hullcodes.cli import main
 from hullcodes.construct import choose_alpha
 from hullcodes.grs import eval_sets, grs
@@ -42,6 +42,12 @@ def _first_multiplier_scaled(points, v, k, extended=False):
     return grs(points, [field.mul(choose_alpha(field), v[0]), *v[1:]], k, extended)
 
 
+def _certify_missing(extended):
+    """certify, but None for every spec of one kind: the certificates
+    suite must catch a miss on either kind alone."""
+    return lambda spec: None if spec.extended == extended else hull.certify(spec)
+
+
 # (suite, "module.function" to replace, replacement)
 MUTANTS = [
     ("power-sums", "selftest.verify_power_sums", lambda point_sets: [False] * len(point_sets)),
@@ -50,9 +56,9 @@ MUTANTS = [
     ("duality", "selftest.grs", _first_multiplier_scaled),
     ("oracle-equivalence", "selftest.hull_dim_oracle", lambda code: oracle.hull_dim_oracle(code) + 1),
     ("oracle-equivalence", "selftest.min_distance", lambda code, budget: code.n - code.k + 2),
-    # selftest reaches these through hull.certify
-    ("certificates", "hull.certify_grs_self_orthogonal", lambda spec: None),
-    ("certificates", "hull.certify_egrs_self_orthogonal", lambda spec: None),
+    # certify0 misses only GRS certificates, certify1 only extended ones
+    ("certificates", "selftest.certify", _certify_missing(extended=False)),
+    ("certificates", "selftest.certify", _certify_missing(extended=True)),
     ("ternary-table", "selftest.min_distance", lambda code, budget: oracle.min_distance(code, budget) + 1),
 ]
 
@@ -81,3 +87,20 @@ def test_duality_mutant_fails_the_first_instance(target, mutant, monkeypatch):
     points, v = selftest.subgroup_points(selftest.field_of_order(7), 3)
     examined, bad = selftest.duality(points, v, [1])
     assert examined == 1 and bad.startswith("dual of GRS_1 != GRS_2 ")
+
+
+def test_duality_reports_a_perturbation_that_keeps_duality(monkeypatch):
+    """With alpha = 1 the perturbed multipliers are the original ones, so
+    duality still holds at the last m and the check must say so."""
+    monkeypatch.setattr(selftest, "choose_alpha", lambda field: 1)
+    points, v = selftest.subgroup_points(selftest.field_of_order(7), 3)
+    assert selftest.duality(points, v, [1]) == (2, "perturbed GRS duality holds for q=7, n=3")
+
+
+def test_a_suite_that_examined_nothing_fails(monkeypatch, capsys):
+    """With every random code rejected, the oracle-equivalence check
+    examines no instance, and its suite must fail rather than pass."""
+    monkeypatch.setattr(selftest, "random_code", lambda *args: None)
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "FAIL  oracle-equivalence: examined no instance" in out
