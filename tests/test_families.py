@@ -69,6 +69,8 @@ def test_even_cosets_invariant_checks():
         build_family(FamilyParams("even_cosets", "i", r=7, m=4, t=3))
     with pytest.raises(FamilyError):  # (q-1)/m odd for variant i
         build_family(FamilyParams("even_cosets", "i", r=5, m=8, t=1))
+    with pytest.raises(FamilyError, match="base field size r must be odd"):
+        build_family(FamilyParams("even_cosets", "i", r=4, m=3, t=1))
 
 
 def test_even_cosets_mu_override():
@@ -79,6 +81,8 @@ def test_even_cosets_mu_override():
         build_family(FamilyParams("even_cosets", "i", r=7, m=3, t=4, mu=(0, 1, 2, 8)))
     with pytest.raises(FamilyError):  # not increasing
         build_family(FamilyParams("even_cosets", "i", r=7, m=3, t=4, mu=(2, 1, 0, 3)))
+    with pytest.raises(FamilyError, match="need exactly 4 coset exponents, got 2"):
+        build_family(FamilyParams("even_cosets", "i", r=7, m=3, t=4, mu=(0, 1)))
 
 
 def test_odd_cosets_variants():
@@ -142,13 +146,6 @@ def test_odd_cosets_rejects_even_n_and_odd_mu():
         build_family(FamilyParams("odd_cosets", "i", r=5, m=4, t=1))
     with pytest.raises(FamilyError):
         build_family(FamilyParams("odd_cosets", "i", r=5, m=3, t=1, mu=(1,)))
-
-
-def test_even_cosets_rejects_an_even_r_and_a_short_mu():
-    with pytest.raises(FamilyError, match="base field size r must be odd"):
-        build_family(FamilyParams("even_cosets", "i", r=4, m=3, t=1))
-    with pytest.raises(FamilyError, match="need exactly 4 coset exponents, got 2"):
-        build_family(FamilyParams("even_cosets", "i", r=7, m=3, t=4, mu=(0, 1)))
 
 
 def test_additive_variants():
